@@ -2,11 +2,16 @@
 parser, evaluator and (quasi-)equation satisfaction in finite algebras.
 
 Term nodes are interned (hash-consed): structurally equal terms are the same
-object, which makes sharing-heavy generated terms cheap to evaluate with a
-per-assignment memo.
+object, so a generated term is a DAG that shares its subterms.  Every walk
+over a term uses an explicit stack, so depth is bounded by memory, not by the
+interpreter's recursion limit.  A check evaluates each DAG node at most once
+per call, as a column of its values over all assignments in
+`itertools.product` order, with C-level `map`s over the operation tables; the
+first index where two columns differ decodes to the lexicographically least
+failing assignment.
 """
 
-import itertools
+from operator import and_, eq, getitem, ne
 
 from .errors import MissingAssignment, TermSyntaxError
 
@@ -147,11 +152,21 @@ def var_name(i):
 
 
 def to_text(t):
-    if isinstance(t, Var):
-        return var_name(t.index)
-    if isinstance(t, Const):
-        return "0" if t.which == "zero" else "1"
-    return f"({to_text(t.left)} {_OP_SYMBOL[t.op]} {to_text(t.right)})"
+    # the text spells out the tree, so shared nodes are printed each time
+    out = []
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if isinstance(u, str):
+            out.append(u)
+        elif isinstance(u, Var):
+            out.append(var_name(u.index))
+        elif isinstance(u, Const):
+            out.append("0" if u.which == "zero" else "1")
+        else:
+            out.append("(")
+            stack += (")", u.right, f" {_OP_SYMBOL[u.op]} ", u.left)
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -295,52 +310,73 @@ class _Parser:
         self.expect("EQ")
         return Equation(lhs, self.expr())
 
+    def input(self):
+        kinds = {k for k, _, _ in self.toks}
+        if "ARROW" in kinds:
+            premises = [self.equation()]
+            while self.peek()[0] == "&":
+                self.next()
+                premises.append(self.equation())
+            self.expect("ARROW")
+            conclusion = self.equation()
+            self.expect("END")
+            return QuasiEquation(premises, conclusion)
+        if "EQ" in kinds:
+            e = self.equation()
+            self.expect("END")
+            return e
+        t = self.expr()
+        self.expect("END")
+        return t
+
 
 def parse(text):
     """Parse a term, an equation, or a quasi-equation (`eq & eq => eq`)."""
     p = _Parser(text)
-    kinds = {k for k, _, _ in p.toks}
-    if "ARROW" in kinds:
-        premises = [p.equation()]
-        while p.peek()[0] == "&":
-            p.next()
-            premises.append(p.equation())
-        p.expect("ARROW")
-        conclusion = p.equation()
-        p.expect("END")
-        return QuasiEquation(premises, conclusion)
-    if "EQ" in kinds:
-        eq = p.equation()
-        p.expect("END")
-        return eq
-    t = p.expr()
-    p.expect("END")
-    return t
+    try:
+        return p.input()
+    except RecursionError:
+        # the descent recurses once per level of brackets or scalar prefixes
+        raise TermSyntaxError("term is nested too deeply",
+                              p.peek()[2]) from None
 
 
 # ---------------------------------------------------------------------------
 # evaluation and satisfaction
 
-def variables(t, _seen=None):
-    # terms are interned DAGs; track visited nodes or the walk is exponential
-    if _seen is None:
-        _seen = set()
-    if t in _seen:
-        return set()
-    _seen.add(t)
-    if isinstance(t, Var):
-        return {t.index}
-    if isinstance(t, Const):
-        return set()
-    return variables(t.left, _seen) | variables(t.right, _seen)
+def _postorder(roots, done, visit):
+    """Set done[t] = visit(t) for every node t under `roots` that is not yet
+    in `done`, children before parents.  The walk uses an explicit stack and
+    stops at nodes already in `done`, so each node is visited once."""
+    stack = list(roots)
+    while stack:
+        t = stack[-1]
+        if t in done:
+            stack.pop()
+        elif (isinstance(t, BinOp)
+              and not (t.left in done and t.right in done)):
+            stack += (t.left, t.right)
+        else:
+            done[t] = visit(t)
+            stack.pop()
 
 
-def _num_vars(*terms):
-    vs = set()
-    seen = set()
-    for t in terms:
-        vs |= variables(t, seen)
-    return max(vs) + 1 if vs else 0
+def _widths(roots):
+    """Variable width of every node under `roots`: index + 1 for a variable,
+    0 for a constant, the larger child width for a binary node."""
+    width = {}
+
+    def visit(t):
+        if isinstance(t, BinOp):
+            return max(width[t.left], width[t.right])
+        return t.index + 1 if isinstance(t, Var) else 0
+
+    _postorder(roots, width, visit)
+    return width
+
+
+def variables(t):
+    return {u.index for u in _widths([t]) if isinstance(u, Var)}
 
 
 def _normalize_env(env):
@@ -357,27 +393,56 @@ def _normalize_env(env):
     return out
 
 
-def _eval(t, A, env, memo):
-    v = memo.get(t)
-    if v is not None:
-        return v
-    if isinstance(t, Var):
-        try:
-            v = env[t.index]
-        except (IndexError, KeyError):
-            raise MissingAssignment(f"no value for {var_name(t.index)}") from None
-    elif isinstance(t, Const):
-        v = A.zero if t.which == "zero" else A.one
-    else:
-        l = _eval(t.left, A, env, memo)
-        r = _eval(t.right, A, env, memo)
-        v = getattr(A, t.op)[l][r]
-    memo[t] = v
-    return v
+def _evaluator(A, size, var_column):
+    """column(t): the values of t in A over `size` assignments, where
+    var_column(i) gives those of variable i.  Columns are kept for the
+    evaluator's lifetime, so each node is evaluated once, when first needed."""
+    cols = {}
+
+    def visit(t):
+        if isinstance(t, BinOp):
+            table = getattr(A, t.op)
+            return list(map(getitem, map(table.__getitem__, cols[t.left]),
+                            cols[t.right]))
+        if isinstance(t, Var):
+            return var_column(t.index)
+        return [A.zero if t.which == "zero" else A.one] * size
+
+    def column(t):
+        _postorder((t,), cols, visit)
+        return cols[t]
+
+    return column
+
+
+def _product_evaluator(A, nv):
+    # variable i over itertools.product(range(n), repeat=nv): each value
+    # repeated n**(nv-1-i) times, that block tiled n**i times
+    n = A.size
+    return _evaluator(A, n ** nv, lambda i: [
+        v for v in range(n) for _ in range(n ** (nv - 1 - i))] * n ** i)
+
+
+def _assignment(mask, n, nv):
+    """The assignment at the first true index of `mask`, in product order."""
+    idx = mask.index(True)
+    digits = []
+    for _ in range(nv):
+        idx, d = divmod(idx, n)
+        digits.append(d)
+    return tuple(reversed(digits))
 
 
 def evaluate(t, A, env=None):
-    return _eval(t, A, _normalize_env(env), {})
+    env = _normalize_env(env)
+
+    def var_column(i):
+        try:
+            return [env[i]]
+        except KeyError:
+            raise MissingAssignment(f"no value for {var_name(i)}") from None
+
+    return _evaluator(A, 1, var_column)(t)[0]
 
 
 class CheckResult:
@@ -410,49 +475,44 @@ def satisfies(A, e):
     """Check an Equation, or anything with an `.equations` attribute (axiom
     sets); assignments are scanned in lexicographic order."""
     eqs = getattr(e, "equations", None)
-    if eqs is not None:
-        return satisfies_all(A, eqs)
-    nv = _num_vars(e.lhs, e.rhs)
-    for env in itertools.product(range(A.size), repeat=nv):
-        memo = {}
-        if _eval(e.lhs, A, env, memo) != _eval(e.rhs, A, env, memo):
-            return CheckResult(False, witness=env, equation=e)
-    return CheckResult(True)
+    return satisfies_all(A, [e] if eqs is None else eqs)
 
 
 def satisfies_all(A, equations):
-    """Equations grouped by variable count share one evaluation memo per
-    assignment; verdict and least witness match checking them one by one."""
+    """The first failing equation, in list order, with its least failing
+    assignment.  Equations with the same variable count share one column per
+    node, and evaluation stops at the first failure."""
     equations = list(equations)
-    groups = {}
-    for idx, e in enumerate(equations):
-        groups.setdefault(_num_vars(e.lhs, e.rhs), []).append((idx, e))
-    best = None  # (eq index, witness)
-    for nv, group in sorted(groups.items()):
-        for env in itertools.product(range(A.size), repeat=nv):
-            memo = {}
-            for idx, e in group:
-                if _eval(e.lhs, A, env, memo) != _eval(e.rhs, A, env, memo):
-                    if best is None or idx < best[0] or \
-                            (idx == best[0] and env < best[1]):
-                        best = (idx, env, e)
-                    break
-    if best is None:
-        return CheckResult(True)
-    return CheckResult(False, witness=best[1], equation=best[2])
+    width = _widths([t for e in equations for t in (e.lhs, e.rhs)])
+    evaluators = {}
+    for e in equations:
+        nv = max(width[e.lhs], width[e.rhs])
+        column = evaluators.get(nv)
+        if column is None:
+            column = evaluators[nv] = _product_evaluator(A, nv)
+        lhs, rhs = column(e.lhs), column(e.rhs)
+        if lhs != rhs:
+            witness = _assignment(list(map(ne, lhs, rhs)), A.size, nv)
+            return CheckResult(False, witness=witness, equation=e)
+    return CheckResult(True)
 
 
 def satisfies_quasi(A, q):
-    nv = _num_vars(*[t for e in q.premises for t in (e.lhs, e.rhs)],
-                   q.conclusion.lhs, q.conclusion.rhs)
-    for env in itertools.product(range(A.size), repeat=nv):
-        memo = {}
-        if all(_eval(e.lhs, A, env, memo) == _eval(e.rhs, A, env, memo)
-               for e in q.premises):
-            c = q.conclusion
-            if _eval(c.lhs, A, env, memo) != _eval(c.rhs, A, env, memo):
-                return CheckResult(False, witness=env, equation=c)
-    return CheckResult(True)
+    """The premises' equalities are ANDed into a mask; the witness is the
+    least assignment where the mask holds and the conclusion fails."""
+    roots = [t for e in (*q.premises, q.conclusion) for t in (e.lhs, e.rhs)]
+    width = _widths(roots)
+    nv = max(width[t] for t in roots)
+    column = _product_evaluator(A, nv)
+    mask = [True] * A.size ** nv
+    for e in q.premises:
+        mask = list(map(and_, mask, map(eq, column(e.lhs), column(e.rhs))))
+    c = q.conclusion
+    bad = list(map(and_, mask, map(ne, column(c.lhs), column(c.rhs))))
+    if True not in bad:
+        return CheckResult(True)
+    return CheckResult(False, witness=_assignment(bad, A.size, nv),
+                       equation=c)
 
 
 CANCELLATIVITY = parse("x + z ≈ y + z & x * z ≈ y * z => x ≈ y")

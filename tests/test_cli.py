@@ -113,6 +113,15 @@ def test_check_eq_syntax_error(algebra_file):
     assert run("check-eq", algebra_file(ln_plus(2)), "--eq", "x ≈")[0] == 1
 
 
+def test_check_eq_deep_nesting_is_a_syntax_error(algebra_file, capsys):
+    deep = "(" * 2000 + "x" + ")" * 2000
+    code, out = run("check-eq", algebra_file(ln_plus(2)), "--eq",
+                    f"{deep} ≈ x")
+    err = capsys.readouterr().err
+    assert code == 1 and out == ""
+    assert err.startswith("error: term is nested too deeply")
+
+
 def test_phi_sigma_member_commands(algebra_file):
     f2 = algebra_file(ln_plus(2), "l2.json")
     f3 = algebra_file(ln_plus(3), "l3.json")

@@ -53,7 +53,7 @@ def test_all_filter_admits_exactly_the_relaxed_axioms():
 
 def test_refined_filters_enforce_the_full_definition():
     for flt in ("si-necessary", "si", "positive"):
-        for n in (3, 4):
+        for n in (3, 4, 5):
             for A in enumerate_chain(n, flt):
                 assert is_mv_monoid(A)
 

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,9 +7,10 @@ from hypothesis import strategies as st
 from mvmlab import (CANCELLATIVITY, Equation, QuasiEquation, catalog, cn_delta,
                     evaluate, ln_plus, parse, satisfies, satisfies_all,
                     satisfies_quasi, to_text)
+from mvmlab.axioms import MV_MONOID_AXIOMS
 from mvmlab.errors import MissingAssignment, TermSyntaxError
-from mvmlab.terms import (BinOp, Const, Var, const, odot, oplus, power, scalar,
-                          var, variables)
+from mvmlab.terms import (Const, Var, const, join, meet, odot, oplus, power,
+                          scalar, var, variables)
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +74,9 @@ def test_parse_quasi_equation():
 
 
 def test_parse_rejects_garbage():
-    for text in ["x ≈", "≈ x", "x +", "2", "x y", "x ≈ y ≈ z", "(x", "w"]:
+    # the last two nest past the recursive descent's depth
+    for text in ["x ≈", "≈ x", "x +", "2", "x y", "x ≈ y ≈ z", "(x", "w",
+                 "(" * 2000 + "x" + ")" * 2000, "2 " * 2000 + "x"]:
         with pytest.raises(TermSyntaxError):
             parse(text)
 
@@ -161,16 +166,103 @@ def test_cancellativity_quasi_equation():
     assert res.witness == (0, 1, 1)
 
 
+def test_deep_terms_need_no_recursion():
+    A = ln_plus(2)
+    x = var(0)
+    deep = scalar(3000, x)
+    assert variables(deep) == {0}
+    assert evaluate(deep, A, {"x": 1}) == 2
+    assert satisfies(A, Equation(deep, scalar(2, x)))
+    res = satisfies(A, Equation(deep, x))
+    assert not res and res.witness == (1,)
+    text = str(res.equation)
+    assert text.startswith("(" * 2999 + "x + x)") and text.endswith(" ≈ x")
+    assert res.equation.lhs is deep
+
+
+# ---------------------------------------------------------------------------
+# independent oracle: recursive evaluation, one assignment at a time
+
+def _ref_eval(t, A, env):
+    if isinstance(t, Var):
+        return env[t.index]
+    if isinstance(t, Const):
+        return A.zero if t.which == "zero" else A.one
+    return getattr(A, t.op)[_ref_eval(t.left, A, env)][
+        _ref_eval(t.right, A, env)]
+
+
+def _ref_width(t):
+    if isinstance(t, Var):
+        return t.index + 1
+    if isinstance(t, Const):
+        return 0
+    return max(_ref_width(t.left), _ref_width(t.right))
+
+
+def _ref_outcome(A, premises, e):
+    """(passed, witness, equation) by brute force over assignments in
+    lexicographic order: e must hold wherever every premise holds."""
+    terms = [t for p in (*premises, e) for t in (p.lhs, p.rhs)]
+    nv = max(_ref_width(t) for t in terms)
+    for env in itertools.product(range(A.size), repeat=nv):
+        if all(_ref_eval(p.lhs, A, env) == _ref_eval(p.rhs, A, env)
+               for p in premises) and \
+                _ref_eval(e.lhs, A, env) != _ref_eval(e.rhs, A, env):
+            return (False, env, e)
+    return (True, None, None)
+
+
+def _ref_outcome_all(A, equations):
+    for e in equations:
+        out = _ref_outcome(A, [], e)
+        if not out[0]:
+            return out
+    return (True, None, None)
+
+
+def _outcome(res):
+    return (res.passed, res.witness, res.equation)
+
+
+_ALGEBRA_NAMES = st.sampled_from(["L1+", "L2+", "L3+", "C2d", "C3n", "L2",
+                                  "trivial"])
+_wide_term_strategy = st.recursive(
+    st.sampled_from([var(0), var(1), var(2), var(3), const("zero"),
+                     const("one")]),
+    lambda sub: st.builds(lambda op, l, r: op(l, r),
+                          st.sampled_from([oplus, odot, join, meet]),
+                          sub, sub),
+    max_leaves=8)
+# random equations mostly fail; axioms and t ≈ t mix in ones that hold
+_equation_strategy = st.one_of(
+    st.builds(Equation, _wide_term_strategy, _wide_term_strategy),
+    st.builds(lambda t: Equation(t, t), _wide_term_strategy),
+    st.sampled_from([e for _, e in MV_MONOID_AXIOMS]))
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(["L1+", "L2+", "L3+", "C2d", "C3n", "L2"]),
-       _term_strategy, _term_strategy)
+@given(_ALGEBRA_NAMES, _term_strategy, _term_strategy)
 def test_satisfies_agrees_with_exhaustive_evaluation(name, lhs, rhs):
-    import itertools
     A = catalog(name)
     e = Equation(lhs, rhs)
-    nv = max(variables(lhs) | variables(rhs), default=-1) + 1
-    holds = all(
-        evaluate(lhs, A, dict(enumerate(env))) ==
-        evaluate(rhs, A, dict(enumerate(env)))
-        for env in itertools.product(range(A.size), repeat=nv))
-    assert bool(satisfies(A, e)) == holds
+    assert _outcome(satisfies(A, e)) == _ref_outcome(A, [], e)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_ALGEBRA_NAMES, st.lists(_equation_strategy, min_size=1, max_size=4))
+def test_satisfies_all_agrees_with_exhaustive_evaluation(name, equations):
+    A = catalog(name)
+    assert _outcome(satisfies_all(A, equations)) == \
+        _ref_outcome_all(A, equations)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_ALGEBRA_NAMES, st.lists(_equation_strategy, max_size=3),
+       _equation_strategy)
+def test_satisfies_quasi_agrees_with_exhaustive_evaluation(name, premises,
+                                                           conclusion):
+    A = catalog(name)
+    q = QuasiEquation(premises, conclusion)
+    assert _outcome(satisfies_quasi(A, q)) == \
+        _ref_outcome(A, premises, conclusion)
