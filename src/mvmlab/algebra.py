@@ -37,16 +37,12 @@ def min_table(n):
     return tuple(tuple(min(i, j) for j in range(n)) for i in range(n))
 
 
-def _validate_lattice(join, meet, zero, one, n):
-    # idempotency, commutativity, absorption, associativity, distributivity,
-    # designated bounds; witnesses are the offending element triples
+def _validate_lattice(join, meet, n):
+    # idempotency, commutativity, absorption, associativity, distributivity;
+    # witnesses are the offending element triples
     for i in range(n):
         if join[i][i] != i or meet[i][i] != i:
             raise NotALattice("idempotency fails", (i, i, i))
-        if join[zero][i] != i:
-            raise NotALattice("zero is not the bottom", (zero, i, i))
-        if meet[one][i] != i:
-            raise NotALattice("one is not the top", (one, i, i))
         for j in range(n):
             if join[i][j] != join[j][i] or meet[i][j] != meet[j][i]:
                 raise NotALattice("commutativity fails", (i, j, j))
@@ -112,7 +108,12 @@ def make_algebra(size, zero, one, oplus, odot, join=None, meet=None,
             _check_table(t, size, what)
         if not 0 <= zero < size or not 0 <= one < size:
             raise TableOutOfRange("zero/one outside 0..n-1")
-        _validate_lattice(join, meet, zero, one, size)
+        _validate_lattice(join, meet, size)
+        for i in range(size):
+            if join[zero][i] != i:
+                raise NotALattice("zero is not the bottom", (zero, i, i))
+            if meet[one][i] != i:
+                raise NotALattice("one is not the top", (one, i, i))
     if not chain:
         # recognize chains presented with explicit tables in numeric order
         chain = (zero == 0 and one == size - 1
@@ -294,24 +295,15 @@ def make_lmonoid(size, zero, plus, join=None, meet=None, name="",
             _check_table(t, size, what)
         if not 0 <= zero < size:
             raise TableOutOfRange("zero outside 0..n-1")
+        _validate_lattice(join, meet, size)
         n = size
         for i in range(n):
             if plus[zero][i] != i:
                 raise NotAnLMonoid("zero is not a +-unit", (zero, i))
             for j in range(n):
-                if join[i][j] != join[j][i] or meet[i][j] != meet[j][i]:
-                    raise NotAnLMonoid("lattice commutativity fails", (i, j))
-                if join[i][meet[i][j]] != i or meet[i][join[i][j]] != i:
-                    raise NotAnLMonoid("absorption fails", (i, j))
                 if plus[i][j] != plus[j][i]:
                     raise NotAnLMonoid("+ commutativity fails", (i, j))
                 for k in range(n):
-                    if join[join[i][j]][k] != join[i][join[j][k]]:
-                        raise NotAnLMonoid("join associativity fails", (i, j, k))
-                    if meet[meet[i][j]][k] != meet[i][meet[j][k]]:
-                        raise NotAnLMonoid("meet associativity fails", (i, j, k))
-                    if meet[i][join[j][k]] != join[meet[i][j]][meet[i][k]]:
-                        raise NotAnLMonoid("distributivity fails", (i, j, k))
                     if plus[plus[i][j]][k] != plus[i][plus[j][k]]:
                         raise NotAnLMonoid("+ associativity fails", (i, j, k))
                     if plus[i][join[j][k]] != join[plus[i][j]][plus[i][k]]:

@@ -3,6 +3,7 @@ and `repro` pipelines that recompute the survey figures from first
 principles."""
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -22,8 +23,10 @@ def _key_tag(A):
     return hashlib.sha256(algebra.canonical_key(A)).hexdigest()[:8]
 
 
+@functools.cache
 def _registry():
-    """Canonical key -> display name for every named algebra we can build."""
+    """Canonical key -> display name for every named algebra we can build,
+    built once per process."""
     reg = {}
 
     def put(A):
@@ -42,10 +45,9 @@ def _registry():
     return reg
 
 
-def identify(A, reg=None):
-    reg = _registry() if reg is None else reg
+def identify(A):
     key = algebra.canonical_key(A)
-    return reg.get(key, f"size{A.size}_{_key_tag(A)}")
+    return _registry().get(key, f"size{A.size}_{_key_tag(A)}")
 
 
 def _parse_set(text):
@@ -188,24 +190,21 @@ def _cmd_classify(args, out):
 
 def _cmd_hsu(args, out):
     gens = [_load_arg(f) for f in args.files]
-    reg = _registry()
     closure = morphisms.hs_closure(gens)
-    names = sorted(identify(A, reg) for A in closure.values())
+    names = sorted(identify(A) for A in closure.values())
     out.write(_dump({"classes": names}) + "\n")
 
 
-def _named_si_poset(algebras):
-    reg = _registry()
-    P = morphisms.si_poset(algebras)
-    names = {k: identify(P.algebras[k], reg) for k in P.labels}
-    named = posets.Poset([names[k] for k in P.labels],
-                         [(names[a], names[b]) for a in P.labels
-                          for b in P.labels if P.leq(a, b)])
-    return named
+def _named_poset(P):
+    """A poset of iso classes (from `morphisms.hs_poset` or `si_poset`) with
+    each canonical key replaced by the display name of its class."""
+    names = {k: identify(P.algebras[k]) for k in P.labels}
+    return posets.Poset([names[k] for k in P.labels],
+                        [(names[a], names[b]) for a in P.labels
+                         for b in P.labels if P.leq(a, b)])
 
 
 def _poset_out(P, args, out, dot_name):
-    reg = None
     if args.dot:
         out.write(P.to_dot(name=dot_name))
     else:
@@ -214,7 +213,7 @@ def _poset_out(P, args, out, dot_name):
 
 def _cmd_poset(args, out):
     gens = [_load_arg(f) for f in args.files]
-    _poset_out(_named_si_poset(gens), args, out, "si_poset")
+    _poset_out(_named_poset(morphisms.si_poset(gens)), args, out, "si_poset")
 
 
 def _downset_label(s):
@@ -242,20 +241,6 @@ def _si_algebras_up_to(max_size):
     return out
 
 
-def _variety_poset(generators):
-    """Poset of the varieties generated by each single algebra, ordered by
-    generator HSU membership (single SI or hereditarily-small generators)."""
-    reg = _registry()
-    keyed = {}
-    for A in generators:
-        keyed.setdefault(algebra.canonical_key(A), A)
-    closures = {k: set(morphisms.hs_closure([A])) for k, A in keyed.items()}
-    names = {k: identify(keyed[k], reg) for k in keyed}
-    pairs = [(names[a], names[b]) for a in keyed for b in keyed
-             if a in closures[b]]
-    return posets.Poset(list(names.values()), pairs)
-
-
 def _primes_up_to(n):
     return [p for p in range(2, n + 1)
             if all(p % d for d in range(2, p))]
@@ -266,7 +251,9 @@ def _repro_fig1(args, out):
     gens = [algebra.trivial_algebra(), constructions.ln_plus(1),
             constructions.cn_delta(2), constructions.cn_nabla(2)]
     gens += [constructions.ln_plus(p) for p in _primes_up_to(depth)]
-    P = _variety_poset(gens)
+    # the varieties generated by single SI or hereditarily small algebras
+    # are ordered as the generators are by HS membership
+    P = _named_poset(morphisms.hs_poset(gens))
     if args.dot:
         out.write(P.to_dot(name="fig1"))
         out.write("// chain continues: one atom V(Lp+) per prime p\n")
@@ -283,7 +270,7 @@ def _repro_fig2(args, out):
         gens.append(constructions.cn_delta(n))
         gens.append(constructions.cn_nabla(n))
         gens.append(constructions.ln_plus(n))
-    P = _variety_poset(gens)
+    P = _named_poset(morphisms.hs_poset(gens))
     if args.dot:
         out.write(P.to_dot(name="fig2"))
         out.write("// chains continue upward for every n\n")
@@ -293,22 +280,20 @@ def _repro_fig2(args, out):
         out.write(_dump(doc) + "\n")
 
 
-def _algebra_summary(A, reg):
-    return {"name": identify(A, reg), "size": A.size,
+def _algebra_summary(A):
+    return {"name": identify(A), "size": A.size,
             "oplus": [list(r) for r in A.oplus],
             "odot": [list(r) for r in A.odot]}
 
 
 def _repro_fig3(args, out):
-    reg = _registry()
     algebras = enumeration.enumerate_chain(3, "all")
-    out.write(_dump([_algebra_summary(A, reg) for A in algebras]) + "\n")
+    out.write(_dump([_algebra_summary(A) for A in algebras]) + "\n")
 
 
 def _repro_fig4(args, out):
-    reg = _registry()
     algebras = enumeration.enumerate_chain(4, "si-necessary")
-    out.write(_dump([_algebra_summary(A, reg) for A in algebras]) + "\n")
+    out.write(_dump([_algebra_summary(A) for A in algebras]) + "\n")
 
 
 def _repro_fig6(args, out):
@@ -325,7 +310,7 @@ def _repro_fig6(args, out):
 
 
 def _repro_fig7(args, out):
-    P = _named_si_poset(_si_algebras_up_to(4))
+    P = _named_poset(morphisms.si_poset(_si_algebras_up_to(4)))
     _poset_out(P, args, out, "fig7")
 
 
@@ -334,7 +319,7 @@ def _repro_fig8(args, out):
     closure = morphisms.hs_closure(seeds)
     sis = [A for A in closure.values()
            if congruences.is_subdirectly_irreducible(A)[0]]
-    D = posets.downset_lattice(_named_si_poset(sis))
+    D = posets.downset_lattice(_named_poset(morphisms.si_poset(sis)))
     if args.dot:
         out.write(D.to_dot(name="fig8", label_of=_downset_label))
     else:
@@ -342,7 +327,8 @@ def _repro_fig8(args, out):
 
 
 def _repro_fig9(args, out):
-    D = posets.downset_lattice(_named_si_poset(_si_algebras_up_to(3)))
+    D = posets.downset_lattice(
+        _named_poset(morphisms.si_poset(_si_algebras_up_to(3))))
     if args.dot:
         out.write(D.to_dot(name="fig9", label_of=_downset_label))
     else:

@@ -60,3 +60,8 @@ class MissingAssignment(MvmError):
 
 class UnknownTarget(MvmError):
     pass
+
+
+class BadArgument(MvmError, ValueError):
+    """An argument outside its domain (a size below 1, an unknown filter or
+    tag); also a ValueError, for callers that catch that."""

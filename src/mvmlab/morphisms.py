@@ -87,20 +87,26 @@ def hs_closure(S):
     return found
 
 
-def si_poset(S):
-    """Iso classes of S ordered by: A <= B iff A lies in the HS closure of
-    {B}."""
+def hs_poset(S):
+    """Iso classes of S, labelled by canonical key, ordered by: A <= B iff A
+    lies in the HS closure of {B}."""
     reps = {}
     for A in S:
         reps.setdefault(canonical_key(A), A)
-    for k, A in reps.items():
+    closures = {k: set(hs_closure([A])) for k, A in reps.items()}
+    pairs = [(a, b) for a in reps for b in reps if a in closures[b]]
+    P = Poset(list(reps), pairs)
+    P.algebras = reps  # key -> representative, for labeling
+    return P
+
+
+def si_poset(S):
+    """`hs_poset` of a set of subdirectly irreducible algebras; warns about
+    every input class that is not SI."""
+    P = hs_poset(S)
+    for A in P.algebras.values():
         si, _ = is_subdirectly_irreducible(A)
         if not si:
             warnings.warn(f"si_poset input {A!r} is not subdirectly "
                           "irreducible")
-    closures = {k: set(hs_closure([A])) for k, A in reps.items()}
-    keys = list(reps)
-    pairs = [(a, b) for a in keys for b in keys if a in closures[b]]
-    P = Poset(keys, pairs)
-    P.algebras = reps  # key -> representative, for labeling
     return P

@@ -7,7 +7,7 @@ import math
 from .algebra import canonical_key
 from .axioms import is_mv_monoid, is_positive_mv
 from .constructions import ln_plus
-from .errors import NotDivisorClosed, NotPositiveMV
+from .errors import BadArgument, NotDivisorClosed, NotPositiveMV
 from .morphisms import hs_closure
 from .terms import (Equation, const, oplus, odot, parse, power, satisfies,
                     scalar, var)
@@ -133,7 +133,7 @@ def tau_alt(n, k, fold=True):
 def phi(n):
     """The 2n idempotency equations for tau(n,0) .. tau(n,n-1)."""
     if n < 1:
-        raise ValueError("phi needs n >= 1")
+        raise BadArgument(f"phi needs n >= 1, got {n}")
     eqs = []
     for k in range(n):
         t = tau(n, k)
@@ -165,7 +165,7 @@ def almost_minimal_axioms(tag):
         return AxiomSet("AlmostMinimal(C_delta)", [parse("x + x ≈ x")])
     if tag in ("C_nabla", "C∇", "nabla"):
         return AxiomSet("AlmostMinimal(C_nabla)", [parse("x * x ≈ x")])
-    raise ValueError(f"unknown tag {tag!r}")
+    raise BadArgument(f"unknown tag {tag!r}")
 
 
 def member_of_variety(A, I):

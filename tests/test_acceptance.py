@@ -18,7 +18,7 @@ from mvmlab.varieties import (DivisorClosedSet, divisor_closed_sets,
                               classify_variety, member_of_variety)
 from mvmlab.constructions import (cn_delta_star, cn_nabla_star, lm_delta_star,
                                   lm_nabla_star, trivial_lmonoid)
-from mvmlab.cli import _registry, identify
+from mvmlab.cli import identify
 
 
 def _report(n, label):
@@ -151,7 +151,6 @@ def test_criterion_7_classification_round_trip():
 
 
 def test_criterion_8_hsu_displays():
-    reg = _registry()
     expected = {
         "A3n": {"trivial", "L1+", "C2d", "C2n", "A3n"},
         "A3d": {"trivial", "L1+", "C2d", "C2n", "A3d"},
@@ -159,7 +158,7 @@ def test_criterion_8_hsu_displays():
         "B3n": {"trivial", "L1+", "L2+", "C2n", "B3n"},
     }
     for name, want in expected.items():
-        got = {identify(A, reg) for A in hs_closure([catalog(name)]).values()}
+        got = {identify(A) for A in hs_closure([catalog(name)]).values()}
         assert got == want, name
     _report(8, "HSU closure displays")
 

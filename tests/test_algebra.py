@@ -160,6 +160,29 @@ def test_lmonoid_validation():
     assert M.chain_flag and M.leq(0, 1)
 
 
+@pytest.mark.parametrize("join, meet", [
+    # M3: 0 < {1, 2, 3} < 4, three pairwise incomparable atoms
+    ([[0, 1, 2, 3, 4], [1, 1, 4, 4, 4], [2, 4, 2, 4, 4], [3, 4, 4, 3, 4],
+      [4, 4, 4, 4, 4]],
+     [[0, 0, 0, 0, 0], [0, 1, 0, 0, 1], [0, 0, 2, 0, 2], [0, 0, 0, 3, 3],
+      [0, 1, 2, 3, 4]]),
+    # N5: 0 < 1 < 2 < 4 and 0 < 3 < 4, with 3 incomparable to 1 and 2
+    ([[0, 1, 2, 3, 4], [1, 1, 2, 4, 4], [2, 2, 2, 4, 4], [3, 4, 4, 3, 4],
+      [4, 4, 4, 4, 4]],
+     [[0, 0, 0, 0, 0], [0, 1, 1, 0, 1], [0, 1, 2, 0, 2], [0, 0, 0, 3, 3],
+      [0, 1, 2, 3, 4]]),
+], ids=["M3", "N5"])
+def test_lmonoid_over_a_non_distributive_lattice_is_rejected(join, meet):
+    n = len(join)
+    # + is join (unit 0); the lattice laws are checked before the +-laws
+    with pytest.raises(NotALattice) as exc:
+        make_lmonoid(n, 0, join, join=join, meet=meet)
+    assert str(exc.value) == "distributivity fails"
+    with pytest.raises(NotALattice):
+        load_lmonoid({"size": n, "zero": 0, "plus": join, "join": join,
+                      "meet": meet})
+
+
 def test_load_lmonoid():
     M = load_lmonoid({"size": 3, "zero": 0,
                       "plus": [[0, 1, 2], [1, 2, 2], [2, 2, 2]],

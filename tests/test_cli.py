@@ -100,6 +100,18 @@ def test_enumerate_writes_files(tmp_path):
         load(json.loads((d / f).read_text()))
 
 
+@pytest.mark.parametrize("argv", [("enumerate", "--size", "0"),
+                                  ("enumerate", "--size", "-3"),
+                                  ("phi", None, "--n", "0")])
+def test_out_of_domain_arguments_are_domain_errors(argv, algebra_file,
+                                                   capsys):
+    argv = [algebra_file(ln_plus(2)) if a is None else a for a in argv]
+    code, out = run(*argv)
+    err = capsys.readouterr().err
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_check_eq_command(algebra_file):
     f = algebra_file(cn_delta(2))
     doc = run_json("check-eq", f, "--eq", "x + x ≈ x")
@@ -230,7 +242,7 @@ def test_repro_recomputes_instead_of_hardcoding():
     repro_funcs = [n for n in ast.walk(tree)
                    if isinstance(n, ast.FunctionDef)
                    and (n.name.startswith("_repro_")
-                        or n.name in ("_named_si_poset", "_variety_poset"))]
+                        or n.name == "_named_poset")]
     assert len(repro_funcs) >= 9
     for fn in repro_funcs:
         for node in ast.walk(fn):

@@ -4,10 +4,13 @@ import pytest
 
 from mvmlab import (canonical_key, chain_algebra, enumerate_chain,
                     enumerate_on_lattice, is_mv_monoid, is_positive_mv,
-                    is_simple, is_subdirectly_irreducible, ln_plus, parse,
-                    product, satisfies, si_necessary_condition)
-from mvmlab.enumeration import FILTERS
+                    is_simple, is_subdirectly_irreducible, ln_plus,
+                    make_algebra, parse, product, satisfies,
+                    si_necessary_condition)
+from mvmlab.enumeration import FILTERS, _monoid_tables
 from mvmlab.errors import CapExceeded
+
+from conftest import shuffled
 
 # the two connecting-axiom groups, written out for an independent check
 MIXED_ASSOC = [parse("(x + y) * ((x * y) + z) ≈ (x * (y + z)) + (y * z)"),
@@ -86,9 +89,10 @@ def test_bad_arguments():
 # ---------------------------------------------------------------------------
 # independent completeness oracle: generate-then-filter from scratch
 
-def _naive_monoid_tables(n, unit):
+def _naive_monoid_tables(join, meet, unit):
     """All commutative monoid tables on 0..n-1 with the given unit that
-    distribute over max and min, by raw scan (no pruning)."""
+    distribute over join and meet, by raw scan (no pruning)."""
+    n = len(join)
     cells = [(i, j) for i in range(n) for j in range(i, n)
              if unit not in (i, j)]
     out = []
@@ -101,8 +105,8 @@ def _naive_monoid_tables(n, unit):
         if any(t[t[a][b]][c] != t[a][t[b][c]]
                for a in range(n) for b in range(n) for c in range(n)):
             continue
-        if any(t[a][max(b, c)] != max(t[a][b], t[a][c])
-               or t[a][min(b, c)] != min(t[a][b], t[a][c])
+        if any(t[a][join[b][c]] != join[t[a][b]][t[a][c]]
+               or t[a][meet[b][c]] != meet[t[a][b]][t[a][c]]
                for a in range(n) for b in range(n) for c in range(n)):
             continue
         out.append(tuple(tuple(r) for r in t))
@@ -111,9 +115,10 @@ def _naive_monoid_tables(n, unit):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_enumeration_matches_naive_generate_then_filter(n):
+    join, meet = ln_plus(n - 1).join, ln_plus(n - 1).meet
     expected = set()
-    for p in _naive_monoid_tables(n, 0):
-        for q in _naive_monoid_tables(n, n - 1):
+    for p in _naive_monoid_tables(join, meet, 0):
+        for q in _naive_monoid_tables(join, meet, n - 1):
             A = chain_algebra(n, p, q, validate=False)
             if all(satisfies(A, e) for e in MIXED_ASSOC):
                 expected.add((p, q))
@@ -139,11 +144,57 @@ def test_diamond_lattice_golden(diamond):
     assert canonical_key(A) == canonical_key(product(ln_plus(1), ln_plus(1)))
 
 
+def _keys(algebras):
+    return [canonical_key(A) for A in algebras]
+
+
+def _refined_outputs_are_mv_monoids(out, flt):
+    # the pipeline never runs is_mv_monoid, so this check is independent
+    return flt == "all" or all(is_mv_monoid(A) for A in out)
+
+
+_FILTER_HOLDS = {"all": lambda A: True,
+                 "si-necessary": si_necessary_condition,
+                 "si": lambda A: is_subdirectly_irreducible(A)[0],
+                 "positive": is_positive_mv}
+
+
+@pytest.mark.parametrize("seed", [None, 3, 11])
+def test_lattice_enumeration_matches_naive_generate_then_filter(diamond,
+                                                                 seed):
+    L = diamond if seed is None else shuffled(diamond, seed)
+    adds = _naive_monoid_tables(L.join, L.meet, L.zero)
+    muls = _naive_monoid_tables(L.join, L.meet, L.one)
+    # the connecting axioms happen to reject the non-distributive tables on
+    # this lattice, so the generator is compared on its own as well
+    order = sorted(range(L.size), key=L.height)
+    assert _monoid_tables(L.join, L.meet, L.zero, order) == sorted(adds)
+    assert _monoid_tables(L.meet, L.join, L.one, order[::-1]) == sorted(muls)
+    for flt in FILTERS:
+        expected = set()
+        for p in adds:
+            for q in muls:
+                A = make_algebra(L.size, L.zero, L.one, p, q, join=L.join,
+                                 meet=L.meet, validate=False)
+                full = (all(satisfies(A, e) for e in MIXED_ASSOC)
+                        if flt == "all" else is_mv_monoid(A))
+                if full and _FILTER_HOLDS[flt](A):
+                    expected.add(canonical_key(A))
+        out = enumerate_on_lattice(L, flt)
+        assert _keys(out) == sorted(expected), flt
+        assert _refined_outputs_are_mv_monoids(out, flt)
+
+
 def test_lattice_enumeration_agrees_with_chain_enumeration():
-    # feeding a chain lattice must reproduce the chain counts
-    for n in (3, 4):
-        out = enumerate_on_lattice(ln_plus(n - 1), "all")
-        assert len(out) == len(enumerate_chain(n, "all"))
+    # feeding a chain lattice, in any labelling, must reproduce the chain
+    # enumeration class for class
+    for n in (2, 3, 4, 5):
+        for flt in FILTERS:
+            want = sorted(_keys(enumerate_chain(n, flt)))
+            for L in (ln_plus(n - 1), shuffled(ln_plus(n - 1), n)):
+                out = enumerate_on_lattice(L, flt)
+                assert _keys(out) == want, (n, flt, L.join)
+                assert _refined_outputs_are_mv_monoids(out, flt)
 
 
 def test_lattice_enumeration_cap(diamond):

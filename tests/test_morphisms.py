@@ -3,13 +3,12 @@ import pytest
 from mvmlab import (canonical_key, catalog, cn_delta, hs_closure,
                     homomorphisms, ln_plus, lm_delta, product, si_poset,
                     trivial_algebra)
-from mvmlab.cli import _registry, identify
+from mvmlab.cli import identify
 from mvmlab.errors import CapExceeded
 
 
 def names_of(keyed):
-    reg = _registry()
-    return sorted(identify(A, reg) for A in keyed.values())
+    return sorted(identify(A) for A in keyed.values())
 
 
 def test_identity_is_the_only_truncated_chain_endomorphism():
