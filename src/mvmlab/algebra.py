@@ -6,12 +6,11 @@ lattice order (zero=0, one=n-1), so join/meet are max/min and need not be
 stored in documents.
 """
 
-import itertools
 import json
 from dataclasses import dataclass, field
 
-from .errors import (CapExceeded, MalformedDocument, NotALattice,
-                     NotAnLMonoid, TableOutOfRange)
+from .errors import (MalformedDocument, NotALattice, NotAnLMonoid,
+                     TableOutOfRange)
 
 Table = tuple  # tuple of tuples of ints, row-major: t[i][j] = op(i, j)
 
@@ -20,13 +19,28 @@ def _freeze(table):
     return tuple(tuple(row) for row in table)
 
 
+# Sizes, constants and entries must be of type int exactly: JSON true and
+# false load as bool, a subclass of int, and are not elements.
+
+def _check_size(size):
+    if type(size) is not int or size < 1:
+        raise MalformedDocument("size must be a positive integer")
+
+
+def _check_element(v, n, what):
+    if type(v) is not int or not 0 <= v < n:
+        raise TableOutOfRange(f"{what} = {v!r} outside 0..{n - 1}")
+
+
 def _check_table(t, n, what):
-    if len(t) != n or any(len(row) != n for row in t):
+    if (not isinstance(t, (list, tuple)) or len(t) != n
+            or any(not isinstance(row, (list, tuple)) or len(row) != n
+                   for row in t)):
         raise MalformedDocument(f"{what} table is not {n}x{n}")
     for i, row in enumerate(t):
         for j, v in enumerate(row):
-            if not isinstance(v, int) or not 0 <= v < n:
-                raise TableOutOfRange(f"{what}[{i}][{j}] = {v} outside 0..{n - 1}")
+            if type(v) is not int or not 0 <= v < n:  # no call per entry
+                _check_element(v, n, f"{what}[{i}][{j}]")
 
 
 def max_table(n):
@@ -93,21 +107,21 @@ class FiniteAlgebra:
 
 def make_algebra(size, zero, one, oplus, odot, join=None, meet=None,
                  name="", validate=True):
-    if size < 1:
-        raise MalformedDocument("size must be >= 1")
+    _check_size(size)
     chain = join is None and meet is None
     if chain:
         join, meet = max_table(size), min_table(size)
         if zero != 0 or one != size - 1:
             raise MalformedDocument("chain algebras need zero=0, one=n-1")
-    oplus, odot = _freeze(oplus), _freeze(odot)
-    join, meet = _freeze(join), _freeze(meet)
     if validate:
         for what, t in (("oplus", oplus), ("odot", odot),
                         ("join", join), ("meet", meet)):
             _check_table(t, size, what)
-        if not 0 <= zero < size or not 0 <= one < size:
-            raise TableOutOfRange("zero/one outside 0..n-1")
+        _check_element(zero, size, "zero")
+        _check_element(one, size, "one")
+    oplus, odot = _freeze(oplus), _freeze(odot)
+    join, meet = _freeze(join), _freeze(meet)
+    if validate:
         _validate_lattice(join, meet, size)
         for i in range(size):
             if join[zero][i] != i:
@@ -146,8 +160,6 @@ def load(doc):
         odot = doc["odot"]
     except KeyError as exc:
         raise MalformedDocument(f"missing field {exc}") from None
-    if not isinstance(size, int) or size < 1:
-        raise MalformedDocument("size must be a positive integer")
     return make_algebra(size, zero, one, oplus, odot,
                         join=doc.get("join"), meet=doc.get("meet"),
                         name=doc.get("name", ""))
@@ -165,83 +177,95 @@ def save(A):
     return doc
 
 
-def load_file(path):
+def read_json(path):
+    """The parsed JSON document in a file; text that is not JSON (or not
+    UTF-8) raises MalformedDocument."""
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except ValueError as exc:
         raise MalformedDocument(f"invalid JSON: {exc}") from None
-    return load(doc)
+
+
+def load_file(path):
+    return load(read_json(path))
 
 
 # ---------------------------------------------------------------------------
 # canonical form
 
-def _refine_colors(A):
-    n = A.size
-    col = {e: 0 for e in range(n)}
-    # start from iso-invariant unary data; height sorts a chain into its order
-    keys = [(A.height(e), e == A.zero, e == A.one) for e in range(n)]
+def _refine(tables, keys):
+    # ranks of the keys, split by each element's sorted row signature until
+    # the number of colours stops growing
+    n = len(keys)
     while True:
         order = sorted(set(keys))
-        col = [order.index(k) for k in keys]
+        rank = {k: c for c, k in enumerate(order)}
+        col = [rank[k] for k in keys]
         if len(order) == n:
             return col
         new = []
         for e in range(n):
-            sig = sorted((col[f], col[A.join[e][f]], col[A.meet[e][f]],
-                          col[A.oplus[e][f]], col[A.odot[e][f]])
-                         for f in range(n))
-            new.append((col[e], tuple(sig)))
+            # signature: (col[f], col[t[e][f]] for each table), sorted over f
+            columns = [[col[x] for x in t[e]] for t in tables]
+            new.append((col[e], tuple(sorted(zip(col, *columns)))))
         if len(set(new)) == len(order):
             return col
         keys = new
 
 
-def _serialize(A, perm):
-    # perm maps old element -> new index
-    n = A.size
-    inv = [0] * n
-    for old, new in enumerate(perm):
-        inv[new] = old
-    out = bytearray([n, perm[A.zero], perm[A.one]])
-    for t in (A.join, A.meet, A.oplus, A.odot):
-        for i in inv:
-            for j in inv:
-                out.append(perm[t[i][j]])
-    return bytes(out)
+def canonical_form(n, tables, constants, keys):
+    """Byte string equal for two structures iff a bijection carries one's
+    element-valued tables, constants and starting keys onto the other's.
+
+    Individualization-refinement (McKay & Piperno, J. Symb. Comput. 2014):
+    refine the starting keys to colours, individualize each element of the
+    first non-singleton colour class in turn, refine and recurse.  The form
+    is the least leaf serialization [n, constants, tables row-major], one
+    byte per entry up to 255 elements and two above.  A leaf tying the best
+    one gives an automorphism; a sibling that an automorphism fixing the
+    path sends onto an explored sibling is skipped.
+    """
+    best, autos = [], []  # best: [leaf, its new -> old map]
+
+    def search(col, path):
+        if len(set(col)) == n:  # every colour a singleton: a leaf
+            inv = sorted(range(n), key=col.__getitem__)  # new -> old
+            leaf = [n, *(col[c] for c in constants)] + [
+                col[t[i][j]] for t in tables for i in inv for j in inv]
+            if not best or leaf < best[0]:
+                best[:] = leaf, inv
+            elif leaf == best[0]:
+                autos.append([best[1][c] for c in col])
+            return
+        cells = {}
+        for e, c in enumerate(col):
+            cells.setdefault(c, []).append(e)
+        cell = cells[min(c for c in cells if len(cells[c]) > 1)]
+        explored = []
+        for v in cell:
+            fixing = [g for g in autos if all(g[p] == p for p in path)]
+            if not any(g[v] in explored for g in fixing):
+                # v sorts after its cell-mates
+                marked = [(c, e == v) for e, c in enumerate(col)]
+                search(_refine(tables, marked), path + [v])
+            explored.append(v)
+
+    search(_refine(tables, keys), [])
+    leaf = best[0]
+    return bytes(leaf) if n < 256 else b"".join(v.to_bytes(2, "big")
+                                                for v in leaf)
 
 
 def canonical_key(A):
-    """Byte string equal for two algebras iff they are isomorphic.
-
-    Color refinement over all six symbols, then the minimal serialization over
-    all color-respecting relabelings.  Chains refine to singletons (height is
-    injective), so the identity is the only candidate there.
-    """
-    if A.size > 255:
-        raise CapExceeded("canonical_key supports sizes up to 255")
-    col = _refine_colors(A)
-    blocks = {}
-    for e in range(A.size):
-        blocks.setdefault(col[e], []).append(e)
-    blocks = [blocks[c] for c in sorted(blocks)]
-    work = 1
-    for b in blocks:
-        for i in range(2, len(b) + 1):
-            work *= i
-    if work > 50000:
-        raise CapExceeded("too many symmetries for canonical labeling")
-    best = None
-    for combo in itertools.product(*[itertools.permutations(b) for b in blocks]):
-        ordering = [e for blk in combo for e in blk]  # new index -> old element
-        perm = [0] * A.size
-        for new, old in enumerate(ordering):
-            perm[old] = new
-        s = _serialize(A, perm)
-        if best is None or s < best:
-            best = s
-    return best
+    """Byte string equal for two algebras iff they are isomorphic: the
+    canonical form of the four tables and (zero, one), starting from each
+    element's height and whether it is zero or one.  Chains refine to
+    singletons (height is injective), so their search has one leaf."""
+    return canonical_form(A.size, (A.join, A.meet, A.oplus, A.odot),
+                          (A.zero, A.one),
+                          [(A.height(e), e == A.zero, e == A.one)
+                           for e in range(A.size)])
 
 
 def are_isomorphic(A, B):
@@ -284,17 +308,16 @@ class FiniteLMonoid:
 
 def make_lmonoid(size, zero, plus, join=None, meet=None, name="",
                  validate=True):
-    if size < 1:
-        raise NotAnLMonoid("size must be >= 1")
+    _check_size(size)
     chain = join is None and meet is None
     if chain:
         join, meet = max_table(size), min_table(size)
-    plus, join, meet = _freeze(plus), _freeze(join), _freeze(meet)
     if validate:
         for what, t in (("plus", plus), ("join", join), ("meet", meet)):
             _check_table(t, size, what)
-        if not 0 <= zero < size:
-            raise TableOutOfRange("zero outside 0..n-1")
+        _check_element(zero, size, "zero")
+    plus, join, meet = _freeze(plus), _freeze(join), _freeze(meet)
+    if validate:
         _validate_lattice(join, meet, size)
         n = size
         for i in range(n):

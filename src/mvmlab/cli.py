@@ -12,7 +12,8 @@ import sys
 from . import algebra, congruences, constructions, enumeration, morphisms
 from . import posets, terms, varieties
 from .axioms import is_mv_monoid, is_positive_mv, si_necessary_condition
-from .errors import MvmError, UnknownName, UnknownTarget
+from .errors import (BadArgument, MalformedDocument, MvmError, UnknownName,
+                     UnknownTarget)
 
 
 def _dump(obj):
@@ -52,7 +53,11 @@ def identify(A):
 
 def _parse_set(text):
     items = [s for s in text.split(",") if s.strip()]
-    return varieties.DivisorClosedSet(int(s) for s in items)
+    try:
+        members = [int(s) for s in items]
+    except ValueError:
+        raise BadArgument(f"--set must list integers, got {text!r}") from None
+    return varieties.DivisorClosedSet(members)
 
 
 def _load_arg(path):
@@ -104,8 +109,7 @@ def _cmd_construct(args, out):
     if args.name == "gamma-lex":
         if not args.lmonoid:
             raise UnknownName("construct gamma-lex needs an l-monoid file")
-        with open(args.lmonoid) as fh:
-            M = algebra.load_lmonoid(json.load(fh))
+        M = algebra.load_lmonoid(algebra.read_json(args.lmonoid))
         A = constructions.gamma_of_lex(M)
     elif args.name in _PARAMETRIC:
         if args.n is None:
@@ -220,11 +224,23 @@ def _downset_label(s):
     return "{" + ",".join(sorted(s)) + "}"
 
 
+def _load_poset(path):
+    doc = algebra.read_json(path)
+    nodes = doc.get("nodes") if isinstance(doc, dict) else None
+    if (not isinstance(nodes, list)
+            or not all(isinstance(x, str) for x in nodes)
+            or len(set(nodes)) != len(nodes)):
+        raise MalformedDocument("poset document needs distinct string nodes")
+    leq = doc.get("leq", [])
+    if not isinstance(leq, list) or not all(
+            isinstance(p, list) and len(p) == 2 and all(x in nodes for x in p)
+            for p in leq):
+        raise MalformedDocument("leq must list pairs of nodes")
+    return posets.Poset(nodes, [tuple(p) for p in leq])
+
+
 def _cmd_downsets(args, out):
-    with open(args.file) as fh:
-        doc = json.load(fh)
-    P = posets.Poset(doc["nodes"], [tuple(p) for p in doc.get("leq", [])])
-    D = posets.downset_lattice(P)
+    D = posets.downset_lattice(_load_poset(args.file))
     if args.dot:
         out.write(D.to_dot(name="downsets", label_of=_downset_label))
     else:

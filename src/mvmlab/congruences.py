@@ -1,6 +1,8 @@
 """Congruences: principal congruences by translation closure, the full
 congruence lattice, subdirect irreducibility and simplicity."""
 
+import functools
+
 from .caps import cap
 from .errors import CapExceeded, NotACongruence
 
@@ -111,14 +113,19 @@ def is_congruence(A, part):
     return True
 
 
-def _closure(A, uf, queue):
+def principal_congruence(A, a, b):
     # Pair closure under the unary translations x -> op(x, c).  Proof
     # obligation: all operations are binary and commutative-compatible, so if
     # a~a' and b~b' then op(a,b) ~ op(a',b) ~ op(a',b') by two one-sided steps
     # plus transitivity; union-find supplies transitivity, hence closing under
     # one-frozen-argument translations yields the full congruence (Mal'cev).
-    tables = (A.join, A.meet, A.oplus, A.odot)
     n = A.size
+    if a == b:
+        return identity_congruence(n)
+    uf = _UnionFind(n)
+    uf.union(a, b)
+    queue = [(a, b)]
+    tables = (A.join, A.meet, A.oplus, A.odot)
     while queue:
         a, b = queue.pop()
         for t in tables:
@@ -131,23 +138,11 @@ def _closure(A, uf, queue):
     return Congruence([uf.find(e) for e in range(n)])
 
 
-def principal_congruence(A, a, b):
-    uf = _UnionFind(A.size)
-    if a == b:
-        return identity_congruence(A.size)
-    uf.union(a, b)
-    return _closure(A, uf, [(a, b)])
-
-
 def congruence_join(A, parts):
-    uf = _UnionFind(A.size)
-    queue = []
-    for part in parts:
-        for block in part.blocks():
-            for e in block[1:]:
-                if uf.union(block[0], e):
-                    queue.append((block[0], e))
-    return _closure(A, uf, queue)
+    """Join in Con(A).  Con(A) is a sublattice of the partition lattice
+    Eq(A) (Burris & Sankappanavar, II §5), so this is the partition join."""
+    return functools.reduce(Congruence.join, parts,
+                            identity_congruence(A.size))
 
 
 class CongruenceLattice:

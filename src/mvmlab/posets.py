@@ -1,8 +1,9 @@
 """Small finite posets with covering relations, downset lattices, DOT
-output, and brute-force isomorphism testing."""
+output, and isomorphism testing by the canonical form of `algebra`."""
 
 import itertools
 
+from .algebra import canonical_form
 from .caps import cap
 from .errors import CapExceeded
 
@@ -75,35 +76,17 @@ class Poset:
                 out.append(frozenset(chosen))
         return out
 
-    def _invariants(self):
-        n = len(self.labels)
-        return [(sum(self._rel[i]), sum(r[i] for r in self._rel))
-                for i in range(n)]
-
     def is_isomorphic_to(self, other):
-        if len(self) != len(other):
-            return False
-        n = len(self)
-        mine, theirs = self._invariants(), other._invariants()
-        if sorted(mine) != sorted(theirs):
-            return False
-        # match only within (up-set size, down-set size) classes
-        classes = {}
-        for i, inv in enumerate(mine):
-            classes.setdefault(inv, ([], []))[0].append(i)
-        for j, inv in enumerate(theirs):
-            classes[inv][1].append(j)
-        keys = list(classes)
-        for combo in itertools.product(
-                *[itertools.permutations(classes[k][1]) for k in keys]):
-            perm = [None] * n
-            for k, targets in zip(keys, combo):
-                for i, j in zip(classes[k][0], targets):
-                    perm[i] = j
-            if all(self._rel[i][j] == other._rel[perm[i]][perm[j]]
-                   for i in range(n) for j in range(n)):
-                return True
-        return False
+        return len(self) == len(other) and self._key() == other._key()
+
+    def _key(self):
+        # <= as the table t[i][j] = j if i <= j else i, from (up-set size,
+        # down-set size)
+        n, rel = len(self), self._rel
+        leq = [[j if rel[i][j] else i for j in range(n)] for i in range(n)]
+        return canonical_form(n, [leq], [],
+                              [(sum(rel[i]), sum(r[i] for r in rel))
+                               for i in range(n)])
 
     def to_dot(self, name="poset", label_of=str):
         lines = [f"digraph {name} {{", "  rankdir=BT;"]

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from mvmlab import (are_isomorphic, canonical_key, catalog, chain_algebra,
                     cn_delta, cn_nabla, lm_delta, lm_nabla, ln_plus, load,
-                    load_file, make_algebra, order_dual, save,
+                    load_file, make_algebra, order_dual, product, save,
                     trivial_algebra)
 from mvmlab.algebra import load_lmonoid, make_lmonoid
 from mvmlab.errors import (MalformedDocument, NotALattice, NotAnLMonoid,
@@ -129,6 +129,62 @@ def test_canonical_key_invariant_under_relabeling(diamond):
 def test_canonical_key_invariant_under_shuffle(name, seed):
     A = catalog(name)
     assert canonical_key(shuffled(A, seed)) == canonical_key(A)
+
+
+def _brute_isomorphic(A, B):
+    """Reference: try every bijection."""
+    if A.size != B.size:
+        return False
+    n = A.size
+    pairs = ((A.join, B.join), (A.meet, B.meet), (A.oplus, B.oplus),
+             (A.odot, B.odot))
+    return any(p[A.zero] == B.zero and p[A.one] == B.one
+               and all(p[s[i][j]] == t[p[i]][p[j]] for s, t in pairs
+                       for i in range(n) for j in range(n))
+               for p in itertools.permutations(range(n)))
+
+
+def _power(A, k):
+    P = A
+    for _ in range(k - 1):
+        P = product(P, A)
+    return P
+
+
+L1 = ln_plus(1)
+# products with non-trivial automorphisms, where refinement alone does not
+# separate the elements
+SYMMETRIC = [product(ln_plus(2), ln_plus(2)),
+             product(cn_delta(2), cn_delta(2)), _power(L1, 3), _power(L1, 4),
+             product(_power(L1, 2), ln_plus(2))]
+# at most 6 elements: symmetric products next to chains and products of the
+# same size that are not isomorphic to them
+SMALL = [_power(L1, 2), ln_plus(3), catalog("A3d"), catalog("B3n"),
+         product(L1, ln_plus(2)), product(L1, cn_delta(2)),
+         product(L1, cn_nabla(2)), order_dual(product(L1, cn_delta(2))),
+         ln_plus(5), product(L1, catalog("L2"))]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(range(len(SYMMETRIC))), st.integers(0, 10 ** 6))
+def test_canonical_key_invariant_under_shuffle_of_symmetric_products(i, seed):
+    A = SYMMETRIC[i]
+    assert canonical_key(shuffled(A, seed)) == canonical_key(A)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(range(len(SMALL))), st.sampled_from(range(len(SMALL))),
+       st.booleans(), st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
+def test_canonical_key_equal_iff_a_bijection_is_an_isomorphism(
+        i, j, same, seed_a, seed_b):
+    A = shuffled(SMALL[i], seed_a)
+    B = shuffled(SMALL[i if same else j], seed_b)
+    assert (canonical_key(A) == canonical_key(B)) == _brute_isomorphic(A, B)
+
+
+def test_canonical_key_of_a_64_element_boolean_algebra():
+    A = _power(L1, 6)
+    assert canonical_key(shuffled(A, 7)) == canonical_key(A)
 
 
 def test_are_isomorphic_rejects_different_sizes():

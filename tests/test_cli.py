@@ -100,12 +100,56 @@ def test_enumerate_writes_files(tmp_path):
         load(json.loads((d / f).read_text()))
 
 
-@pytest.mark.parametrize("argv", [("enumerate", "--size", "0"),
-                                  ("enumerate", "--size", "-3"),
-                                  ("phi", None, "--n", "0")])
+class File(str):
+    """An argv entry that the test replaces with a file holding this text."""
+
+
+def doc(obj):
+    return File(json.dumps(obj))
+
+
+_ROW = {"size": 2, "zero": 0, "one": 1, "oplus": [1, 2],
+        "odot": [[0, 0], [0, 1]]}
+
+
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "--size", "0"),
+    ("enumerate", "--size", "-3"),
+    ("phi", None, "--n", "0"),
+    # algebra and l-monoid documents: a row that is not a list, JSON true
+    # as the size, booleans as table entries
+    ("axioms", doc(_ROW)),
+    ("hsu", doc(_ROW)),
+    ("axioms", doc({"size": True, "zero": 0, "one": 0, "oplus": [[0]],
+                    "odot": [[0]]})),
+    ("axioms", doc({"size": 2, "zero": 0, "one": 1,
+                    "oplus": [[False, True], [True, True]],
+                    "odot": [[0, 0], [0, 1]]})),
+    ("construct", "gamma-lex", doc({"size": 2, "zero": 0, "plus": [0, 1]})),
+    ("construct", "gamma-lex", doc({"size": True, "zero": 0,
+                                    "plus": [[0]]})),
+    ("construct", "gamma-lex", doc({"size": 2, "zero": 0,
+                                    "plus": [[False, True], [True, True]]})),
+    # CLI inputs
+    ("downsets", File("{not json")),
+    ("downsets", doc({"nodes": 5})),
+    ("downsets", doc({"nodes": ["a", "b"], "leq": [["a", "c"]]})),
+    ("construct", "gamma-lex", File("{not json")),
+    ("member", None, "--set", "abc"),
+    ("sigma", None, "--set", "abc"),
+])
 def test_out_of_domain_arguments_are_domain_errors(argv, algebra_file,
-                                                   capsys):
-    argv = [algebra_file(ln_plus(2)) if a is None else a for a in argv]
+                                                   tmp_path, capsys):
+    def arg(i, a):
+        if a is None:
+            return algebra_file(ln_plus(2))
+        if isinstance(a, File):
+            p = tmp_path / f"arg{i}.json"
+            p.write_text(a)
+            return str(p)
+        return a
+
+    argv = [arg(i, a) for i, a in enumerate(argv)]
     code, out = run(*argv)
     err = capsys.readouterr().err
     assert code == 1 and out == ""

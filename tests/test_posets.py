@@ -1,4 +1,9 @@
+import itertools
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvmlab import Poset, downset_lattice, enumerate_chain, si_poset
 from mvmlab.errors import CapExceeded
@@ -62,6 +67,69 @@ def test_isomorphism_testing():
     V = Poset("abc", [("a", "b"), ("a", "c")])
     hat = Poset("abc", [("b", "a"), ("c", "a")])
     assert not V.is_isomorphic_to(hat)
+    # no size cap: a 300-element chain against a relabeled copy
+    perm = list(range(300))
+    random.Random(3).shuffle(perm)
+    Q = Poset(range(300), [(perm[i], perm[i + 1]) for i in range(299)])
+    assert chain_poset(300).is_isomorphic_to(Q)
+
+
+def _reference_isomorphic(P, Q):
+    """The brute-force matcher the canonical form replaced: try every
+    bijection that keeps (up-set size, down-set size)."""
+    if len(P) != len(Q):
+        return False
+
+    def invariants(R):
+        return [(sum(R.leq(a, b) for b in R.labels),
+                 sum(R.leq(b, a) for b in R.labels)) for a in R.labels]
+
+    mine, theirs = invariants(P), invariants(Q)
+    if sorted(mine) != sorted(theirs):
+        return False
+    classes = {}
+    for i, inv in enumerate(mine):
+        classes.setdefault(inv, ([], []))[0].append(i)
+    for j, inv in enumerate(theirs):
+        classes[inv][1].append(j)
+    keys = list(classes)
+    n, a, b = len(P), P.labels, Q.labels
+    for combo in itertools.product(
+            *[itertools.permutations(classes[k][1]) for k in keys]):
+        perm = [None] * n
+        for k, targets in zip(keys, combo):
+            for i, j in zip(classes[k][0], targets):
+                perm[i] = j
+        if all(P.leq(a[i], a[j]) == Q.leq(b[perm[i]], b[perm[j]])
+               for i in range(n) for j in range(n)):
+            return True
+    return False
+
+
+def _random_poset(rng, n):
+    # pairs i < j only, so the transitive closure stays antisymmetric
+    return Poset(range(n), [(i, j) for i in range(n) for j in range(i + 1, n)
+                            if rng.random() < 0.4])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 6), st.booleans(), st.integers(0, 10 ** 6))
+def test_isomorphism_agrees_with_the_brute_force_matcher(n, relabeled, seed):
+    rng = random.Random(seed)
+    P = _random_poset(rng, n)
+    if relabeled:
+        perm = list(range(n))
+        rng.shuffle(perm)
+        Q = Poset(range(n), [(perm[a], perm[b]) for a in range(n)
+                             for b in range(n) if P.leq(a, b)])
+    else:
+        Q = _random_poset(rng, n)
+    assert P.is_isomorphic_to(Q) == _reference_isomorphic(P, Q)
+    assert Q.is_isomorphic_to(P) == P.is_isomorphic_to(Q)
+
+
+def test_downset_lattice_of_the_three_element_antichain():
+    assert downset_lattice(Poset("abc", [])).is_isomorphic_to(boolean_poset(3))
 
 
 def test_to_dot_is_stable_and_well_formed():
