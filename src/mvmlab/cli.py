@@ -469,7 +469,7 @@ def run(argv=None, out=None):
         return exc.code if exc.code is not None else 2
     try:
         args.fn(args, out)
-    except (MvmError, FileNotFoundError) as exc:
+    except (MvmError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -98,34 +98,49 @@ class _UnionFind:
         return True
 
 
+def _translation_tables(A):
+    """The four operation tables and their transposes, each distinct table
+    once: row c of each is a unary translation x -> op(c, x) or op(x, c).
+    On commutative tables these are just the operation tables."""
+    tables = A._cache.get("translation_tables")
+    if tables is None:
+        tables = []
+        for t in (A.join, A.meet, A.oplus, A.odot):
+            for u in (t, tuple(zip(*t))):
+                if u not in tables:
+                    tables.append(u)
+        A._cache["translation_tables"] = tables
+    return tables
+
+
 def is_congruence(A, part):
+    # when every element's translates are related to those of its block's
+    # first element, transitivity relates those of any two block-mates
     if part.size != A.size:
         return False
-    n = A.size
-    for t in (A.join, A.meet, A.oplus, A.odot):
-        for a in range(n):
-            for b in range(n):
-                if not part.related(a, b):
-                    continue
-                for c in range(n):
-                    if not part.related(t[a][c], t[b][c]):
-                        return False
+    ids, blocks = part.ids, part.blocks()
+    for t in _translation_tables(A):
+        for block in blocks:
+            first = t[block[0]]
+            for e in block[1:]:
+                if any(ids[x] != ids[y] for x, y in zip(first, t[e])):
+                    return False
     return True
 
 
 def principal_congruence(A, a, b):
-    # Pair closure under the unary translations x -> op(x, c).  Proof
-    # obligation: all operations are binary and commutative-compatible, so if
-    # a~a' and b~b' then op(a,b) ~ op(a',b) ~ op(a',b') by two one-sided steps
-    # plus transitivity; union-find supplies transitivity, hence closing under
-    # one-frozen-argument translations yields the full congruence (Mal'cev).
+    # Pair closure under the unary translations x -> op(x, c) and
+    # x -> op(c, x).  If a ~ a' and b ~ b' then op(a, b) ~ op(a', b) ~
+    # op(a', b') by one step in each argument plus transitivity; union-find
+    # supplies transitivity, hence closing under the translations yields the
+    # least congruence relating a and b (Mal'cev).
     n = A.size
     if a == b:
         return identity_congruence(n)
     uf = _UnionFind(n)
     uf.union(a, b)
     queue = [(a, b)]
-    tables = (A.join, A.meet, A.oplus, A.odot)
+    tables = _translation_tables(A)
     while queue:
         a, b = queue.pop()
         for t in tables:
@@ -191,22 +206,12 @@ def congruence_lattice(A):
     if A.size > cap("CONGRUENCE"):
         raise CapExceeded(f"congruence lattice cap is {cap('CONGRUENCE')}")
     n = A.size
-    principals = {identity_congruence(n)}
-    for a in range(n):
-        for b in range(a + 1, n):
-            principals.add(principal_congruence(A, a, b))
-    # every congruence is a join of principals; close under pairwise joins
-    known = set(principals)
-    frontier = set(principals)
-    while frontier:
-        new = set()
-        for c in frontier:
-            for p in principals:
-                j = congruence_join(A, [c, p])
-                if j not in known:
-                    known.add(j)
-                    new.add(j)
-        frontier = new
+    # every congruence is a join of principals; after folding in k of them,
+    # known holds every join of a subset of those k
+    known = {identity_congruence(n)}
+    for p in {principal_congruence(A, a, b)
+              for a in range(n) for b in range(a + 1, n)}:
+        known |= {c.join(p) for c in known}
     return CongruenceLattice(A, known)
 
 

@@ -1,5 +1,6 @@
-"""Homomorphism enumeration, HS closure over isomorphism classes, and the
-poset of subdirectly irreducible algebras ordered by HSU membership."""
+"""Homomorphism enumeration, HS closure over isomorphism classes (the
+quotients of the subalgebras, in one pass), and the poset of subdirectly
+irreducible algebras ordered by HSU membership."""
 
 import warnings
 
@@ -62,28 +63,19 @@ def homomorphisms(A, B):
 
 
 def hs_closure(S):
-    """Close a set of algebras under subalgebras and quotients, to fixpoint,
-    deduplicating by canonical key; returns {key: algebra}."""
+    """HS(S): every quotient of every subalgebra of a member of S, one
+    algebra per isomorphism class; returns {key: algebra}, each class of S
+    represented by its first member in S.  One pass suffices: SH(K) is
+    contained in HS(K), so HS(K) is closed under H and S (Burris &
+    Sankappanavar, II §9)."""
     found = {}
-    frontier = []
     for A in S:
-        k = canonical_key(A)
-        if k not in found:
-            found[k] = A
-            frontier.append(A)
-    # S then H, iterated: HS is not contained in SH in general
-    while frontier:
-        new = []
-        for A in frontier:
-            produced = [sub for sub, _ in subalgebras(A)]
-            produced += [quotient(A, th)
-                         for th in congruence_lattice(A).congruences]
-            for B in produced:
-                k = canonical_key(B)
-                if k not in found:
-                    found[k] = B
-                    new.append(B)
-        frontier = new
+        found.setdefault(canonical_key(A), A)
+    for A in list(found.values()):
+        for B, _ in subalgebras(A):
+            for theta in congruence_lattice(B).congruences:
+                Q = quotient(B, theta)
+                found.setdefault(canonical_key(Q), Q)
     return found
 
 

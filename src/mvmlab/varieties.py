@@ -111,23 +111,22 @@ def _fold_odot(l, r):
 
 
 @functools.lru_cache(maxsize=None)
-def tau(n, k, fold=True):
+def tau(n, k):
     """One-variable term computing ((n x - k) v 0) ^^ 1 in the unit interval:
     base tau(0,k) = 1 for k <= -1 and 0 for k >= 0, then
     tau(n+1,k) = tau(n,k-1) * (x + tau(n,k))."""
     if n == 0:
         return const("one") if k <= -1 else const("zero")
-    op, ot = (_fold_oplus, _fold_odot) if fold else (oplus, odot)
-    return ot(tau(n - 1, k - 1, fold), op(var(0), tau(n - 1, k, fold)))
+    return _fold_odot(tau(n - 1, k - 1), _fold_oplus(var(0), tau(n - 1, k)))
 
 
 @functools.lru_cache(maxsize=None)
-def tau_alt(n, k, fold=True):
+def tau_alt(n, k):
     """Same ladder via the second recursion (tau(n,k-1) * x) + tau(n,k)."""
     if n == 0:
         return const("one") if k <= -1 else const("zero")
-    op, ot = (_fold_oplus, _fold_odot) if fold else (oplus, odot)
-    return op(ot(tau_alt(n - 1, k - 1, fold), var(0)), tau_alt(n - 1, k, fold))
+    return _fold_oplus(_fold_odot(tau_alt(n - 1, k - 1), var(0)),
+                       tau_alt(n - 1, k))
 
 
 def phi(n):

@@ -104,6 +104,10 @@ class File(str):
     """An argv entry that the test replaces with a file holding this text."""
 
 
+class Dir:
+    """An argv entry that the test replaces with a directory."""
+
+
 def doc(obj):
     return File(json.dumps(obj))
 
@@ -137,12 +141,15 @@ _ROW = {"size": 2, "zero": 0, "one": 1, "oplus": [1, 2],
     ("construct", "gamma-lex", File("{not json")),
     ("member", None, "--set", "abc"),
     ("sigma", None, "--set", "abc"),
+    ("axioms", Dir()),
 ])
 def test_out_of_domain_arguments_are_domain_errors(argv, algebra_file,
                                                    tmp_path, capsys):
     def arg(i, a):
         if a is None:
             return algebra_file(ln_plus(2))
+        if isinstance(a, Dir):
+            return str(tmp_path)
         if isinstance(a, File):
             p = tmp_path / f"arg{i}.json"
             p.write_text(a)

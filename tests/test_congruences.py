@@ -1,14 +1,16 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvmlab import (Congruence, catalog, chain_algebra, cn_delta, cn_nabla,
-                    congruence_lattice, identity_congruence, is_simple,
-                    is_subdirectly_irreducible, lm_delta, lm_nabla, ln_plus,
-                    monolith, principal_congruence, total_congruence,
-                    trivial_algebra)
+                    congruence_lattice, enumerate_chain, identity_congruence,
+                    is_simple, is_subdirectly_irreducible, lm_delta, lm_nabla,
+                    ln_plus, monolith, principal_congruence, product,
+                    quotient, subalgebras, total_congruence, trivial_algebra)
 from mvmlab.congruences import congruence_join, is_congruence
-from mvmlab.errors import CapExceeded
+from mvmlab.errors import CapExceeded, NotACongruence
 
 
 def pure_chain(n):
@@ -157,3 +159,99 @@ def test_monolith_refines_every_nontrivial_congruence():
 def test_congruence_lattice_cap():
     with pytest.raises(CapExceeded):
         congruence_lattice(ln_plus(13))
+
+
+# ---------------------------------------------------------------------------
+# brute-force oracle: every set partition, checked against both arguments of
+# every operation at once
+
+def _set_partitions(n):
+    """Every partition of 0..n-1, as restricted growth strings."""
+    def grow(prefix, blocks):
+        if len(prefix) == n:
+            yield Congruence(prefix)
+            return
+        for b in range(blocks + 1):
+            yield from grow(prefix + [b], max(blocks, b + 1))
+    yield from grow([], 0)
+
+
+def _compatible(A, part):
+    ids, n = part.ids, A.size
+    related = [(a, b) for a in range(n) for b in range(n) if ids[a] == ids[b]]
+    return all(ids[t[a][c]] == ids[t[b][d]]
+               for t in (A.join, A.meet, A.oplus, A.odot)
+               for a, b in related for c, d in related)
+
+
+def _check_against_brute_force(A):
+    partitions = list(_set_partitions(A.size))
+    con = {p for p in partitions if _compatible(A, p)}
+    assert set(congruence_lattice(A).congruences) == con
+    for p in partitions:
+        assert is_congruence(A, p) == (p in con)
+    for a, b in itertools.combinations(range(A.size), 2):
+        theta = principal_congruence(A, a, b)
+        assert theta in con and theta.related(a, b)
+        assert all(theta.refines(c) for c in con if c.related(a, b))
+
+
+_SMALL_CHAINS = [A for n in range(1, 6) for A in enumerate_chain(n, "all")]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_SMALL_CHAINS))
+def test_chain_congruences_match_brute_force(A):
+    _check_against_brute_force(A)
+
+
+def _small_pieces():
+    # subalgebras and quotients with at most 6 elements of products of SI
+    # chains with at most 12 elements
+    sis = [A for n in (2, 3, 4) for A in enumerate_chain(n, "si")]
+    out = []
+    for A, B in itertools.combinations_with_replacement(sis, 2):
+        if A.size * B.size > 12:
+            continue
+        P = product(A, B)
+        out += [S for S, _ in subalgebras(P) if S.size <= 6]
+        out += [Q for Q in (quotient(P, c)
+                            for c in congruence_lattice(P).congruences)
+                if Q.size <= 6]
+    return out
+
+
+_PIECES = _small_pieces()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_PIECES))
+def test_subalgebra_and_quotient_congruences_match_brute_force(A):
+    _check_against_brute_force(A)
+
+
+@st.composite
+def _random_chain_tables(draw):
+    n = draw(st.integers(1, 6))
+    table = st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+                     min_size=n, max_size=n)
+    return chain_algebra(n, draw(table), draw(table))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_random_chain_tables())
+def test_non_commutative_table_congruences_match_brute_force(A):
+    _check_against_brute_force(A)
+
+
+def test_non_commutative_oplus_needs_the_second_argument():
+    # {0, 1} is compatible with x -> x + c but not with x -> 2 + x:
+    # 2 + 0 = 2 and 2 + 1 = 1
+    A = chain_algebra(3, [[0, 1, 2], [1, 1, 2], [2, 1, 2]],
+                      [[min(i, j) for j in range(3)] for i in range(3)])
+    theta = Congruence([0, 0, 1])
+    assert not is_congruence(A, theta)
+    assert theta not in congruence_lattice(A).congruences
+    assert principal_congruence(A, 0, 1).is_total()
+    with pytest.raises(NotACongruence):
+        quotient(A, theta)

@@ -1,8 +1,14 @@
-import pytest
+import itertools
 
-from mvmlab import (canonical_key, catalog, cn_delta, hs_closure,
-                    homomorphisms, ln_plus, lm_delta, product, si_poset,
-                    trivial_algebra)
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import shuffled
+from mvmlab import (canonical_key, catalog, cn_delta, congruence_lattice,
+                    enumerate_chain, hs_closure, homomorphisms, ln_plus,
+                    lm_delta, order_dual, product, quotient, si_poset,
+                    subalgebras, trivial_algebra)
 from mvmlab.cli import identify
 from mvmlab.errors import CapExceeded
 
@@ -71,6 +77,59 @@ def test_hs_closure_is_idempotent_and_monotone():
     c2 = hs_closure(list(c1.values()))
     assert set(c1) == set(c2)
     assert canonical_key(trivial_algebra()) in c1
+
+
+def _reference_hs_closure(S):
+    """Closure under S and H by rounds, to a fixpoint."""
+    found = {}
+    frontier = []
+    for A in S:
+        k = canonical_key(A)
+        if k not in found:
+            found[k] = A
+            frontier.append(A)
+    while frontier:
+        new = []
+        for A in frontier:
+            produced = [sub for sub, _ in subalgebras(A)]
+            produced += [quotient(A, th)
+                         for th in congruence_lattice(A).congruences]
+            for B in produced:
+                k = canonical_key(B)
+                if k not in found:
+                    found[k] = B
+                    new.append(B)
+        frontier = new
+    return found
+
+
+_SI_CHAINS = [A for n in range(2, 7) for A in enumerate_chain(n, "si")]
+_SI_PAIRS = [(A, B) for A, B in
+             itertools.combinations_with_replacement(_SI_CHAINS, 2)
+             if A.size * B.size <= 12]
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(_SI_PAIRS), st.booleans())
+def test_hs_closure_of_si_chain_products_matches_the_fixpoint(pair, dual):
+    P = product(*pair)
+    if dual:
+        P = order_dual(P)
+    assert set(hs_closure([P])) == set(_reference_hs_closure([P]))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([A for A in _SI_CHAINS
+                                           if A.size <= 4]),
+                          st.integers(0, 3)), min_size=1, max_size=5))
+def test_hs_closure_keeps_the_first_generator_of_each_class(drawn):
+    # shuffled copies of the same chain are isomorphic duplicates
+    gens = [shuffled(A, seed) for A, seed in drawn]
+    closure = hs_closure(gens)
+    assert set(closure) == set(_reference_hs_closure(gens))
+    for A in gens:
+        k = canonical_key(A)
+        assert closure[k] is next(B for B in gens if canonical_key(B) == k)
 
 
 def test_hs_closure_of_a_product_contains_both_factors():

@@ -75,15 +75,6 @@ def test_tau_alt_agrees_with_tau():
                             == evaluate(tau_alt(n, k), A, {0: i}))
 
 
-def test_tau_folding_preserves_the_function():
-    A = ln_plus(4)
-    for n in range(0, 5):
-        for k in range(-1, n + 1):
-            for i in range(5):
-                assert (evaluate(tau(n, k, fold=True), A, {0: i})
-                        == evaluate(tau(n, k, fold=False), A, {0: i}))
-
-
 def test_tau_base_cases():
     from mvmlab.terms import const
     assert tau(0, -1) is const("one")
