@@ -2,9 +2,9 @@
 
 import os
 
+from .errors import CapExceeded
+
 _DEFAULTS = {
-    "CONGRUENCE": 12,   # full congruence lattice
-    "SUBALGEBRA": 16,   # subset scan for subalgebras
     "PRODUCT": 64,      # product size
     "ENUM_CHAIN": 7,    # chain enumeration
     "ENUM_LATTICE": 6,  # enumeration over a fixed non-chain lattice
@@ -13,8 +13,10 @@ _DEFAULTS = {
 }
 
 
-def cap(name):
+def check(name, measured, what):
+    """Raise CapExceeded when the measured `what` exceeds cap `name`."""
     env = os.environ.get(f"MVMLAB_CAP_{name}")
-    if env is not None:
-        return int(env)
-    return _DEFAULTS[name]
+    limit = _DEFAULTS[name] if env is None else int(env)
+    if measured > limit:
+        raise CapExceeded(f"{what} is {measured}, above the cap {limit} "
+                          f"(MVMLAB_CAP_{name})")

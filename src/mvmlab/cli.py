@@ -73,11 +73,9 @@ def _cmd_axioms(args, out):
 
 
 def _congruence_poset(lat):
-    cs = lat.congruences
-    labels = [str(list(c.blocks())) for c in cs]
-    pairs = [(labels[i], labels[j]) for i in range(len(cs))
-             for j in range(len(cs)) if cs[i].refines(cs[j])]
-    return posets.Poset(labels, pairs)
+    labels = [str(list(c.blocks())) for c in lat.congruences]
+    return posets.Poset(labels, [(labels[i], labels[j])
+                                 for i, j in lat.covers])
 
 
 def _cmd_congruences(args, out):
@@ -208,11 +206,11 @@ def _named_poset(P):
                          for b in P.labels if P.leq(a, b)])
 
 
-def _poset_out(P, args, out, dot_name):
+def _poset_out(P, args, out, dot_name, label_of=str):
     if args.dot:
-        out.write(P.to_dot(name=dot_name))
+        out.write(P.to_dot(name=dot_name, label_of=label_of))
     else:
-        out.write(_dump(P.as_dict()) + "\n")
+        out.write(_dump(P.as_dict(label_of=label_of)) + "\n")
 
 
 def _cmd_poset(args, out):
@@ -241,10 +239,7 @@ def _load_poset(path):
 
 def _cmd_downsets(args, out):
     D = posets.downset_lattice(_load_poset(args.file))
-    if args.dot:
-        out.write(D.to_dot(name="downsets", label_of=_downset_label))
-    else:
-        out.write(_dump(D.as_dict(label_of=_downset_label)) + "\n")
+    _poset_out(D, args, out, "downsets", _downset_label)
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +257,14 @@ def _primes_up_to(n):
             if all(p % d for d in range(2, p))]
 
 
+def _continued_poset_out(P, args, out, dot_name, note):
+    # a finite part of an infinite figure, marked as continuing
+    if args.dot:
+        out.write(P.to_dot(name=dot_name) + f"// {note}\n")
+    else:
+        out.write(_dump({**P.as_dict(), "continues": True}) + "\n")
+
+
 def _repro_fig1(args, out):
     depth = args.depth or 5
     gens = [algebra.trivial_algebra(), constructions.ln_plus(1),
@@ -269,14 +272,8 @@ def _repro_fig1(args, out):
     gens += [constructions.ln_plus(p) for p in _primes_up_to(depth)]
     # the varieties generated by single SI or hereditarily small algebras
     # are ordered as the generators are by HS membership
-    P = _named_poset(morphisms.hs_poset(gens))
-    if args.dot:
-        out.write(P.to_dot(name="fig1"))
-        out.write("// chain continues: one atom V(Lp+) per prime p\n")
-    else:
-        doc = P.as_dict()
-        doc["continues"] = True
-        out.write(_dump(doc) + "\n")
+    _continued_poset_out(_named_poset(morphisms.hs_poset(gens)), args, out,
+                         "fig1", "chain continues: one atom V(Lp+) per prime p")
 
 
 def _repro_fig2(args, out):
@@ -286,14 +283,8 @@ def _repro_fig2(args, out):
         gens.append(constructions.cn_delta(n))
         gens.append(constructions.cn_nabla(n))
         gens.append(constructions.ln_plus(n))
-    P = _named_poset(morphisms.hs_poset(gens))
-    if args.dot:
-        out.write(P.to_dot(name="fig2"))
-        out.write("// chains continue upward for every n\n")
-    else:
-        doc = P.as_dict()
-        doc["continues"] = True
-        out.write(_dump(doc) + "\n")
+    _continued_poset_out(_named_poset(morphisms.hs_poset(gens)), args, out,
+                         "fig2", "chains continue upward for every n")
 
 
 def _algebra_summary(A):
@@ -317,12 +308,8 @@ def _repro_fig6(args, out):
     pure = algebra.chain_algebra(
         n, [[max(i, j) for j in range(n)] for i in range(n)],
         [[min(i, j) for j in range(n)] for i in range(n)], name="L3")
-    lat = congruences.congruence_lattice(pure)
-    P = _congruence_poset(lat)
-    if args.dot:
-        out.write(P.to_dot(name="fig6"))
-    else:
-        out.write(_dump(P.as_dict()) + "\n")
+    P = _congruence_poset(congruences.congruence_lattice(pure))
+    _poset_out(P, args, out, "fig6")
 
 
 def _repro_fig7(args, out):
@@ -336,19 +323,13 @@ def _repro_fig8(args, out):
     sis = [A for A in closure.values()
            if congruences.is_subdirectly_irreducible(A)[0]]
     D = posets.downset_lattice(_named_poset(morphisms.si_poset(sis)))
-    if args.dot:
-        out.write(D.to_dot(name="fig8", label_of=_downset_label))
-    else:
-        out.write(_dump(D.as_dict(label_of=_downset_label)) + "\n")
+    _poset_out(D, args, out, "fig8", _downset_label)
 
 
 def _repro_fig9(args, out):
     D = posets.downset_lattice(
         _named_poset(morphisms.si_poset(_si_algebras_up_to(3))))
-    if args.dot:
-        out.write(D.to_dot(name="fig9", label_of=_downset_label))
-    else:
-        out.write(_dump(D.as_dict(label_of=_downset_label)) + "\n")
+    _poset_out(D, args, out, "fig9", _downset_label)
 
 
 def _repro_counts(args, out):

@@ -1,10 +1,12 @@
 """Congruences: principal congruences by translation closure, the full
 congruence lattice, subdirect irreducibility and simplicity."""
 
+import collections
 import functools
+import itertools
+import operator
 
-from .caps import cap
-from .errors import CapExceeded, NotACongruence
+from .posets import cover_pairs
 
 
 class Congruence:
@@ -98,7 +100,7 @@ class _UnionFind:
         return True
 
 
-def _translation_tables(A):
+def translation_tables(A):
     """The four operation tables and their transposes, each distinct table
     once: row c of each is a unary translation x -> op(c, x) or op(x, c).
     On commutative tables these are just the operation tables."""
@@ -119,7 +121,7 @@ def is_congruence(A, part):
     if part.size != A.size:
         return False
     ids, blocks = part.ids, part.blocks()
-    for t in _translation_tables(A):
+    for t in translation_tables(A):
         for block in blocks:
             first = t[block[0]]
             for e in block[1:]:
@@ -140,8 +142,9 @@ def principal_congruence(A, a, b):
     uf = _UnionFind(n)
     uf.union(a, b)
     queue = [(a, b)]
-    tables = _translation_tables(A)
-    while queue:
+    blocks = n - 1  # a single block needs no further closing
+    tables = translation_tables(A)
+    while queue and blocks > 1:
         a, b = queue.pop()
         for t in tables:
             ra, rb = t[a], t[b]
@@ -149,6 +152,7 @@ def principal_congruence(A, a, b):
                 x, y = uf.find(ra[c]), uf.find(rb[c])
                 if x != y:
                     uf.union(x, y)
+                    blocks -= 1
                     queue.append((x, y))
     return Congruence([uf.find(e) for e in range(n)])
 
@@ -170,20 +174,22 @@ class CongruenceLattice:
         # sort by (number of blocks desc, ids) so identity is first, total last
         self.congruences = sorted(congruences,
                                   key=lambda c: (-c.num_blocks(), c.ids))
-        self.covers = self._covers()
+        self.covers = cover_pairs(self._order_rows())
 
-    def _covers(self):
+    def _order_rows(self):
+        # row j = {i : c_j refines c_i}, the AND over the pairs c_j relates
+        # of the bitset of congruences relating that pair
         cs = self.congruences
-        below = {i: [j for j in range(len(cs))
-                     if j != i and cs[j].refines(cs[i])]
-                 for i in range(len(cs))}
-        covers = []
-        for i, under in below.items():
-            for j in under:
-                if not any(cs[j].refines(cs[k]) and cs[k].refines(cs[i])
-                           for k in under if k != j):
-                    covers.append((j, i))
-        return sorted(covers)
+        relating = collections.defaultdict(int)
+        for i, c in enumerate(cs):
+            for block in c.blocks():
+                for pair in itertools.combinations(block, 2):
+                    relating[pair] |= 1 << i
+        return [functools.reduce(operator.and_,
+                                 (relating[b[0], e]
+                                  for b in c.blocks() for e in b[1:]),
+                                 (1 << len(cs)) - 1)
+                for c in cs]
 
     def __len__(self):
         return len(self.congruences)
@@ -203,8 +209,6 @@ class CongruenceLattice:
 
 
 def congruence_lattice(A):
-    if A.size > cap("CONGRUENCE"):
-        raise CapExceeded(f"congruence lattice cap is {cap('CONGRUENCE')}")
     n = A.size
     # every congruence is a join of principals; after folding in k of them,
     # known holds every join of a subset of those k

@@ -6,9 +6,9 @@ import itertools
 
 from .algebra import (FiniteAlgebra, canonical_key, chain_algebra,
                       make_algebra, make_lmonoid, trivial_algebra)
-from .caps import cap
-from .congruences import is_congruence
-from .errors import CapExceeded, MalformedDocument, NotACongruence, UnknownName
+from .caps import check
+from .congruences import translation_tables, is_congruence
+from .errors import MalformedDocument, NotACongruence, UnknownName
 
 
 def ln_plus(n):
@@ -255,8 +255,7 @@ def gamma_of_lex(M):
 
 def product(A, B):
     n = A.size * B.size
-    if n > cap("PRODUCT"):
-        raise CapExceeded(f"product size {n} exceeds cap {cap('PRODUCT')}")
+    check("PRODUCT", n, "product size")
     pairs = list(itertools.product(range(A.size), range(B.size)))
     index = {p: i for i, p in enumerate(pairs)}
 
@@ -268,23 +267,30 @@ def product(A, B):
         n, index[(A.zero, B.zero)], index[(A.one, B.one)],
         table(A.oplus, B.oplus), table(A.odot, B.odot),
         join=table(A.join, B.join), meet=table(A.meet, B.meet),
-        name=f"{A.name}x{B.name}" if A.name and B.name else "")
+        name=f"{A.name}x{B.name}" if A.name and B.name else "",
+        validate=False)
+
+
+def _extend(A, closed, gens):
+    """Least subuniverse containing the subuniverse `closed` and `gens`.
+    Products of two elements of `closed` already lie in it, so only the
+    products involving a new element are computed."""
+    tables = translation_tables(A)
+    members, seen = list(closed), set(closed)
+    queue = list(set(gens) - seen)
+    seen.update(queue)
+    while queue:
+        x = queue.pop()
+        members.append(x)
+        new = {t[x][y] for t in tables for y in members} - seen
+        seen |= new
+        queue += new
+    return frozenset(seen)
 
 
 def subuniverse_closure(A, gens):
-    seen = set(gens) | {A.zero, A.one}
-    frontier = list(seen)
-    while frontier:
-        new = []
-        for t in (A.join, A.meet, A.oplus, A.odot):
-            for a in list(seen):
-                for b in list(seen):
-                    v = t[a][b]
-                    if v not in seen:
-                        seen.add(v)
-                        new.append(v)
-        frontier = new
-    return frozenset(seen)
+    """Least subuniverse (containing 0 and 1) that contains gens."""
+    return _extend(A, (), {A.zero, A.one, *gens})
 
 
 def _subalgebra_on(A, subset):
@@ -296,31 +302,27 @@ def _subalgebra_on(A, subset):
 
     sub = make_algebra(len(elems), index[A.zero], index[A.one],
                        table(A.oplus), table(A.odot),
-                       join=table(A.join), meet=table(A.meet))
+                       join=table(A.join), meet=table(A.meet),
+                       validate=False)
     return sub, tuple(elems)  # embedding: new index -> element of A
 
 
 def subalgebras(A):
-    """All subuniverses (containing 0 and 1, closed under the four
-    operations), deduplicated by canonical key; returns (algebra, embedding)
-    pairs sorted by (size, key)."""
-    if A.size > cap("SUBALGEBRA"):
-        raise CapExceeded(f"subalgebra scan cap is {cap('SUBALGEBRA')}")
-    base = {A.zero, A.one}
-    rest = [e for e in range(A.size) if e not in base]
+    """All subuniverses up to isomorphism, as (algebra, embedding) pairs
+    sorted by (size, key), each class embedded as its least subuniverse by
+    (size, sorted elements).  Every subuniverse is reached from the least
+    one by adding one element at a time and closing."""
+    least = subuniverse_closure(A, ())
+    universes, stack = {least}, [least]
+    while stack:
+        S = stack.pop()
+        grown = {_extend(A, S, (e,)) for e in range(A.size) if e not in S}
+        stack += grown - universes
+        universes |= grown
     found = {}
-    for r in range(len(rest) + 1):
-        for extra in itertools.combinations(rest, r):
-            subset = base | set(extra)
-            closed = all(t[a][b] in subset
-                         for t in (A.join, A.meet, A.oplus, A.odot)
-                         for a in subset for b in subset)
-            if not closed:
-                continue
-            sub, emb = _subalgebra_on(A, subset)
-            key = canonical_key(sub)
-            if key not in found:
-                found[key] = (sub, emb)
+    for U in sorted(map(sorted, universes), key=lambda U: (len(U), U)):
+        sub, emb = _subalgebra_on(A, U)
+        found.setdefault(canonical_key(sub), (sub, emb))
     return [found[k] for k in sorted(found, key=lambda k: (k[0], k))]
 
 
@@ -342,4 +344,5 @@ def quotient(A, theta):
     return make_algebra(n, block_of[A.zero], block_of[A.one],
                         table(A.oplus), table(A.odot),
                         join=table(A.join), meet=table(A.meet),
-                        name=f"{A.name}/theta" if A.name else "")
+                        name=f"{A.name}/theta" if A.name else "",
+                        validate=False)

@@ -12,17 +12,17 @@ outputs are deduplicated by canonical key.
 from .algebra import (canonical_key, chain_algebra, make_algebra, max_table,
                       min_table)
 from .axioms import si_necessary_condition
-from .caps import cap
+from .caps import check
 from .congruences import is_subdirectly_irreducible
-from .errors import BadArgument, CapExceeded
+from .errors import BadArgument
+from .posets import cover_pairs
 from .terms import CANCELLATIVITY, satisfies_quasi
 
 FILTERS = ("all", "si-necessary", "si", "positive")
 
 
 def _check_arguments(n, flt, cap_name, what):
-    if n > cap(cap_name):
-        raise CapExceeded(f"{what} enumeration cap is {cap(cap_name)}")
+    check(cap_name, n, f"{what} enumeration size")
     if n < 1:
         raise BadArgument(f"need n >= 1, got {n}")
     if flt not in FILTERS:
@@ -59,10 +59,10 @@ def _monoid_tables(join, meet, unit, order):
     n = len(order)
     leq = [[join[a][b] == b for b in range(n)] for a in range(n)]
     above = [[v for v in order if leq[a][v]] for a in range(n)]
-    lower_covers = [[b for b in range(n) if b != a and leq[b][a]
-                     and not any(c not in (a, b) and leq[b][c] and leq[c][a]
-                                 for c in range(n))]
-                    for a in range(n)]
+    lower_covers = [[] for _ in range(n)]
+    for b, a in cover_pairs([sum(1 << v for v in above[a])
+                             for a in range(n)]):
+        lower_covers[a].append(b)
     incomparable = [(b, c) for b in range(n) for c in range(b + 1, n)
                     if not leq[b][c] and not leq[c][b]]
     top = order[-1]

@@ -5,10 +5,9 @@ irreducible algebras ordered by HSU membership."""
 import warnings
 
 from .algebra import canonical_key
-from .caps import cap
+from .caps import check
 from .congruences import congruence_lattice, is_subdirectly_irreducible
 from .constructions import quotient, subalgebras
-from .errors import CapExceeded
 from .posets import Poset
 
 
@@ -16,8 +15,7 @@ def homomorphisms(A, B):
     """All maps A -> B preserving the four operations and 0, 1, as tuples
     indexed by elements of A; backtracking in element order with forward
     checking on already-assigned table constraints."""
-    if B.size ** A.size > cap("HOM"):
-        raise CapExceeded("homomorphism search space exceeds cap")
+    check("HOM", B.size ** A.size, "homomorphism search space |B|^|A|")
     tables = ((A.join, B.join), (A.meet, B.meet),
               (A.oplus, B.oplus), (A.odot, B.odot))
     f = [None] * A.size

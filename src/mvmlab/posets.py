@@ -1,11 +1,43 @@
 """Small finite posets with covering relations, downset lattices, DOT
-output, and isomorphism testing by the canonical form of `algebra`."""
+output, and isomorphism testing by the canonical form of `algebra`.  Orders
+are bitset rows, bit j of row i set iff i <= j."""
 
 import itertools
 
 from .algebra import canonical_form
-from .caps import cap
-from .errors import CapExceeded
+from .caps import check
+
+
+def _bits(mask):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def transitive_closure(rows):
+    """Close the bitset rows under transitivity, in place (Warshall with a
+    whole row per step)."""
+    for k, row_k in enumerate(rows):
+        bit = 1 << k
+        for i, row in enumerate(rows):
+            if row & bit:
+                rows[i] = row | row_k
+    return rows
+
+
+def cover_pairs(up):
+    """Covering pairs (i, j), sorted: i < j in the order with nothing
+    strictly between, from reflexive, transitive bitset rows
+    up[i] = {j : i <= j}."""
+    out = []
+    for i, row in enumerate(up):
+        strict = row & ~(1 << i)
+        above = 0  # elements strictly above some element strictly above i
+        for j in _bits(strict):
+            above |= up[j] & ~(1 << j)
+        out.extend((i, j) for j in _bits(strict & ~above))
+    return out
 
 
 class Poset:
@@ -15,42 +47,22 @@ class Poset:
     def __init__(self, labels, leq_pairs):
         self.labels = list(labels)
         idx = {l: i for i, l in enumerate(self.labels)}
-        n = len(self.labels)
-        rel = [[False] * n for _ in range(n)]
-        for i in range(n):
-            rel[i][i] = True
+        up = [1 << i for i in range(len(self.labels))]
         for a, b in leq_pairs:
-            rel[idx[a]][idx[b]] = True
-        # Warshall transitive closure
-        for k in range(n):
-            for i in range(n):
-                if rel[i][k]:
-                    row, rowk = rel[i], rel[k]
-                    for j in range(n):
-                        if rowk[j]:
-                            row[j] = True
-        self._rel = rel
+            up[idx[a]] |= 1 << idx[b]
+        self._up = transitive_closure(up)
         self._idx = idx
 
     def __len__(self):
         return len(self.labels)
 
     def leq(self, a, b):
-        return self._rel[self._idx[a]][self._idx[b]]
+        return self._up[self._idx[a]] >> self._idx[b] & 1 == 1
 
     def covers(self):
         """Covering pairs (a, b) with a < b and nothing strictly between."""
-        out = []
-        n = len(self.labels)
-        for i in range(n):
-            for j in range(n):
-                if i == j or not self._rel[i][j]:
-                    continue
-                if any(k not in (i, j) and self._rel[i][k] and self._rel[k][j]
-                       for k in range(n)):
-                    continue
-                out.append((self.labels[i], self.labels[j]))
-        return out
+        return [(self.labels[i], self.labels[j])
+                for i, j in cover_pairs(self._up)]
 
     def minimal(self):
         return [b for b in self.labels
@@ -64,17 +76,12 @@ class Poset:
         return sum(1 for b in self.labels if b != a and self.leq(b, a))
 
     def downsets(self):
-        if len(self.labels) > cap("DOWNSET"):
-            raise CapExceeded(f"downset cap is {cap('DOWNSET')}")
-        out = []
-        n = len(self.labels)
-        for bits in itertools.product((False, True), repeat=n):
-            chosen = [self.labels[i] for i in range(n) if bits[i]]
-            closed = all(self.leq(a, b) <= (a in chosen)
-                         for b in chosen for a in self.labels)
-            if closed:
-                out.append(frozenset(chosen))
-        return out
+        n, up = len(self.labels), self._up
+        check("DOWNSET", n, "poset size")
+        # m is down-closed iff nothing outside m lies below a member of m
+        return [frozenset(self.labels[i] for i in _bits(m))
+                for m in range(1 << n)
+                if not any(up[i] & m for i in _bits(~m & (1 << n) - 1))]
 
     def is_isomorphic_to(self, other):
         return len(self) == len(other) and self._key() == other._key()
@@ -82,10 +89,12 @@ class Poset:
     def _key(self):
         # <= as the table t[i][j] = j if i <= j else i, from (up-set size,
         # down-set size)
-        n, rel = len(self), self._rel
-        leq = [[j if rel[i][j] else i for j in range(n)] for i in range(n)]
+        n, up = len(self), self._up
+        leq = [[j if up[i] >> j & 1 else i for j in range(n)]
+               for i in range(n)]
         return canonical_form(n, [leq], [],
-                              [(sum(rel[i]), sum(r[i] for r in rel))
+                              [(up[i].bit_count(),
+                                sum(row >> i & 1 for row in up))
                                for i in range(n)])
 
     def to_dot(self, name="poset", label_of=str):

@@ -1,10 +1,12 @@
+import functools
 import itertools
 import random
 
 import pytest
+from hypothesis import strategies as st
 
-from mvmlab import (catalog, catalog_names, chain_algebra, cn_delta, cn_nabla,
-                    lm_delta, lm_nabla, ln_plus, make_algebra)
+from mvmlab import (canonical_key, catalog, catalog_names, chain_algebra,
+                    enumerate_chain, make_algebra)
 
 
 @pytest.fixture(scope="session")
@@ -41,3 +43,49 @@ def shuffled(A, seed):
     perm = list(range(A.size))
     rng.shuffle(perm)
     return relabel(A, perm)
+
+
+@st.composite
+def random_chain_tables(draw):
+    """A chain with arbitrary, usually non-commutative, oplus and odot."""
+    n = draw(st.integers(1, 6))
+    table = st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+                     min_size=n, max_size=n)
+    return chain_algebra(n, draw(table), draw(table))
+
+
+@functools.cache
+def si_chain_pairs():
+    """Every pair of SI chains of sizes 2..6 whose product has at most 12
+    elements (96 pairs)."""
+    chains = [A for n in range(2, 7) for A in enumerate_chain(n, "si")]
+    return [(A, B) for A, B in
+            itertools.combinations_with_replacement(chains, 2)
+            if A.size * B.size <= 12]
+
+
+def reference_subalgebras(A):
+    """Subalgebras by scanning every subset that contains 0 and 1 and keeping
+    the closed ones: (algebra, embedding) pairs sorted by (size, key), each
+    class embedded as its first subuniverse in scan order."""
+    base = {A.zero, A.one}
+    rest = [e for e in range(A.size) if e not in base]
+    found = {}
+    for r in range(len(rest) + 1):
+        for extra in itertools.combinations(rest, r):
+            subset = base | set(extra)
+            if not all(t[a][b] in subset
+                       for t in (A.join, A.meet, A.oplus, A.odot)
+                       for a in subset for b in subset):
+                continue
+            elems = sorted(subset)
+            index = {e: i for i, e in enumerate(elems)}
+
+            def table(t):
+                return [[index[t[a][b]] for b in elems] for a in elems]
+
+            sub = make_algebra(len(elems), index[A.zero], index[A.one],
+                               table(A.oplus), table(A.odot),
+                               join=table(A.join), meet=table(A.meet))
+            found.setdefault(canonical_key(sub), (sub, tuple(elems)))
+    return [found[k] for k in sorted(found, key=lambda k: (k[0], k))]

@@ -1,16 +1,19 @@
+import functools
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_chain_tables
 from mvmlab import (Congruence, catalog, chain_algebra, cn_delta, cn_nabla,
                     congruence_lattice, enumerate_chain, identity_congruence,
                     is_simple, is_subdirectly_irreducible, lm_delta, lm_nabla,
                     ln_plus, monolith, principal_congruence, product,
                     quotient, subalgebras, total_congruence, trivial_algebra)
 from mvmlab.congruences import congruence_join, is_congruence
-from mvmlab.errors import CapExceeded, NotACongruence
+from mvmlab.errors import NotACongruence
 
 
 def pure_chain(n):
@@ -156,9 +159,20 @@ def test_monolith_refines_every_nontrivial_congruence():
             assert m.refines(c)
 
 
-def test_congruence_lattice_cap():
-    with pytest.raises(CapExceeded):
-        congruence_lattice(ln_plus(13))
+def test_congruence_lattice_of_a_large_simple_chain():
+    assert len(congruence_lattice(ln_plus(13))) == 2
+
+
+@pytest.mark.parametrize("factors", [
+    (ln_plus(4), ln_plus(3)), (ln_plus(5), ln_plus(5)),
+    (ln_plus(1), ln_plus(2), ln_plus(3)), (cn_delta(3), lm_delta(3))])
+def test_congruences_of_a_product_are_products_of_congruences(factors):
+    # MV-monoids have a lattice reduct, so their varieties are congruence
+    # distributive and a product has no skew congruences (Fraser & Horn
+    # 1970): Con(A x B) is Con A x Con B
+    P = functools.reduce(product, factors)
+    assert len(congruence_lattice(P)) == \
+        math.prod(len(congruence_lattice(A)) for A in factors)
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +201,14 @@ def _compatible(A, part):
 def _check_against_brute_force(A):
     partitions = list(_set_partitions(A.size))
     con = {p for p in partitions if _compatible(A, p)}
-    assert set(congruence_lattice(A).congruences) == con
+    lat = congruence_lattice(A)
+    cs = lat.congruences
+    assert set(cs) == con
+    assert lat.covers == [
+        (i, j) for i, j in itertools.permutations(range(len(cs)), 2)
+        if cs[i].refines(cs[j]) and not any(
+            k not in (i, j) and cs[i].refines(cs[k]) and cs[k].refines(cs[j])
+            for k in range(len(cs)))]
     for p in partitions:
         assert is_congruence(A, p) == (p in con)
     for a, b in itertools.combinations(range(A.size), 2):
@@ -230,16 +251,8 @@ def test_subalgebra_and_quotient_congruences_match_brute_force(A):
     _check_against_brute_force(A)
 
 
-@st.composite
-def _random_chain_tables(draw):
-    n = draw(st.integers(1, 6))
-    table = st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
-                     min_size=n, max_size=n)
-    return chain_algebra(n, draw(table), draw(table))
-
-
 @settings(max_examples=200, deadline=None)
-@given(_random_chain_tables())
+@given(random_chain_tables())
 def test_non_commutative_table_congruences_match_brute_force(A):
     _check_against_brute_force(A)
 

@@ -1,7 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import (random_chain_tables, reference_subalgebras, shuffled,
+                      si_chain_pairs)
 from mvmlab import (are_isomorphic, canonical_key, catalog, catalog_names,
                     cn_delta, cn_delta_star, cn_nabla, cn_nabla_star,
                     gamma_of_lex, is_mv_monoid, lm_delta, lm_delta_star,
@@ -130,6 +134,29 @@ def test_subalgebras_of_truncated_chain():
         # embeddings are genuine subuniverses listed in order
         assert emb[0] == 0 and emb[-1] == 6
         assert set(emb) == subuniverse_closure(ln_plus(6), set(emb))
+
+
+def test_subalgebras_match_the_subset_scan(catalog_algebras):
+    # same classes, order and embeddings as scanning every subset
+    for A in catalog_algebras.values():
+        assert subalgebras(A) == reference_subalgebras(A)
+    for A, B in si_chain_pairs():
+        P = product(A, B)
+        assert subalgebras(P) == reference_subalgebras(P)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(si_chain_pairs()), st.integers(0, 10 ** 6))
+def test_subalgebras_of_relabeled_products_match_the_subset_scan(pair, seed):
+    # a relabeling changes which subuniverse of a class comes first
+    P = shuffled(product(*pair), seed)
+    assert subalgebras(P) == reference_subalgebras(P)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_chain_tables())
+def test_subalgebras_of_non_commutative_tables_match_the_subset_scan(A):
+    assert subalgebras(A) == reference_subalgebras(A)
 
 
 def test_subalgebras_of_infinitesimal_chain():

@@ -81,7 +81,8 @@ def test_bad_arguments():
         enumerate_chain(3, "everything")
     with pytest.raises(ValueError):
         enumerate_chain(0)
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded, match=r"^chain enumeration size is 99, "
+                       r"above the cap 7 \(MVMLAB_CAP_ENUM_CHAIN\)$"):
         enumerate_chain(99)
     assert FILTERS == ("all", "si-necessary", "si", "positive")
 

@@ -1,14 +1,13 @@
-import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import shuffled
+from conftest import reference_subalgebras, shuffled, si_chain_pairs
 from mvmlab import (canonical_key, catalog, cn_delta, congruence_lattice,
                     enumerate_chain, hs_closure, homomorphisms, ln_plus,
                     lm_delta, order_dual, product, quotient, si_poset,
-                    subalgebras, trivial_algebra)
+                    trivial_algebra)
 from mvmlab.cli import identify
 from mvmlab.errors import CapExceeded
 
@@ -80,7 +79,8 @@ def test_hs_closure_is_idempotent_and_monotone():
 
 
 def _reference_hs_closure(S):
-    """Closure under S and H by rounds, to a fixpoint."""
+    """Closure under S and H by rounds, to a fixpoint, with subalgebras
+    from the subset scan."""
     found = {}
     frontier = []
     for A in S:
@@ -91,7 +91,7 @@ def _reference_hs_closure(S):
     while frontier:
         new = []
         for A in frontier:
-            produced = [sub for sub, _ in subalgebras(A)]
+            produced = [sub for sub, _ in reference_subalgebras(A)]
             produced += [quotient(A, th)
                          for th in congruence_lattice(A).congruences]
             for B in produced:
@@ -104,13 +104,10 @@ def _reference_hs_closure(S):
 
 
 _SI_CHAINS = [A for n in range(2, 7) for A in enumerate_chain(n, "si")]
-_SI_PAIRS = [(A, B) for A, B in
-             itertools.combinations_with_replacement(_SI_CHAINS, 2)
-             if A.size * B.size <= 12]
 
 
 @settings(max_examples=12, deadline=None)
-@given(st.sampled_from(_SI_PAIRS), st.booleans())
+@given(st.sampled_from(si_chain_pairs()), st.booleans())
 def test_hs_closure_of_si_chain_products_matches_the_fixpoint(pair, dual):
     P = product(*pair)
     if dual:
@@ -130,6 +127,12 @@ def test_hs_closure_keeps_the_first_generator_of_each_class(drawn):
     for A in gens:
         k = canonical_key(A)
         assert closure[k] is next(B for B in gens if canonical_key(B) == k)
+
+
+@pytest.mark.parametrize("factors", [(3, 3), (4, 3)])
+def test_hs_closure_of_large_products_matches_the_fixpoint(factors):
+    P = product(*map(ln_plus, factors))
+    assert set(hs_closure([P])) == set(_reference_hs_closure([P]))
 
 
 def test_hs_closure_of_a_product_contains_both_factors():

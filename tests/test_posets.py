@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from mvmlab import Poset, downset_lattice, enumerate_chain, si_poset
 from mvmlab.errors import CapExceeded
-from mvmlab.posets import boolean_poset, chain_poset
+from mvmlab.posets import (boolean_poset, chain_poset, cover_pairs,
+                           transitive_closure)
 
 
 def test_transitive_closure_and_leq():
@@ -54,9 +55,38 @@ def test_downset_lattice_of_the_two_element_antichain():
     assert D.is_isomorphic_to(boolean_poset(2))
 
 
-def test_downset_cap():
-    with pytest.raises(CapExceeded):
+def test_downset_cap(monkeypatch):
+    with pytest.raises(CapExceeded, match=r"^poset size is 20, above the cap "
+                       r"16 \(MVMLAB_CAP_DOWNSET\)$"):
         Poset(range(20), []).downsets()
+    monkeypatch.setenv("MVMLAB_CAP_DOWNSET", "3")
+    with pytest.raises(CapExceeded, match="the cap 3 "):
+        Poset("abcd", []).downsets()
+    assert len(Poset("abc", []).downsets()) == 8
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 9), st.integers(0, 10 ** 6))
+def test_bitset_closure_and_covers_match_the_definitions(n, seed):
+    # any relation: cycles make preorders, whose cover_pairs are not used,
+    # so only the closure is checked on them
+    rng = random.Random(seed)
+    edges = {(i, j) for i in range(n) for j in range(n)
+             if i == j or rng.random() < 0.2}
+    reach = set(edges)
+    for k, i, j in itertools.product(range(n), repeat=3):
+        if (i, k) in reach and (k, j) in reach:
+            reach.add((i, j))
+    rows = transitive_closure([sum(1 << j for j in range(n) if (i, j) in edges)
+                               for i in range(n)])
+    assert {(i, j) for i in range(n) for j in range(n)
+            if rows[i] >> j & 1} == reach
+    if any((j, i) in reach for i, j in reach if i != j):
+        return
+    assert cover_pairs(rows) == [
+        (i, j) for i, j in sorted(reach) if i != j
+        and not any((i, k) in reach and (k, j) in reach
+                    for k in range(n) if k not in (i, j))]
 
 
 def test_isomorphism_testing():
