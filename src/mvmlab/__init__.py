@@ -9,11 +9,12 @@ from .axioms import (AxiomReport, is_good_pair, is_mv_monoid, is_positive_mv,
 from .congruences import (Congruence, CongruenceLattice, congruence_lattice,
                           identity_congruence, is_simple,
                           is_subdirectly_irreducible, monolith,
-                          principal_congruence, total_congruence)
+                          principal_congruence, principal_congruences,
+                          total_congruence)
 from .constructions import (catalog, catalog_names, cn_delta, cn_delta_star,
                             cn_nabla, cn_nabla_star, gamma_of_lex, lm_delta,
                             lm_delta_star, lm_nabla, lm_nabla_star, ln_plus,
-                            product, quotient, subalgebras)
+                            product, quotient, si_quotients, subalgebras)
 from .enumeration import enumerate_chain, enumerate_on_lattice
 from .morphisms import homomorphisms, hs_closure, si_poset
 from .posets import Poset, downset_lattice

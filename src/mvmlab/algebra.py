@@ -179,11 +179,12 @@ def save(A):
 
 def read_json(path):
     """The parsed JSON document in a file; text that is not JSON (or not
-    UTF-8) raises MalformedDocument."""
+    UTF-8, or nested past the decoder's recursion limit) raises
+    MalformedDocument."""
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise MalformedDocument(f"invalid JSON: {exc}") from None
 
 

@@ -11,7 +11,7 @@ import sys
 
 from . import algebra, congruences, constructions, enumeration, morphisms
 from . import posets, terms, varieties
-from .axioms import is_mv_monoid, is_positive_mv, si_necessary_condition
+from .axioms import is_mv_monoid
 from .errors import (BadArgument, MalformedDocument, MvmError, UnknownName,
                      UnknownTarget)
 
@@ -159,11 +159,13 @@ def _cmd_check_eq(args, out):
 
 def _axiomset_verdict(A, aset):
     res = terms.satisfies(A, aset)
+    texts = aset.texts()
     return {"axiom_set": aset.name,
-            "equations": [str(e) for e in aset.equations],
+            "equations": texts,
             "holds": res.passed,
             "witness": _witness(res),
-            "failing_equation": None if res.passed else str(res.equation)}
+            "failing_equation": None if res.passed
+            else texts[aset.equations.index(res.equation)]}
 
 
 def _cmd_phi(args, out):

@@ -6,7 +6,7 @@ import functools
 import itertools
 import operator
 
-from .posets import cover_pairs
+from .posets import cover_pairs, lattice_cover_pairs
 
 
 class Congruence:
@@ -208,30 +208,40 @@ class CongruenceLattice:
         return [c for c in self.congruences if not c.is_identity()]
 
 
+def principal_congruences(A):
+    """The distinct principal congruences theta(a, b) over the covering pairs
+    a < b of the lattice reduct, which generate Con(A).  A congruence that
+    relates a and b relates a ^ b and a v b and so collapses the interval
+    between them; hence theta(a, b) is the join of the theta(c, d) over the
+    covers c < d of a maximal chain from a ^ b to a v b, and every nontrivial
+    congruence contains one of them."""
+    seen = set()
+    for a, b in lattice_cover_pairs(A.join):
+        p = principal_congruence(A, a, b)
+        if p not in seen:
+            seen.add(p)
+            yield p
+
+
 def congruence_lattice(A):
-    n = A.size
     # every congruence is a join of principals; after folding in k of them,
     # known holds every join of a subset of those k
-    known = {identity_congruence(n)}
-    for p in {principal_congruence(A, a, b)
-              for a in range(n) for b in range(a + 1, n)}:
+    known = {identity_congruence(A.size)}
+    for p in principal_congruences(A):
         known |= {c.join(p) for c in known}
     return CongruenceLattice(A, known)
 
 
 def monolith(A):
     """Meet of all nontrivial congruences; None when A has no nontrivial
-    congruence (trivial algebra).  Every nontrivial congruence contains a
-    nontrivial principal one and principals are congruences, so the meet over
-    principal congruences theta(a,b), a != b, suffices; no lattice needed."""
-    n = A.size
+    congruence (trivial algebra).  Every nontrivial congruence contains one
+    of the `principal_congruences`, which are nontrivial, so their meet
+    suffices; no lattice needed."""
     m = None
-    for a in range(n):
-        for b in range(a + 1, n):
-            p = principal_congruence(A, a, b)
-            m = p if m is None else m.meet(p)
-            if m.is_identity():
-                return m
+    for p in principal_congruences(A):
+        m = p if m is None else m.meet(p)
+        if m.is_identity():
+            return m
     return m
 
 
@@ -244,9 +254,5 @@ def is_subdirectly_irreducible(A):
 
 
 def is_simple(A):
-    # simple iff every principal congruence on a distinct pair is total
-    n = A.size
-    if n <= 1:
-        return False
-    return all(principal_congruence(A, a, b).is_total()
-               for a in range(n) for b in range(a + 1, n))
+    # simple iff every nontrivial congruence is total
+    return A.size > 1 and all(p.is_total() for p in principal_congruences(A))

@@ -2,12 +2,13 @@
 Chang-type chains, the degenerate LM chains, the 3- and 4-element catalog),
 plus Gamma-of-lexicographic-product, products, subalgebras and quotients."""
 
+import collections
 import itertools
 
-from .algebra import (FiniteAlgebra, canonical_key, chain_algebra,
-                      make_algebra, make_lmonoid, trivial_algebra)
+from .algebra import (canonical_key, chain_algebra, make_algebra,
+                      make_lmonoid, trivial_algebra)
 from .caps import check
-from .congruences import translation_tables, is_congruence
+from .congruences import congruence_lattice, is_congruence, translation_tables
 from .errors import MalformedDocument, NotACongruence, UnknownName
 
 
@@ -293,17 +294,22 @@ def subuniverse_closure(A, gens):
     return _extend(A, (), {A.zero, A.one, *gens})
 
 
+def _induced(A, reps, index, name=""):
+    """The algebra on len(reps) elements whose element i stands for reps[i]
+    and whose operations are A's on the representatives, read back through
+    `index` (element of A -> new element)."""
+    def table(t):
+        return [[index[t[a][b]] for b in reps] for a in reps]
+
+    return make_algebra(len(reps), index[A.zero], index[A.one],
+                        table(A.oplus), table(A.odot),
+                        join=table(A.join), meet=table(A.meet), name=name,
+                        validate=False)
+
+
 def _subalgebra_on(A, subset):
     elems = sorted(subset)
-    index = {e: i for i, e in enumerate(elems)}
-
-    def table(t):
-        return [[index[t[a][b]] for b in elems] for a in elems]
-
-    sub = make_algebra(len(elems), index[A.zero], index[A.one],
-                       table(A.oplus), table(A.odot),
-                       join=table(A.join), meet=table(A.meet),
-                       validate=False)
+    sub = _induced(A, elems, {e: i for i, e in enumerate(elems)})
     return sub, tuple(elems)  # embedding: new index -> element of A
 
 
@@ -327,22 +333,19 @@ def subalgebras(A):
 
 
 def quotient(A, theta):
+    """A/theta, block i being the i-th block of theta by least element."""
     if not is_congruence(A, theta):
         raise NotACongruence("partition is not compatible with the tables")
-    blocks = sorted(theta.blocks(), key=min)
-    rep = [min(b) for b in blocks]
-    block_of = {}
-    for i, b in enumerate(blocks):
-        for e in b:
-            block_of[e] = i
-    n = len(blocks)
+    return _induced(A, [b[0] for b in theta.blocks()], theta.ids,
+                    name=f"{A.name}/theta" if A.name else "")
 
-    def table(t):
-        return [[block_of[t[rep[i]][rep[j]]] for j in range(n)]
-                for i in range(n)]
 
-    return make_algebra(n, block_of[A.zero], block_of[A.one],
-                        table(A.oplus), table(A.odot),
-                        join=table(A.join), meet=table(A.meet),
-                        name=f"{A.name}/theta" if A.name else "",
-                        validate=False)
+def si_quotients(A):
+    """The subdirectly irreducible quotients A/theta, in the order of
+    `congruence_lattice(A)`: those whose theta has exactly one upper cover,
+    since Con(A/theta) is the interval above theta.  A finite algebra is a
+    subdirect product of them (Birkhoff)."""
+    lat = congruence_lattice(A)
+    upper = collections.Counter(i for i, _ in lat.covers)
+    return [quotient(A, c) for i, c in enumerate(lat.congruences)
+            if upper[i] == 1]

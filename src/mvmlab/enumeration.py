@@ -15,7 +15,7 @@ from .axioms import si_necessary_condition
 from .caps import check
 from .congruences import is_subdirectly_irreducible
 from .errors import BadArgument
-from .posets import cover_pairs
+from .posets import lattice_cover_pairs
 from .terms import CANCELLATIVITY, satisfies_quasi
 
 FILTERS = ("all", "si-necessary", "si", "positive")
@@ -60,8 +60,7 @@ def _monoid_tables(join, meet, unit, order):
     leq = [[join[a][b] == b for b in range(n)] for a in range(n)]
     above = [[v for v in order if leq[a][v]] for a in range(n)]
     lower_covers = [[] for _ in range(n)]
-    for b, a in cover_pairs([sum(1 << v for v in above[a])
-                             for a in range(n)]):
+    for b, a in lattice_cover_pairs(join):
         lower_covers[a].append(b)
     incomparable = [(b, c) for b in range(n) for c in range(b + 1, n)
                     if not leq[b][c] and not leq[c][b]]

@@ -40,6 +40,14 @@ def cover_pairs(up):
     return out
 
 
+def lattice_cover_pairs(join):
+    """Covering pairs of the order a lattice's join table defines (a <= b
+    iff a v b = b), by `cover_pairs`."""
+    n = len(join)
+    return cover_pairs([sum(1 << b for b in range(n) if join[a][b] == b)
+                        for a in range(n)])
+
+
 class Poset:
     """Finite poset over hashable labels; `leq` is a set of ordered pairs
     containing at least the reflexive pairs (transitively closed on build)."""

@@ -1,16 +1,14 @@
 """The tau term ladder, the Phi_n / Sigma_I axiom sets, and the divisor-set
 classification of varieties of positive MV-algebras."""
 
-import functools
 import math
 
-from .algebra import canonical_key
+from .algebra import are_isomorphic, canonical_key
 from .axioms import is_mv_monoid, is_positive_mv
-from .constructions import ln_plus
+from .constructions import ln_plus, si_quotients
 from .errors import BadArgument, NotDivisorClosed, NotPositiveMV
 from .morphisms import hs_closure
-from .terms import (Equation, const, oplus, odot, parse, power, satisfies,
-                    scalar, var)
+from .terms import Equation, const, oplus, odot, parse, power, scalar, var
 
 
 class DivisorClosedSet:
@@ -70,11 +68,17 @@ def divisor_closed_sets(bound):
 
 
 class AxiomSet:
-    __slots__ = ("name", "equations")
+    __slots__ = ("name", "equations", "_texts")
 
-    def __init__(self, name, equations):
+    def __init__(self, name, equations, texts=None):
         self.name = name
         self.equations = list(equations)
+        self._texts = texts
+
+    def texts(self):
+        """Display text of each equation: the names given, else the terms
+        spelled out."""
+        return list(self._texts or map(str, self.equations))
 
     def __iter__(self):
         return iter(self.equations)
@@ -110,35 +114,58 @@ def _fold_odot(l, r):
     return odot(l, r)
 
 
-@functools.lru_cache(maxsize=None)
+def _tau_step(left, below):
+    # tau(m+1, k) from left = tau(m, k-1) and below = tau(m, k)
+    return _fold_odot(left, _fold_oplus(var(0), below))
+
+
+def _tau_alt_step(left, below):
+    return _fold_oplus(_fold_odot(left, var(0)), below)
+
+
+def _ladder(step, n, lo, hi):
+    """Row n of a tau ladder at the columns lo..hi, built row by row.  Row m
+    is needed at the columns lo-(n-m) .. hi only, and its cells left of
+    column 0 are one and those right of column m-1 are zero (both steps fold
+    to these constants), so only the cells in between are built."""
+    one, zero = const("one"), const("zero")
+    start, row = 0, []  # row m holds the columns start .. start+len(row)-1
+
+    def cell(m, j):
+        return one if j < 0 else zero if j >= m else row[j - start]
+
+    for m in range(1, n + 1):
+        lo_m, hi_m = max(lo - (n - m), 0), min(hi, m - 1)
+        new = [step(cell(m - 1, j - 1), cell(m - 1, j))
+               for j in range(lo_m, hi_m + 1)]
+        start, row = lo_m, new
+    return [cell(n, k) for k in range(lo, hi + 1)]
+
+
 def tau(n, k):
     """One-variable term computing ((n x - k) v 0) ^^ 1 in the unit interval:
     base tau(0,k) = 1 for k <= -1 and 0 for k >= 0, then
     tau(n+1,k) = tau(n,k-1) * (x + tau(n,k))."""
-    if n == 0:
-        return const("one") if k <= -1 else const("zero")
-    return _fold_odot(tau(n - 1, k - 1), _fold_oplus(var(0), tau(n - 1, k)))
+    return _ladder(_tau_step, n, k, k)[0]
 
 
-@functools.lru_cache(maxsize=None)
 def tau_alt(n, k):
     """Same ladder via the second recursion (tau(n,k-1) * x) + tau(n,k)."""
-    if n == 0:
-        return const("one") if k <= -1 else const("zero")
-    return _fold_oplus(_fold_odot(tau_alt(n - 1, k - 1), var(0)),
-                       tau_alt(n - 1, k))
+    return _ladder(_tau_alt_step, n, k, k)[0]
 
 
 def phi(n):
-    """The 2n idempotency equations for tau(n,0) .. tau(n,n-1)."""
+    """The 2n idempotency equations for tau(n,0) .. tau(n,n-1), each named
+    by its tau rather than spelled out: the shared ladder prints as a tree
+    of exponential size."""
     if n < 1:
         raise BadArgument(f"phi needs n >= 1, got {n}")
-    eqs = []
-    for k in range(n):
-        t = tau(n, k)
-        eqs.append(Equation(_fold_oplus(t, t), t))
-        eqs.append(Equation(_fold_odot(t, t), t))
-    return AxiomSet(f"Phi({n})", eqs)
+    eqs, texts = [], []
+    for k, t in enumerate(_ladder(_tau_step, n, 0, n - 1)):
+        eqs += [Equation(_fold_oplus(t, t), t), Equation(_fold_odot(t, t), t)]
+        name = f"tau({n},{k})"
+        texts += [f"{name} + {name} ≈ {name}", f"{name} * {name} ≈ {name}"]
+    return AxiomSet(f"Phi({n})", eqs, texts)
 
 
 def sigma(I):
@@ -168,26 +195,33 @@ def almost_minimal_axioms(tag):
 
 
 def member_of_variety(A, I):
-    """Whether A lies in the variety generated by the truncated chains with
-    index in I: MV-monoid axioms + Phi_lcm(I) + Sigma_I."""
+    """Whether A lies in V(I), the variety generated by the truncated chains
+    L_d+ with d in I.  MV-monoids have a lattice reduct, so V(I) is
+    congruence distributive, and by Jónsson's lemma (Burris & Sankappanavar,
+    IV §6) its SI members lie in HS(L_d+ : d in I).  The subalgebras of L_d+
+    are the L_e+ with e | d, all simple, so the SI members of V(I) are the
+    L_e+ with e in I.  A finite A is a subdirect product of its SI quotients,
+    hence A is in V(I) iff it is an MV-monoid whose SI quotients all are."""
     if not isinstance(I, DivisorClosedSet):
         I = DivisorClosedSet(I)
     if not is_mv_monoid(A):
         return False
-    if not satisfies(A, sigma(I)):
-        return False
-    return bool(satisfies(A, phi(I.lcm())))
+    return all(Q.size - 1 in I and are_isomorphic(Q, ln_plus(Q.size - 1))
+               for Q in si_quotients(A))
 
 
 def classify_variety(generators):
     """The divisor-closed index set of the variety generated by positive
-    MV-algebras: {n : the (n+1)-chain truncated algebra is an HS-image}."""
+    MV-algebras: {n : the (n+1)-chain truncated algebra is an HS-image}.
+    L_n+ is simple, so by Jónsson's lemma it is an HS-image of any finite
+    set that generates the variety; the SI quotients of the generators do,
+    and are smaller, so `hs_closure` runs on those."""
     generators = list(generators)
     for i, A in enumerate(generators):
         if not is_positive_mv(A):
             raise NotPositiveMV(f"generator {i} is not a positive MV-algebra",
                                 index=i)
-    closure = hs_closure(generators)
+    closure = hs_closure([Q for A in generators for Q in si_quotients(A)])
     max_n = max((A.size for A in closure.values()), default=1) - 1
     members = [n for n in range(1, max_n + 1)
                if canonical_key(ln_plus(n)) in closure]

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import io
 import json
@@ -6,7 +7,6 @@ import os
 import pytest
 
 from mvmlab import cli, cn_delta, ln_plus, load, save
-from mvmlab.algebra import load_lmonoid
 from mvmlab.constructions import cn_delta_star
 
 
@@ -197,6 +197,21 @@ def test_phi_sigma_member_commands(algebra_file):
     assert run_json("member", f3, "--set", "1,2")["member"] is False
 
 
+def test_phi_command_names_the_tau_terms(algebra_file):
+    doc = run_json("phi", algebra_file(ln_plus(3)), "--n", "2")
+    assert doc["equations"] == ["tau(2,0) + tau(2,0) ≈ tau(2,0)",
+                                "tau(2,0) * tau(2,0) ≈ tau(2,0)",
+                                "tau(2,1) + tau(2,1) ≈ tau(2,1)",
+                                "tau(2,1) * tau(2,1) ≈ tau(2,1)"]
+    # 2x is not idempotent at x = 1/3
+    assert doc["holds"] is False and doc["witness"] == {"x": 1}
+    assert doc["failing_equation"] == "tau(2,0) + tau(2,0) ≈ tau(2,0)"
+    # spelled out, the equations of Phi(16) take about 5 MB
+    code, text = run("phi", algebra_file(ln_plus(4)), "--n", "16")
+    assert code == 0 and len(text.encode()) < 100_000
+    assert json.loads(text)["holds"] is True
+
+
 def test_member_rejects_non_divisor_closed(algebra_file):
     assert run("member", algebra_file(ln_plus(2)), "--set", "2")[0] == 1
 
@@ -303,3 +318,65 @@ def test_repro_recomputes_instead_of_hardcoding():
                 # generator seeds (a handful of names) are fine; edge lists
                 # or full node rosters are not
                 assert len(strings) <= 2, ast.dump(node)
+
+
+# ---------------------------------------------------------------------------
+# every subcommand on garbage input
+
+_GARBAGE = [
+    "{not json", "", "null", "[]", '{"size": 2}', '{"nodes": 5}',
+    '{"size": 2, "zero": 0, "one": 1, "oplus": "x", "odot": [[0]]}',
+    # a join table that is not a lattice
+    json.dumps({"size": 2, "zero": 0, "one": 1, "oplus": [[0, 1], [1, 1]],
+                "odot": [[0, 0], [0, 1]], "join": [[0, 0], [1, 1]],
+                "meet": [[0, 0], [0, 1]]}),
+    "[" * 100_000 + "]" * 100_000,
+]
+
+
+def _subcommands():
+    ap = cli._build_parser()
+    sub = next(a for a in ap._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return sorted(sub.choices.items())
+
+
+def _garbage_argvs(tmp_path, algebra_file):
+    """Per subcommand: no arguments; every positional a garbage file (or a
+    missing one) with the required options set to 1; and, where options are
+    required, garbage option values after a well-formed algebra file."""
+    files = []
+    for i, text in enumerate(_GARBAGE):
+        p = tmp_path / f"garbage{i}.json"
+        p.write_text(text)
+        files.append(str(p))
+    files.append(str(tmp_path / "missing.json"))
+    good = algebra_file(ln_plus(2))
+    for name, sp in _subcommands():
+        positional = [a for a in sp._actions if not a.option_strings]
+        required = [a.option_strings[0] for a in sp._actions
+                    if a.option_strings and a.required]
+        yield [name]
+        if positional:
+            for f in files:
+                argv = [name] + [f] * len(positional)
+                for opt in required:
+                    argv += [opt, "1"]
+                yield argv
+        if required:
+            argv = [name] + [good] * len(positional)
+            for opt in required:
+                argv += [opt, "garbage"]
+            yield argv
+
+
+def test_every_subcommand_rejects_garbage_without_a_traceback(
+        tmp_path, algebra_file, capsys):
+    seen = set()
+    for argv in _garbage_argvs(tmp_path, algebra_file):
+        code, out = run(*argv)
+        err = capsys.readouterr().err
+        assert code in (1, 2), argv
+        assert "Traceback" not in err, argv
+        seen.add(argv[0])
+    assert seen == {name for name, _ in _subcommands()}

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_chain_tables
+from conftest import random_chain_tables, si_chain_pairs
 from mvmlab import (Congruence, catalog, chain_algebra, cn_delta, cn_nabla,
                     congruence_lattice, enumerate_chain, identity_congruence,
                     is_simple, is_subdirectly_irreducible, lm_delta, lm_nabla,
-                    ln_plus, monolith, principal_congruence, product,
-                    quotient, subalgebras, total_congruence, trivial_algebra)
+                    ln_plus, monolith, principal_congruence,
+                    principal_congruences, product, quotient, si_quotients,
+                    subalgebras, total_congruence, trivial_algebra)
 from mvmlab.congruences import congruence_join, is_congruence
 from mvmlab.errors import NotACongruence
 
@@ -215,6 +216,22 @@ def _check_against_brute_force(A):
         theta = principal_congruence(A, a, b)
         assert theta in con and theta.related(a, b)
         assert all(theta.refines(c) for c in con if c.related(a, b))
+    nontrivial = [c for c in con if not c.is_identity()]
+    m = functools.reduce(Congruence.meet, nontrivial) if nontrivial else None
+    assert monolith(A) == m
+    assert is_simple(A) == (A.size > 1 and len(con) == 2)
+    # A/theta is SI iff the congruences strictly above theta have a least one
+    def si(c):
+        above = [d for d in con if c.refines(d) and d != c]
+        return any(all(d.refines(e) for e in above) for d in above)
+
+    assert [_tables(Q) for Q in si_quotients(A)] == \
+        [_tables(quotient(A, c)) for c in cs if si(c)]
+    assert all(is_subdirectly_irreducible(Q)[0] for Q in si_quotients(A))
+
+
+def _tables(A):
+    return A.zero, A.one, A.oplus, A.odot, A.join, A.meet
 
 
 _SMALL_CHAINS = [A for n in range(1, 6) for A in enumerate_chain(n, "all")]
@@ -268,3 +285,15 @@ def test_non_commutative_oplus_needs_the_second_argument():
     assert principal_congruence(A, 0, 1).is_total()
     with pytest.raises(NotACongruence):
         quotient(A, theta)
+
+
+def test_covering_pairs_generate_the_lattice_of_every_pair():
+    # the reference: fold theta(a, b) over all pairs a < b
+    for A, B in si_chain_pairs():
+        P = product(A, B)
+        known = {identity_congruence(P.size)}
+        for a, b in itertools.combinations(range(P.size), 2):
+            p = principal_congruence(P, a, b)
+            known |= {c.join(p) for c in known}
+        assert set(congruence_lattice(P).congruences) == known
+        assert set(principal_congruences(P)) <= known

@@ -1,9 +1,15 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvmlab import (DivisorClosedSet, almost_minimal_axioms, catalog,
-                    classify_variety, cn_delta, cn_nabla, divisor_closed_sets,
-                    evaluate, ln_plus, member_of_variety, parse, phi,
-                    satisfies, sigma, tau, tau_alt)
+                    catalog_names, classify_variety, cn_delta, cn_nabla,
+                    congruence_lattice, divisor_closed_sets, evaluate,
+                    is_mv_monoid, ln_plus, member_of_variety, order_dual,
+                    parse, phi, product, quotient, satisfies, sigma, tau,
+                    tau_alt)
 from mvmlab.errors import NotDivisorClosed, NotPositiveMV
 from mvmlab.terms import variables
 
@@ -82,6 +88,17 @@ def test_tau_base_cases():
     assert tau(0, 5) is const("zero")
 
 
+def test_deep_tau_needs_no_recursion():
+    # one cell per row: tau(n, 0) is n x and tau(n, n - 1) is x^n
+    n = 3000
+    for k in (0, n - 1):
+        t = tau(n, k)
+        for m in range(1, 7):
+            A = ln_plus(m)
+            for i in range(m + 1):
+                assert evaluate(t, A, {0: i}) == clamp(n * i - k * m, 0, m)
+
+
 # ---------------------------------------------------------------------------
 # Phi_n
 
@@ -91,6 +108,16 @@ def test_phi_shape():
     assert P.name == "Phi(3)"
     with pytest.raises(ValueError):
         phi(0)
+
+
+def test_phi_names_its_equations():
+    P = phi(2)
+    assert P.texts() == ["tau(2,0) + tau(2,0) ≈ tau(2,0)",
+                         "tau(2,0) * tau(2,0) ≈ tau(2,0)",
+                         "tau(2,1) + tau(2,1) ≈ tau(2,1)",
+                         "tau(2,1) * tau(2,1) ≈ tau(2,1)"]
+    assert P.equations[2] == parse("x * x + x * x ≈ x * x")
+    assert sigma({1, 2}).texts() == [str(e) for e in sigma({1, 2})]
 
 
 def test_phi_divisor_law_small():
@@ -163,6 +190,44 @@ def test_member_of_variety_examples():
     assert member_of_variety(ln_plus(6), {1, 2, 3, 6})
     assert not member_of_variety(cn_delta(2), {1, 2})
     assert member_of_variety(catalog("trivial"), ())
+
+
+def test_member_of_variety_past_the_equational_route():
+    # lcm(1..12) = 27720: Phi would need a ladder of about 4 * 10^8 cells
+    I = range(1, 13)
+    for k in (1, 2, 3, 5, 7, 11, 12):
+        assert member_of_variety(ln_plus(k), I)
+    assert not member_of_variety(ln_plus(13), I)
+    for a, b in itertools.combinations_with_replacement((1, 2, 3, 4, 5), 2):
+        if (a + 1) * (b + 1) > 16:
+            continue
+        P = product(ln_plus(a), ln_plus(b))
+        for J in ({1, 2}, {1, 2, 4}, {1, 3}, {1, 5}, {1, 2, 3, 4, 6}):
+            assert member_of_variety(P, J) == (a in J and b in J)
+
+
+def _non_si_inputs():
+    # products, their quotients and order duals, and the catalog
+    base = [ln_plus(n) for n in (1, 2, 3)] + [cn_delta(2), cn_nabla(2),
+                                              catalog("A3n"), catalog("B3d")]
+    products = [product(A, B) for A, B in
+                itertools.combinations_with_replacement(base, 2)
+                if A.size * B.size <= 16]
+    quotients = [quotient(P, c) for P in products
+                 for c in congruence_lattice(P).congruences]
+    return (products + quotients + [order_dual(P) for P in products]
+            + [catalog(name) for name in catalog_names()])
+
+
+_NON_SI = _non_si_inputs()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_NON_SI), st.sampled_from(divisor_closed_sets(6)))
+def test_membership_agrees_with_the_equational_route(A, I):
+    assert member_of_variety(A, I) == bool(
+        is_mv_monoid(A) and satisfies(A, sigma(I))
+        and satisfies(A, phi(I.lcm())))
 
 
 def test_member_of_variety_rejects_non_mv_monoids():
