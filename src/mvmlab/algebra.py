@@ -6,6 +6,7 @@ lattice order (zero=0, one=n-1), so join/meet are max/min and need not be
 stored in documents.
 """
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -43,10 +44,13 @@ def _check_table(t, n, what):
                 _check_element(v, n, f"{what}[{i}][{j}]")
 
 
+# cached: every chain algebra of a size shares its join and meet tables
+@functools.cache
 def max_table(n):
     return tuple(tuple(max(i, j) for j in range(n)) for i in range(n))
 
 
+@functools.cache
 def min_table(n):
     return tuple(tuple(min(i, j) for j in range(n)) for i in range(n))
 

@@ -3,10 +3,12 @@ lattice: the n-element chain, or any small lattice.
 
 One pipeline serves both.  `_monoid_tables` lists the commutative monoid
 tables that distribute over join and meet (the additive ones, and the
-multiplicative ones as the additive ones of the order dual); `_pairs` runs
-the connecting-axiom filters over every (oplus, odot) pair.  Chains are
-rigid, so distinct chain tables are distinct isomorphism classes; lattice
-outputs are deduplicated by canonical key.
+multiplicative ones as the additive ones of the order dual); `_pairs`
+searches, for each additive table, the prefix tree of the multiplicative
+ones for those meeting the connecting axioms, checking each axiom instance
+as soon as the cells it reads are known (finite model search in the style
+of SEM and Mace4).  Chains are rigid, so distinct chain tables are distinct
+isomorphism classes; lattice outputs are deduplicated by canonical key.
 """
 
 from .algebra import (canonical_key, chain_algebra, make_algebra, max_table,
@@ -41,6 +43,14 @@ def _passes(A, flt):
     return True
 
 
+def _inner_cells(order):
+    """The cells (i, j), i before j in `order`, of the elements strictly
+    between its first and last, row-major: the cells `_monoid_tables`
+    searches, in its order."""
+    inner = order[1:-1]
+    return [(i, j) for k, i in enumerate(inner) for j in inner[k:]]
+
+
 def _monoid_tables(join, meet, unit, order):
     """All commutative, associative tables with the given unit that are
     monotone and distribute over join and meet, sorted.
@@ -72,16 +82,18 @@ def _monoid_tables(join, meet, unit, order):
     inner = order[1:-1]
     cells = [(i, j, [(a, j) for a in lower_covers[i]]
               + [(i, b) for b in lower_covers[j]])
-             for k, i in enumerate(inner) for j in inner[k:]]
+             for i, j in _inner_cells(order)]
     out = []
+    rows = {}  # each distinct row is stored once, shared by the tables
 
     def leaf_ok():
-        for a in range(n):
+        # the unit and the absorbing top satisfy both laws in any position
+        for a in inner:
             ta = t[a]
-            for b in range(n):
+            for b in inner:
                 tab = t[ta[b]]
                 tb = t[b]
-                for c in range(n):
+                for c in inner:
                     if tab[c] != ta[tb[c]]:
                         return False
             for b, c in incomparable:
@@ -93,7 +105,8 @@ def _monoid_tables(join, meet, unit, order):
     def fill(idx):
         if idx == len(cells):
             if leaf_ok():
-                out.append(tuple(map(tuple, t)))
+                out.append(tuple(rows.setdefault(r, r)
+                                 for r in map(tuple, t)))
             return
         i, j, below = cells[idx]
         lo = join[i][j]
@@ -109,47 +122,141 @@ def _monoid_tables(join, meet, unit, order):
     return out
 
 
-def _mixed_assoc_ok(n, p, q):
-    # the two mixed-associativity connecting axioms, on the raw tables
-    for x in range(n):
-        for y in range(n):
-            pxy, qxy = p[x][y], q[x][y]
-            for z in range(n):
-                if q[pxy][p[qxy][z]] != p[q[x][p[y][z]]][q[y][z]]:
-                    return False
-                if p[qxy][q[pxy][z]] != q[p[x][q[y][z]]][p[y][z]]:
-                    return False
-    return True
+def _prefix_tree(tables, cells):
+    """The distinct tables as a prefix tree over their values at `cells`: a
+    node is a list of (value, child) pairs, a leaf the table's index in
+    `tables`."""
+    def build(indices, d):
+        if d == len(cells):
+            return indices[0]
+        i, j = cells[d]
+        groups = {}
+        for idx in indices:
+            groups.setdefault(tables[idx][i][j], []).append(idx)
+        return [(v, build(group, d + 1)) for v, group in groups.items()]
 
-
-def _truncation_ok(n, join, meet, p, q):
-    # the two truncation connecting axioms ((x*y)+z = (...) v z and its dual)
-    for x in range(n):
-        for y in range(n):
-            pxy, qxy = p[x][y], q[x][y]
-            for z in range(n):
-                if p[qxy][z] != join[q[pxy][p[qxy][z]]][z]:
-                    return False
-                if q[pxy][z] != meet[p[qxy][q[pxy][z]]][z]:
-                    return False
-    return True
+    return build(range(len(tables)), 0)
 
 
 def _pairs(join, meet, zero, one, order, flt):
     """The (oplus, odot) table pairs on the lattice that the filter sees, in
     lexicographic order: pairs of monoid tables satisfying the two
     mixed-associativity axioms, and for the refined filters the two
-    truncation axioms as well, so that they satisfy the full definition."""
+    truncation axioms as well, so that they satisfy the full definition.
+
+    For each additive table p the multiplicative tables are walked as a
+    prefix tree over the cells in the order `_monoid_tables` fills them.  An
+    axiom instance (x, y, z) is checked at the first node where every odot
+    cell it reads is known, so a failing prefix is cut once for all the
+    tables below it.  Its cells (x,y) and (y,z) fix the node it enters at;
+    the other cells it reads depend on p and on values of q, and when one is
+    not yet known the instance waits in `pending` at that cell's depth.
+    Instances that the unit and absorption laws decide for every pair of
+    monotone monoid tables are not listed: all those with y in {0, 1},
+    mixed associativity (A) at x = 0 or z = 1 and (B) at x = 1 or z = 0,
+    truncation (C) at x in {0, 1} or z = 1 and (D) at x in {0, 1} or z = 0;
+    (C) and (D) are symmetric in x and y.
+    """
     n = len(order)
     adds = _monoid_tables(join, meet, zero, order)
     muls = _monoid_tables(meet, join, one, order[::-1])
-    for p in adds:
-        for q in muls:
-            if not _mixed_assoc_ok(n, p, q):
+    cells = _inner_cells(order[::-1])
+    tree = _prefix_tree(muls, cells)
+    depth = [0] * (n * n)  # cell i*n+j is known from this depth on
+    flat = []
+    for d, (i, j) in enumerate(cells, 1):
+        depth[i * n + j] = depth[j * n + i] = d
+        flat.append((i * n + j, j * n + i))
+    last = len(cells)
+    # (kind, x*n+y, y*n+z, x*n, z) by the depth where the cell (x,y) and, for
+    # (A) and (B), (y,z) are known
+    enter = [[] for _ in range(last + 1)]
+    pending = [[] for _ in range(last + 1)]
+    for y in order[1:-1]:
+        for x in order:
+            a = x * n + y
+            for z in order:
+                c = y * n + z
+                at = max(depth[a], depth[c])
+                if x != zero and z != one:
+                    enter[at].append(("A", a, c, x * n, z))
+                if x != one and z != zero:
+                    enter[at].append(("B", a, c, x * n, z))
+                if flt != "all" and x not in (zero, one) and x <= y:
+                    if z != one:
+                        enter[depth[a]].append(("C", a, c, x * n, z))
+                    if z != zero:
+                        enter[depth[a]].append(("D", a, c, x * n, z))
+    # odot as flat lists q[i*n+j], with qn = n*q; the inner cells are
+    # overwritten along the walk
+    q = [v for row in muls[0] for v in row]
+    qn = [v * n for v in q]
+
+    def walk(node, d):
+        # p, pn = n*p and hits are those of the current additive table
+        waiting = []
+        for items in (enter[d], pending[d]):
+            for item in items:
+                kind, a, c, xn, z = item
+                if kind == "A":  # q[pxy][p[qxy][z]] == p[q[x][pyz]][qyz]
+                    b = xn + p[c]
+                    at = depth[b]
+                    if at <= d:
+                        k = pn[a] + p[qn[a] + z]
+                        at = depth[k]
+                        if at <= d:
+                            if q[k] != p[qn[b] + q[c]]:
+                                break
+                            continue
+                elif kind == "B":  # p[qxy][q[pxy][z]] == q[p[x][qyz]][pyz]
+                    b = pn[a] + z
+                    at = depth[b]
+                    if at <= d:
+                        k = pn[xn + q[c]] + p[c]
+                        at = depth[k]
+                        if at <= d:
+                            if q[k] != p[qn[a] + q[b]]:
+                                break
+                            continue
+                elif kind == "C":  # p[qxy][z] == q[pxy][p[qxy][z]] v z
+                    v = p[qn[a] + z]
+                    k = pn[a] + v
+                    at = depth[k]
+                    if at <= d:
+                        if join[q[k]][z] != v:
+                            break
+                        continue
+                else:  # q[pxy][z] == p[qxy][q[pxy][z]] ^ z
+                    b = pn[a] + z
+                    at = depth[b]
+                    if at <= d:
+                        if q[b] != meet[p[qn[a] + q[b]]][z]:
+                            break
+                        continue
+                pending[at].append(item)
+                waiting.append(at)
+            else:
                 continue
-            if flt != "all" and not _truncation_ok(n, join, meet, p, q):
-                continue
-            yield p, q
+            break
+        else:
+            if d == last:
+                hits.append(node)
+            else:
+                k1, k2 = flat[d]
+                for v, child in node:
+                    q[k1] = q[k2] = v
+                    qn[k1] = qn[k2] = v * n
+                    walk(child, d + 1)
+        for at in waiting:
+            pending[at].pop()
+
+    for t in adds:
+        p = [v for row in t for v in row]
+        pn = [v * n for v in p]
+        hits = []
+        walk(tree, 0)
+        for idx in sorted(hits):
+            yield t, muls[idx]
 
 
 def enumerate_chain(n, flt="all"):

@@ -8,7 +8,8 @@ interpreter's recursion limit.  A check evaluates each DAG node at most once
 per call, as a column of its values over all assignments in
 `itertools.product` order, with C-level `map`s over the operation tables; the
 first index where two columns differ decodes to the lexicographically least
-failing assignment.
+failing assignment.  A quasi-equation is checked in blocks, one per value of
+the first variable, so each node is evaluated once per block.
 """
 
 from operator import and_, eq, getitem, ne
@@ -415,12 +416,15 @@ def _evaluator(A, size, var_column):
     return column
 
 
-def _product_evaluator(A, nv):
+def _product_column(n, nv, i):
     # variable i over itertools.product(range(n), repeat=nv): each value
     # repeated n**(nv-1-i) times, that block tiled n**i times
-    n = A.size
-    return _evaluator(A, n ** nv, lambda i: [
-        v for v in range(n) for _ in range(n ** (nv - 1 - i))] * n ** i)
+    return [v for v in range(n) for _ in range(n ** (nv - 1 - i))] * n ** i
+
+
+def _product_evaluator(A, nv):
+    return _evaluator(A, A.size ** nv,
+                      lambda i: _product_column(A.size, nv, i))
 
 
 def _assignment(mask, n, nv):
@@ -497,22 +501,40 @@ def satisfies_all(A, equations):
     return CheckResult(True)
 
 
+def _first_value_blocks(A, nv):
+    """The assignments to nv variables in product order, split into one
+    block per value of the first variable: (that value as a 1-tuple, the
+    block's column evaluator, the block's size).  No variables: one block."""
+    n = A.size
+    if nv == 0:
+        yield (), _product_evaluator(A, 0), 1
+        return
+    size = n ** (nv - 1)
+    rest = [_product_column(n, nv - 1, i) for i in range(nv - 1)]
+    for v in range(n):
+        yield (v,), _evaluator(A, size, lambda i, v=v: (
+            rest[i - 1] if i else [v] * size)), size
+
+
 def satisfies_quasi(A, q):
     """The premises' equalities are ANDed into a mask; the witness is the
-    least assignment where the mask holds and the conclusion fails."""
+    least assignment where the mask holds and the conclusion fails.  The
+    blocks of `_first_value_blocks` are checked in order, so the check stops
+    at the first block with a failing assignment."""
     roots = [t for e in (*q.premises, q.conclusion) for t in (e.lhs, e.rhs)]
     width = _widths(roots)
     nv = max(width[t] for t in roots)
-    column = _product_evaluator(A, nv)
-    mask = [True] * A.size ** nv
-    for e in q.premises:
-        mask = list(map(and_, mask, map(eq, column(e.lhs), column(e.rhs))))
     c = q.conclusion
-    bad = list(map(and_, mask, map(ne, column(c.lhs), column(c.rhs))))
-    if True not in bad:
-        return CheckResult(True)
-    return CheckResult(False, witness=_assignment(bad, A.size, nv),
-                       equation=c)
+    for first, column, size in _first_value_blocks(A, nv):
+        mask = [True] * size
+        for e in q.premises:
+            mask = list(map(and_, mask, map(eq, column(e.lhs),
+                                            column(e.rhs))))
+        bad = list(map(and_, mask, map(ne, column(c.lhs), column(c.rhs))))
+        if True in bad:
+            rest = _assignment(bad, A.size, nv - len(first))
+            return CheckResult(False, witness=first + rest, equation=c)
+    return CheckResult(True)
 
 
 CANCELLATIVITY = parse("x + z ≈ y + z & x * z ≈ y * z => x ≈ y")

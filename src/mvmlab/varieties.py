@@ -206,8 +206,24 @@ def member_of_variety(A, I):
         I = DivisorClosedSet(I)
     if not is_mv_monoid(A):
         return False
-    return all(Q.size - 1 in I and are_isomorphic(Q, ln_plus(Q.size - 1))
-               for Q in si_quotients(A))
+    indices = _si_indices(A)
+    return indices is not None and all(e in I for e in indices)
+
+
+def _si_indices(A):
+    """The e with an SI quotient of A isomorphic to L_e+, or None when some
+    SI quotient is no L_e+; kept in A's cache, so that asking about many
+    index sets computes the SI quotients once."""
+    if "si_indices" not in A._cache:
+        indices = set()
+        for Q in si_quotients(A):
+            e = Q.size - 1  # SI algebras are nontrivial, so e >= 1
+            if not are_isomorphic(Q, ln_plus(e)):
+                indices = None
+                break
+            indices.add(e)
+        A._cache["si_indices"] = indices
+    return A._cache["si_indices"]
 
 
 def classify_variety(generators):

@@ -2,12 +2,13 @@ import itertools
 
 import pytest
 
-from mvmlab import (canonical_key, chain_algebra, enumerate_chain,
+from mvmlab import (Poset, canonical_key, chain_algebra, enumerate_chain,
                     enumerate_on_lattice, is_mv_monoid, is_positive_mv,
                     is_simple, is_subdirectly_irreducible, ln_plus,
                     make_algebra, parse, product, satisfies,
                     si_necessary_condition)
-from mvmlab.enumeration import FILTERS, _monoid_tables
+from mvmlab.algebra import max_table, min_table
+from mvmlab.enumeration import FILTERS, _monoid_tables, _pairs, _passes
 from mvmlab.errors import CapExceeded
 
 from conftest import shuffled
@@ -82,7 +83,7 @@ def test_bad_arguments():
     with pytest.raises(ValueError):
         enumerate_chain(0)
     with pytest.raises(CapExceeded, match=r"^chain enumeration size is 99, "
-                       r"above the cap 7 \(MVMLAB_CAP_ENUM_CHAIN\)$"):
+                       r"above the cap 8 \(MVMLAB_CAP_ENUM_CHAIN\)$"):
         enumerate_chain(99)
     assert FILTERS == ("all", "si-necessary", "si", "positive")
 
@@ -201,3 +202,112 @@ def test_lattice_enumeration_agrees_with_chain_enumeration():
 def test_lattice_enumeration_cap(diamond):
     with pytest.raises(CapExceeded):
         enumerate_on_lattice(ln_plus(7), "all")
+
+
+# ---------------------------------------------------------------------------
+# the joint (oplus, odot) search against the pair loop it replaced
+
+def _mixed_assoc_ok(n, p, q):
+    # the two mixed-associativity connecting axioms, on the raw tables
+    for x in range(n):
+        for y in range(n):
+            pxy, qxy = p[x][y], q[x][y]
+            for z in range(n):
+                if q[pxy][p[qxy][z]] != p[q[x][p[y][z]]][q[y][z]]:
+                    return False
+                if p[qxy][q[pxy][z]] != q[p[x][q[y][z]]][p[y][z]]:
+                    return False
+    return True
+
+
+def _truncation_ok(n, join, meet, p, q):
+    # the two truncation connecting axioms ((x*y)+z = (...) v z and its dual)
+    for x in range(n):
+        for y in range(n):
+            pxy, qxy = p[x][y], q[x][y]
+            for z in range(n):
+                if p[qxy][z] != join[q[pxy][p[qxy][z]]][z]:
+                    return False
+                if q[pxy][z] != meet[p[qxy][q[pxy][z]]][z]:
+                    return False
+    return True
+
+
+def _reference_pairs(join, meet, zero, one, order, flt):
+    """Every (oplus, odot) pair of monoid tables, each tested in full."""
+    n = len(order)
+    adds = _monoid_tables(join, meet, zero, order)
+    muls = _monoid_tables(meet, join, one, order[::-1])
+    return [(p, q) for p in adds for q in muls
+            if _mixed_assoc_ok(n, p, q)
+            and (flt == "all" or _truncation_ok(n, join, meet, p, q))]
+
+
+def _chain_args(n):
+    return max_table(n), min_table(n), 0, n - 1, list(range(n))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_joint_search_matches_the_pair_loop_on_chains(n):
+    for flt in FILTERS:
+        want = _reference_pairs(*_chain_args(n), flt)
+        assert list(_pairs(*_chain_args(n), flt)) == want, flt
+        expected = [(f"chain{n}_{k}", p, q) for k, (p, q) in enumerate(want)
+                    if _passes(chain_algebra(n, p, q, validate=False), flt)]
+        got = [(A.name, A.oplus, A.odot) for A in enumerate_chain(n, flt)]
+        assert got == expected, flt
+
+
+def _downset_algebra(labels, leq_pairs):
+    # the lattice of downsets of a poset, as join/meet tables
+    sets = sorted(Poset(labels, leq_pairs).downsets(),
+                  key=lambda s: (len(s), sorted(s)))
+    idx = {s: i for i, s in enumerate(sets)}
+    join = [[idx[a | b] for b in sets] for a in sets]
+    meet = [[idx[a & b] for b in sets] for a in sets]
+    return make_algebra(len(sets), 0, len(sets) - 1, join, meet, join=join,
+                        meet=meet)
+
+
+_NON_CHAIN_POSETS = {
+    "V": ("abc", [("a", "b"), ("a", "c")]),       # 5 downsets
+    "wedge": ("abc", [("a", "c"), ("b", "c")]),   # 5 downsets
+    "2+1": ("abc", [("a", "b")]),                 # the 2x3 grid
+}
+
+
+@pytest.mark.parametrize("which", ["diamond", "diamond/3", "diamond/11",
+                                   "diamond/29", *_NON_CHAIN_POSETS])
+def test_joint_search_matches_the_pair_loop_on_lattices(diamond, which):
+    if which.startswith("diamond"):
+        _, _, seed = which.partition("/")
+        L = shuffled(diamond, int(seed)) if seed else diamond
+    else:
+        L = _downset_algebra(*_NON_CHAIN_POSETS[which])
+    order = sorted(range(L.size), key=L.height)
+    args = (L.join, L.meet, L.zero, L.one, order)
+    for flt in FILTERS:
+        want = _reference_pairs(*args, flt)
+        assert list(_pairs(*args, flt)) == want, flt
+        found = {}
+        for p, q in want:
+            A = make_algebra(L.size, L.zero, L.one, p, q, join=L.join,
+                             meet=L.meet, validate=False)
+            if _passes(A, flt):
+                found.setdefault(canonical_key(A), (p, q))
+        got = [(A.oplus, A.odot) for A in enumerate_on_lattice(L, flt)]
+        assert got == [found[k] for k in sorted(found)], flt
+
+
+def _chain_dual(t):
+    n = len(t)
+    return tuple(tuple(n - 1 - t[n - 1 - i][n - 1 - j] for j in range(n))
+                 for i in range(n))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_order_duality_maps_the_all_output_onto_itself(n):
+    # reversing the chain swaps the roles of oplus and odot; every axiom of
+    # the "all" filter has its dual among them
+    pairs = set(_pairs(*_chain_args(n), "all"))
+    assert {(_chain_dual(q), _chain_dual(p)) for p, q in pairs} == pairs

@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvmlab import (CANCELLATIVITY, Equation, QuasiEquation, catalog, cn_delta,
-                    evaluate, ln_plus, parse, satisfies, satisfies_all,
-                    satisfies_quasi, to_text)
+from mvmlab import (CANCELLATIVITY, Equation, QuasiEquation, catalog,
+                    catalog_names, cn_delta, enumerate_chain, evaluate,
+                    ln_plus, parse, satisfies, satisfies_all, satisfies_quasi,
+                    to_text)
 from mvmlab.axioms import MV_MONOID_AXIOMS
 from mvmlab.errors import MissingAssignment, TermSyntaxError
-from mvmlab.terms import (Const, Var, const, join, meet, odot, oplus, power,
+from mvmlab.terms import (Const, Var, _assignment, _product_evaluator,
+                          _widths, const, join, meet, odot, oplus, power,
                           scalar, var, variables)
 
 
@@ -266,3 +268,34 @@ def test_satisfies_quasi_agrees_with_exhaustive_evaluation(name, premises,
     q = QuasiEquation(premises, conclusion)
     assert _outcome(satisfies_quasi(A, q)) == \
         _ref_outcome(A, premises, conclusion)
+
+
+def _full_column_outcome(A, q):
+    # every column over all assignments at once, then the first failure
+    roots = [t for e in (*q.premises, q.conclusion) for t in (e.lhs, e.rhs)]
+    width = _widths(roots)
+    nv = max(width[t] for t in roots)
+    column = _product_evaluator(A, nv)
+    ok = [all(column(e.lhs)[i] == column(e.rhs)[i] for e in q.premises)
+          for i in range(A.size ** nv)]
+    c = q.conclusion
+    bad = [m and l != r for m, l, r in zip(ok, column(c.lhs), column(c.rhs))]
+    if True not in bad:
+        return (True, None, None)
+    return (False, _assignment(bad, A.size, nv), c)
+
+
+_QUASI = [CANCELLATIVITY,
+          parse("x + y ≈ 1 & x * y ≈ 0 => x ≈ y"),
+          parse("x + x ≈ x => x * x ≈ x"),
+          QuasiEquation([Equation(const("zero"), const("zero"))],
+                        Equation(const("zero"), const("one")))]
+
+
+def test_satisfies_quasi_stops_with_the_full_column_witness():
+    algebras = [catalog(name) for name in catalog_names()]
+    algebras += [A for n in range(1, 6) for A in enumerate_chain(n, "all")]
+    for A in algebras:
+        for q in _QUASI:
+            assert _outcome(satisfies_quasi(A, q)) == \
+                _full_column_outcome(A, q), (A.name, str(q))

@@ -8,8 +8,8 @@ from mvmlab import (DivisorClosedSet, almost_minimal_axioms, catalog,
                     catalog_names, classify_variety, cn_delta, cn_nabla,
                     congruence_lattice, divisor_closed_sets, evaluate,
                     is_mv_monoid, ln_plus, member_of_variety, order_dual,
-                    parse, phi, product, quotient, satisfies, sigma, tau,
-                    tau_alt)
+                    parse, phi, product, quotient, satisfies, si_quotients,
+                    sigma, tau, tau_alt)
 from mvmlab.errors import NotDivisorClosed, NotPositiveMV
 from mvmlab.terms import variables
 
@@ -228,6 +228,22 @@ def test_membership_agrees_with_the_equational_route(A, I):
     assert member_of_variety(A, I) == bool(
         is_mv_monoid(A) and satisfies(A, sigma(I))
         and satisfies(A, phi(I.lcm())))
+
+
+def test_member_of_variety_computes_the_si_quotients_once(monkeypatch):
+    from mvmlab import varieties
+    calls = []
+
+    def counted(A):
+        calls.append(A)
+        return si_quotients(A)
+
+    monkeypatch.setattr(varieties, "si_quotients", counted)
+    P = product(ln_plus(2), ln_plus(3))
+    for I in divisor_closed_sets(6):
+        assert member_of_variety(P, I) == (2 in I and 3 in I)
+    assert not member_of_variety(product(P, cn_delta(2)), {1, 2, 3})
+    assert len(calls) == 2
 
 
 def test_member_of_variety_rejects_non_mv_monoids():
