@@ -5,6 +5,7 @@ principles."""
 import argparse
 import functools
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -131,11 +132,9 @@ def _cmd_enumerate(args, out):
         return
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        for i, A in enumerate(algebras):
-            path = os.path.join(args.out, f"chain{args.size}_{i}.json")
-            with open(path, "w") as fh:
-                fh.write(_dump(algebra.save(A.rename(f"chain{args.size}_{i}")))
-                         + "\n")
+        for A in algebras:
+            with open(os.path.join(args.out, f"{A.name}.json"), "w") as fh:
+                fh.write(_dump(algebra.save(A)) + "\n")
         out.write(_dump({"written": len(algebras), "dir": args.out}) + "\n")
         return
     out.write(_dump([algebra.save(A) for A in algebras]) + "\n")
@@ -236,7 +235,11 @@ def _load_poset(path):
             isinstance(p, list) and len(p) == 2 and all(x in nodes for x in p)
             for p in leq):
         raise MalformedDocument("leq must list pairs of nodes")
-    return posets.Poset(nodes, [tuple(p) for p in leq])
+    P = posets.Poset(nodes, [tuple(p) for p in leq])
+    for a, b in itertools.combinations(nodes, 2):
+        if P.leq(a, b) and P.leq(b, a):
+            raise MalformedDocument(f"leq relates {a!r} and {b!r} both ways")
+    return P
 
 
 def _cmd_downsets(args, out):

@@ -6,7 +6,7 @@ import collections
 import itertools
 
 from .algebra import (canonical_key, chain_algebra, make_algebra,
-                      make_lmonoid, trivial_algebra)
+                      make_lmonoid, order_dual, trivial_algebra)
 from .caps import check
 from .congruences import congruence_lattice, is_congruence, translation_tables
 from .errors import MalformedDocument, NotACongruence, UnknownName
@@ -53,30 +53,7 @@ def cn_nabla(n):
     infinitesimal co-multiples; element i (1 <= i <= n-1) is d^(n-i)."""
     if n < 1:
         raise MalformedDocument("cn_nabla needs n >= 1")
-    size = n + 1
-
-    def exp_of(i):
-        return n - i  # d-exponent; bottom handled separately
-
-    def add(i, j):
-        if i == 0:
-            return j
-        if j == 0:
-            return i
-        return size - 1  # any two nonzero d-powers sum to 1
-
-    def mul(i, j):
-        if i == 0 or j == 0:
-            return 0
-        if i == size - 1:
-            return j
-        if j == size - 1:
-            return i
-        return n - min(exp_of(i) + exp_of(j), n - 1)
-
-    oplus = [[add(i, j) for j in range(size)] for i in range(size)]
-    odot = [[mul(i, j) for j in range(size)] for i in range(size)]
-    return chain_algebra(size, oplus, odot, name=f"C{n}n")
+    return order_dual(cn_delta(n)).rename(f"C{n}n")
 
 
 def lm_delta(n):
@@ -98,21 +75,10 @@ def lm_delta(n):
 
 
 def lm_nabla(n):
-    """(n+1)-chain with odot = meet and x+y = 1 unless one argument is 0."""
+    """Order dual of lm_delta: odot = meet, x+y = 1 unless one side is 0."""
     if n < 1:
         raise MalformedDocument("lm_nabla needs n >= 1")
-    size = n + 1
-
-    def add(i, j):
-        if i == 0:
-            return j
-        if j == 0:
-            return i
-        return size - 1
-
-    oplus = [[add(i, j) for j in range(size)] for i in range(size)]
-    odot = [[min(i, j) for j in range(size)] for i in range(size)]
-    return chain_algebra(size, oplus, odot, name=f"LM{n}n")
+    return order_dual(lm_delta(n)).rename(f"LM{n}n")
 
 
 def _four_chain(name, bb_p, ab_p, aa_p, bb_t, ab_t, aa_t):
@@ -139,11 +105,11 @@ def _catalog_builders():
         "L2": lambda: chain_algebra(
             3, [[max(i, j) for j in range(3)] for i in range(3)],
             [[min(i, j) for j in range(3)] for i in range(3)], name="L2"),
-        # 4-element chains 0 < b < a < 1
+        # 4-element chains 0 < b < a < 1; the nabla ones are order duals
         "A3d": lambda: _four_chain("A3d", b, one, one, zero, b, a),
-        "A3n": lambda: _four_chain("A3n", b, a, one, zero, zero, a),
+        "A3n": lambda: order_dual(catalog("A3d")),
         "B3d": lambda: _four_chain("B3d", b, a, one, zero, zero, b),
-        "B3n": lambda: _four_chain("B3n", a, one, one, zero, b, a),
+        "B3n": lambda: order_dual(catalog("B3d")),
         "L3+": lambda: ln_plus(3),
         "C3d": lambda: cn_delta(3),
         "C3n": lambda: cn_nabla(3),

@@ -3,11 +3,10 @@ classification of varieties of positive MV-algebras."""
 
 import math
 
-from .algebra import are_isomorphic, canonical_key
+from .algebra import are_isomorphic
 from .axioms import is_mv_monoid, is_positive_mv
 from .constructions import ln_plus, si_quotients
 from .errors import BadArgument, NotDivisorClosed, NotPositiveMV
-from .morphisms import hs_closure
 from .terms import Equation, const, oplus, odot, parse, power, scalar, var
 
 
@@ -40,10 +39,13 @@ class DivisorClosedSet:
     def __eq__(self, other):
         if isinstance(other, DivisorClosedSet):
             return self.members == other.members
-        return set(self.members) == set(other)
+        try:
+            return set(self.members) == set(other)
+        except TypeError:
+            return NotImplemented
 
     def __hash__(self):
-        return hash(self.members)
+        return hash(frozenset(self.members))
 
     def __repr__(self):
         return f"DivisorClosedSet({set(self.members) or '{}'})"
@@ -228,17 +230,17 @@ def _si_indices(A):
 
 def classify_variety(generators):
     """The divisor-closed index set of the variety generated by positive
-    MV-algebras: {n : the (n+1)-chain truncated algebra is an HS-image}.
-    L_n+ is simple, so by Jónsson's lemma it is an HS-image of any finite
-    set that generates the variety; the SI quotients of the generators do,
-    and are smaller, so `hs_closure` runs on those."""
+    MV-algebras: the divisors of the e with L_e+ an SI quotient of a
+    generator.  A finite positive MV-algebra lies in V(L_d+ : d in D) for
+    some finite D, so by Jónsson's lemma (see `member_of_variety`) its SI
+    quotients are L_e+ and `_si_indices` is never None for it.  The variety
+    generated is V(L_e+ : e in the union), whose index set is the divisor
+    closure, since the subalgebras of L_e+ are the L_d+ with d | e."""
     generators = list(generators)
     for i, A in enumerate(generators):
         if not is_positive_mv(A):
             raise NotPositiveMV(f"generator {i} is not a positive MV-algebra",
                                 index=i)
-    closure = hs_closure([Q for A in generators for Q in si_quotients(A)])
-    max_n = max((A.size for A in closure.values()), default=1) - 1
-    members = [n for n in range(1, max_n + 1)
-               if canonical_key(ln_plus(n)) in closure]
-    return DivisorClosedSet(members)
+    indices = set().union(*map(_si_indices, generators))
+    return DivisorClosedSet({d for e in indices for d in range(1, e + 1)
+                             if e % d == 0})

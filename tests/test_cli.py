@@ -100,6 +100,17 @@ def test_enumerate_writes_files(tmp_path):
         load(json.loads((d / f).read_text()))
 
 
+@pytest.mark.parametrize("filt", ["all", "si", "positive"])
+def test_enumerate_files_keep_the_printed_names(tmp_path, filt):
+    printed = run_json("enumerate", "--size", "4", "--filter", filt)
+    d = tmp_path / "out"
+    run_json("enumerate", "--size", "4", "--filter", filt, "--out", str(d))
+    assert sorted(os.listdir(d)) == sorted(f"{doc['name']}.json"
+                                           for doc in printed)
+    for doc in printed:
+        assert json.loads((d / f"{doc['name']}.json").read_text()) == doc
+
+
 class File(str):
     """An argv entry that the test replaces with a file holding this text."""
 
@@ -331,6 +342,8 @@ _GARBAGE = [
                 "odot": [[0, 0], [0, 1]], "join": [[0, 0], [1, 1]],
                 "meet": [[0, 0], [0, 1]]}),
     "[" * 100_000 + "]" * 100_000,
+    # a poset whose leq closes to a <= b <= a
+    json.dumps({"nodes": ["a", "b", "c"], "leq": [["a", "b"], ["b", "a"]]}),
 ]
 
 

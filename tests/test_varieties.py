@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvmlab import (DivisorClosedSet, almost_minimal_axioms, catalog,
-                    catalog_names, classify_variety, cn_delta, cn_nabla,
-                    congruence_lattice, divisor_closed_sets, evaluate,
-                    is_mv_monoid, ln_plus, member_of_variety, order_dual,
-                    parse, phi, product, quotient, satisfies, si_quotients,
-                    sigma, tau, tau_alt)
+from mvmlab import (DivisorClosedSet, almost_minimal_axioms, canonical_key,
+                    catalog, catalog_names, classify_variety, cn_delta,
+                    cn_nabla, congruence_lattice, divisor_closed_sets,
+                    enumerate_chain, evaluate, hs_closure, is_mv_monoid,
+                    ln_plus, member_of_variety, order_dual, parse, phi,
+                    product, quotient, satisfies, si_quotients, sigma,
+                    subalgebras, tau, tau_alt)
 from mvmlab.errors import NotDivisorClosed, NotPositiveMV
 from mvmlab.terms import variables
 
@@ -23,6 +24,13 @@ def test_divisor_closed_set_basics():
     assert 6 in I and 4 not in I
     assert I.max() == 6 and I.lcm() == 6
     assert I == {3, 6, 2, 1} and I == DivisorClosedSet([6, 3, 2, 1])
+
+
+def test_divisor_closed_set_equality_and_hash():
+    I = DivisorClosedSet({1, 2})
+    assert I != None and I != 3  # noqa: E711
+    assert I == frozenset({1, 2}) and hash(I) == hash(frozenset({1, 2}))
+    assert len({I, frozenset({1, 2}), DivisorClosedSet([2, 1])}) == 1
 
 
 def test_divisor_closed_set_rejects_gaps():
@@ -262,6 +270,42 @@ def test_classify_single_generator():
     assert classify_variety([ln_plus(6)]) == {1, 2, 3, 6}
     assert classify_variety([ln_plus(4)]) == {1, 2, 4}
     assert classify_variety([]) == DivisorClosedSet(())
+
+
+def _classify_by_hs_closure(generators):
+    # the HS route: {n : L_n+ is in HS of the generators' SI quotients}
+    closure = hs_closure([Q for A in generators for Q in si_quotients(A)])
+    max_n = max((A.size for A in closure.values()), default=1) - 1
+    return {n for n in range(1, max_n + 1)
+            if canonical_key(ln_plus(n)) in closure}
+
+
+def _positive_corpus():
+    """One algebra per iso class: the positive chains of size <= 6, their
+    products of <= 12 elements, and the subalgebras of those products, save
+    those of a 2-chain times a 6-chain (115 more classes, about 2 s)."""
+    chains = [A for n in range(2, 7) for A in enumerate_chain(n, "positive")]
+    found = {canonical_key(A): A for A in chains}
+    for A, B in itertools.combinations_with_replacement(chains, 2):
+        if A.size * B.size > 12:
+            continue
+        P = product(A, B)
+        found.setdefault(canonical_key(P), P)
+        if A.size > 2 or P.size <= 10:
+            for S, _ in subalgebras(P):
+                found.setdefault(canonical_key(S), S)
+    return list(found.values())
+
+
+def test_classify_agrees_with_the_hs_route():
+    from mvmlab.varieties import _si_indices
+    corpus = _positive_corpus()
+    assert len(corpus) == 147
+    for A in corpus:
+        assert _si_indices(A) is not None
+        assert classify_variety([A]) == _classify_by_hs_closure([A])
+    gens = corpus[::20]
+    assert classify_variety(gens) == _classify_by_hs_closure(gens)
 
 
 def test_classify_rejects_non_positive_generators():
