@@ -266,11 +266,14 @@ def canonical_key(A):
     """Byte string equal for two algebras iff they are isomorphic: the
     canonical form of the four tables and (zero, one), starting from each
     element's height and whether it is zero or one.  Chains refine to
-    singletons (height is injective), so their search has one leaf."""
-    return canonical_form(A.size, (A.join, A.meet, A.oplus, A.odot),
-                          (A.zero, A.one),
-                          [(A.height(e), e == A.zero, e == A.one)
-                           for e in range(A.size)])
+    singletons (height is injective), so their search has one leaf.  Kept
+    in A's cache."""
+    key = A._cache.get("key")
+    if key is None:
+        key = A._cache["key"] = canonical_form(
+            A.size, (A.join, A.meet, A.oplus, A.odot), (A.zero, A.one),
+            [(A.height(e), e == A.zero, e == A.one) for e in range(A.size)])
+    return key
 
 
 def are_isomorphic(A, B):

@@ -54,12 +54,13 @@ class Congruence:
         return True
 
     def join(self, other):
-        uf = _UnionFind(self.size)
-        for part in (self, other):
-            for block in part.blocks():
-                for e in block[1:]:
-                    uf.union(block[0], e)
-        return Congruence([uf.find(e) for e in range(self.size)])
+        ids, members = list(self.ids), self.blocks()
+        first = {}  # block of other -> its first element
+        for e, b in enumerate(other.ids):
+            x, y = ids[first.setdefault(b, e)], ids[e]
+            if x != y:
+                _merge(ids, members, x, y)
+        return Congruence(ids)
 
     def meet(self, other):
         return Congruence([(self.ids[e], other.ids[e])
@@ -82,22 +83,16 @@ def total_congruence(n):
     return Congruence([0] * n)
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[max(ra, rb)] = min(ra, rb)
-        return True
+def _merge(ids, members, x, y):
+    """Merge blocks x != y of a partition held as ids (element -> block id)
+    and members (block id -> its elements), relabelling the smaller block;
+    block y is left empty."""
+    if len(members[x]) < len(members[y]):
+        x, y = y, x
+    for e in members[y]:
+        ids[e] = x
+    members[x] += members[y]
+    members[y] = ()
 
 
 def translation_tables(A):
@@ -133,28 +128,27 @@ def is_congruence(A, part):
 def principal_congruence(A, a, b):
     # Pair closure under the unary translations x -> op(x, c) and
     # x -> op(c, x).  If a ~ a' and b ~ b' then op(a, b) ~ op(a', b) ~
-    # op(a', b') by one step in each argument plus transitivity; union-find
-    # supplies transitivity, hence closing under the translations yields the
-    # least congruence relating a and b (Mal'cev).
+    # op(a', b') by one step in each argument plus transitivity.  Each merge
+    # queues one pair joining the two blocks, so the queued pairs generate
+    # the partition, and closing them under the translations yields the least
+    # congruence relating a and b (Mal'cev).
     n = A.size
     if a == b:
         return identity_congruence(n)
-    uf = _UnionFind(n)
-    uf.union(a, b)
+    ids, members = list(range(n)), [[e] for e in range(n)]
+    _merge(ids, members, a, b)
     queue = [(a, b)]
     blocks = n - 1  # a single block needs no further closing
     tables = translation_tables(A)
     while queue and blocks > 1:
         a, b = queue.pop()
         for t in tables:
-            ra, rb = t[a], t[b]
-            for c in range(n):
-                x, y = uf.find(ra[c]), uf.find(rb[c])
-                if x != y:
-                    uf.union(x, y)
+            for x, y in zip(t[a], t[b]):
+                if ids[x] != ids[y]:
+                    _merge(ids, members, ids[x], ids[y])
                     blocks -= 1
                     queue.append((x, y))
-    return Congruence([uf.find(e) for e in range(n)])
+    return Congruence(ids)
 
 
 def congruence_join(A, parts):
@@ -165,16 +159,18 @@ def congruence_join(A, parts):
 
 
 class CongruenceLattice:
-    """All congruences ordered by refinement, with the covering relation."""
-
-    __slots__ = ("algebra", "congruences", "covers")
+    """All congruences ordered by refinement, with the covering relation
+    (built on first access)."""
 
     def __init__(self, algebra, congruences):
         self.algebra = algebra
         # sort by (number of blocks desc, ids) so identity is first, total last
         self.congruences = sorted(congruences,
                                   key=lambda c: (-c.num_blocks(), c.ids))
-        self.covers = cover_pairs(self._order_rows())
+
+    @functools.cached_property
+    def covers(self):
+        return cover_pairs(self._order_rows())
 
     def _order_rows(self):
         # row j = {i : c_j refines c_i}, the AND over the pairs c_j relates

@@ -302,6 +302,11 @@ def quotient(A, theta):
     """A/theta, block i being the i-th block of theta by least element."""
     if not is_congruence(A, theta):
         raise NotACongruence("partition is not compatible with the tables")
+    return _quotient(A, theta)
+
+
+def _quotient(A, theta):
+    # `quotient` without the check, for a theta taken from Con(A)
     return _induced(A, [b[0] for b in theta.blocks()], theta.ids,
                     name=f"{A.name}/theta" if A.name else "")
 
@@ -313,5 +318,5 @@ def si_quotients(A):
     subdirect product of them (Birkhoff)."""
     lat = congruence_lattice(A)
     upper = collections.Counter(i for i, _ in lat.covers)
-    return [quotient(A, c) for i, c in enumerate(lat.congruences)
+    return [_quotient(A, c) for i, c in enumerate(lat.congruences)
             if upper[i] == 1]

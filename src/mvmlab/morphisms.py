@@ -7,7 +7,7 @@ import warnings
 from .algebra import canonical_key
 from .caps import check
 from .congruences import congruence_lattice, is_subdirectly_irreducible
-from .constructions import quotient, subalgebras
+from .constructions import _quotient, subalgebras
 from .posets import Poset
 
 
@@ -71,8 +71,10 @@ def hs_closure(S):
         found.setdefault(canonical_key(A), A)
     for A in list(found.values()):
         for B, _ in subalgebras(A):
-            for theta in congruence_lattice(B).congruences:
-                Q = quotient(B, theta)
+            # B is its own quotient by the identity, the first congruence
+            found.setdefault(canonical_key(B), B)
+            for theta in congruence_lattice(B).congruences[1:]:
+                Q = _quotient(B, theta)
                 found.setdefault(canonical_key(Q), Q)
     return found
 

@@ -37,12 +37,12 @@ class DivisorClosedSet:
         return n in self.members
 
     def __eq__(self, other):
+        # sets only: a tuple or list of the members hashes differently
         if isinstance(other, DivisorClosedSet):
             return self.members == other.members
-        try:
-            return set(self.members) == set(other)
-        except TypeError:
-            return NotImplemented
+        if isinstance(other, (set, frozenset)):
+            return set(self.members) == other
+        return NotImplemented
 
     def __hash__(self):
         return hash(frozenset(self.members))

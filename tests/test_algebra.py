@@ -8,7 +8,8 @@ from mvmlab import (are_isomorphic, canonical_key, catalog, chain_algebra,
                     cn_delta, cn_nabla, lm_delta, lm_nabla, ln_plus, load,
                     load_file, make_algebra, order_dual, product, save,
                     trivial_algebra)
-from mvmlab.algebra import load_lmonoid, make_lmonoid
+from mvmlab.algebra import canonical_form, load_lmonoid, make_lmonoid
+from mvmlab.constructions import _induced
 from mvmlab.errors import (MalformedDocument, NotALattice, NotAnLMonoid,
                            TableOutOfRange)
 
@@ -185,6 +186,22 @@ def test_canonical_key_equal_iff_a_bijection_is_an_isomorphism(
 def test_canonical_key_of_a_64_element_boolean_algebra():
     A = _power(L1, 6)
     assert canonical_key(shuffled(A, 7)) == canonical_key(A)
+
+
+def test_canonical_key_is_kept_per_algebra():
+    for i, A in enumerate(SMALL + SYMMETRIC):
+        A = shuffled(A, i)
+        assert "key" not in A._cache
+        key = canonical_key(A)
+        assert A._cache["key"] == key == canonical_form(
+            A.size, (A.join, A.meet, A.oplus, A.odot), (A.zero, A.one),
+            [(A.height(e), e == A.zero, e == A.one) for e in range(A.size)])
+        assert canonical_key(A) is key
+        # algebras built from A start without its key
+        same = _induced(A, range(A.size), range(A.size))
+        for B in (A.rename("copy"), order_dual(A), same):
+            assert "key" not in B._cache
+        assert canonical_key(A.rename("copy")) == canonical_key(same) == key
 
 
 def test_are_isomorphic_rejects_different_sizes():

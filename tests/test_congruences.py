@@ -10,11 +10,13 @@ from conftest import random_chain_tables, si_chain_pairs
 from mvmlab import (Congruence, catalog, chain_algebra, cn_delta, cn_nabla,
                     congruence_lattice, enumerate_chain, identity_congruence,
                     is_simple, is_subdirectly_irreducible, lm_delta, lm_nabla,
-                    ln_plus, monolith, principal_congruence,
+                    ln_plus, monolith, order_dual, principal_congruence,
                     principal_congruences, product, quotient, si_quotients,
                     subalgebras, total_congruence, trivial_algebra)
 from mvmlab.congruences import congruence_join, is_congruence
+from mvmlab.constructions import _quotient
 from mvmlab.errors import NotACongruence
+from mvmlab.posets import cover_pairs
 
 
 def pure_chain(n):
@@ -60,6 +62,32 @@ def test_meet_join_are_lattice_bounds(a, b):
     # meet is the greatest lower bound, join the least upper bound
     assert a.meet(b) == b.meet(a) and a.join(b) == b.join(a)
     assert a.refines(b) == (a.meet(b) == a)
+
+
+def _relation(part):
+    n = part.size
+    return {(x, y) for x in range(n) for y in range(n) if part.related(x, y)}
+
+
+def _transitive_closure(rel):
+    while True:
+        step = {(x, z) for x, y in rel for v, z in rel if y == v}
+        if step <= rel:
+            return rel
+        rel = rel | step
+
+
+_partition_pairs = st.integers(1, 8).flatmap(lambda n: st.tuples(
+    *[st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
+      .map(Congruence)] * 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_partition_pairs)
+def test_join_is_the_transitive_closure_of_the_union(pair):
+    a, b = pair
+    assert _relation(a.join(b)) == \
+        _transitive_closure(_relation(a) | _relation(b))
 
 
 # ---------------------------------------------------------------------------
@@ -297,3 +325,25 @@ def test_covering_pairs_generate_the_lattice_of_every_pair():
             known |= {c.join(p) for c in known}
         assert set(congruence_lattice(P).congruences) == known
         assert set(principal_congruences(P)) <= known
+
+
+def test_trusted_quotients_and_lazy_covers_match_the_checked_ones():
+    for A, B in si_chain_pairs():
+        for P in (product(A, B), order_dual(product(A, B))):
+            lat = congruence_lattice(P)
+            assert "covers" not in vars(lat)  # nothing built until read
+            cs = lat.congruences
+            # the covers as they were built eagerly: refinement rows, then
+            # the covering pairs of that order
+            assert lat.covers == cover_pairs(
+                [sum(1 << j for j, d in enumerate(cs) if c.refines(d))
+                 for c in cs])
+            for theta in cs:
+                Q, R = _quotient(P, theta), quotient(P, theta)
+                assert _tables(Q) == _tables(R) and Q.name == R.name
+            # 0 ~ 1 alone is no congruence of an algebra with 3 or more
+            # elements: it would collapse the interval [0, 1]
+            bad = Congruence([0 if e in (P.zero, P.one) else e + 1
+                              for e in range(P.size)])
+            with pytest.raises(NotACongruence):
+                quotient(P, bad)

@@ -31,6 +31,12 @@ def test_divisor_closed_set_equality_and_hash():
     assert I != None and I != 3  # noqa: E711
     assert I == frozenset({1, 2}) and hash(I) == hash(frozenset({1, 2}))
     assert len({I, frozenset({1, 2}), DivisorClosedSet([2, 1])}) == 1
+    assert hash(I) == hash(DivisorClosedSet([2, 1]))
+    # a sequence of the members hashes differently, so it is not equal
+    for seq in ((1, 2), [1, 2], (2, 1)):
+        assert I != seq and seq != I
+    assert len({I, (1, 2)}) == 2
+    assert I == {1, 2} and {1, 2} == I
 
 
 def test_divisor_closed_set_rejects_gaps():
