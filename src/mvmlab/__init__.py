@@ -22,6 +22,6 @@ from .terms import (CANCELLATIVITY, Equation, QuasiEquation, evaluate, parse,
                     satisfies, satisfies_all, satisfies_quasi, to_text)
 from .varieties import (AxiomSet, DivisorClosedSet, almost_minimal_axioms,
                         classify_variety, divisor_closed_sets,
-                        member_of_variety, phi, sigma, tau, tau_alt)
+                        member_of_variety, phi, sigma, tau)
 
 __version__ = "0.1.0"

@@ -282,18 +282,21 @@ def are_isomorphic(A, B):
     return canonical_key(A) == canonical_key(B)
 
 
+def dual_table(t, delta):
+    """The table t^delta[i][j] = delta[t[delta[i]][delta[j]]], for an
+    involution delta of the elements given as a list."""
+    r = range(len(t))
+    return tuple(tuple(delta[t[delta[i]][delta[j]]] for j in r) for i in r)
+
+
 def order_dual(A):
     """Reverse the order, swap oplus/odot and zero/one (relabeled so chains
     stay in numeric order)."""
     n = A.size
     p = [n - 1 - i for i in range(n)]
-
-    def flip(t):
-        return tuple(tuple(p[t[p[i]][p[j]]] for j in range(n))
-                     for i in range(n))
-
-    return make_algebra(n, p[A.one], p[A.zero], flip(A.odot), flip(A.oplus),
-                        join=flip(A.meet), meet=flip(A.join),
+    return make_algebra(n, p[A.one], p[A.zero], dual_table(A.odot, p),
+                        dual_table(A.oplus, p), join=dual_table(A.meet, p),
+                        meet=dual_table(A.join, p),
                         name=f"dual({A.name})" if A.name else "")
 
 

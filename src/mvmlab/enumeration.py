@@ -7,12 +7,16 @@ multiplicative ones as the additive ones of the order dual); `_pairs`
 searches, for each additive table, the prefix tree of the multiplicative
 ones for those meeting the connecting axioms, checking each axiom instance
 as soon as the cells it reads are known (finite model search in the style
-of SEM and Mace4).  Chains are rigid, so distinct chain tables are distinct
-isomorphism classes; lattice outputs are deduplicated by canonical key.
+of SEM and Mace4).  On the chain, reversing the order and swapping oplus
+with odot maps the passing pairs onto themselves, so of a pair and its
+mirror image only one is walked and the other recorded from it (the usual
+symmetry breaking of finite model search).  Chains are rigid, so distinct
+chain tables are distinct isomorphism classes; lattice outputs are
+deduplicated by canonical key.
 """
 
-from .algebra import (canonical_key, chain_algebra, make_algebra, max_table,
-                      min_table)
+from .algebra import (canonical_key, chain_algebra, dual_table, make_algebra,
+                      max_table, min_table)
 from .axioms import si_necessary_condition
 from .caps import check
 from .congruences import is_subdirectly_irreducible
@@ -122,23 +126,24 @@ def _monoid_tables(join, meet, unit, order):
     return out
 
 
-def _prefix_tree(tables, cells):
+def _prefix_tree(tables, cells, rank):
     """The distinct tables as a prefix tree over their values at `cells`: a
-    node is a list of (value, child) pairs, a leaf the table's index in
-    `tables`."""
+    node is a list of (value, child, top) triples, top the largest rank of
+    a table below the child; a leaf is the table's index in `tables`."""
     def build(indices, d):
         if d == len(cells):
-            return indices[0]
+            return indices[0], rank[indices[0]]
         i, j = cells[d]
         groups = {}
         for idx in indices:
             groups.setdefault(tables[idx][i][j], []).append(idx)
-        return [(v, build(group, d + 1)) for v, group in groups.items()]
+        node = [(v, *build(group, d + 1)) for v, group in groups.items()]
+        return node, max(top for _, _, top in node)
 
-    return build(range(len(tables)), 0)
+    return build(range(len(tables)), 0)[0]
 
 
-def _pairs(join, meet, zero, one, order, flt):
+def _pairs(join, meet, zero, one, order, flt, delta=None):
     """The (oplus, odot) table pairs on the lattice that the filter sees, in
     lexicographic order: pairs of monoid tables satisfying the two
     mixed-associativity axioms, and for the refined filters the two
@@ -156,12 +161,29 @@ def _pairs(join, meet, zero, one, order, flt):
     mixed associativity (A) at x = 0 or z = 1 and (B) at x = 1 or z = 0,
     truncation (C) at x in {0, 1} or z = 1 and (D) at x in {0, 1} or z = 0;
     (C) and (D) are symmetric in x and y.
+
+    `delta`, when given, is an order-reversing involution of the lattice.
+    The definition is self-dual: sigma(p, q) = (q^delta, p^delta) is a
+    bijection between the pairs of monoid tables that sends instances of
+    (A), (B), (C), (D) to instances of (B), (A), (D), (C), so a pair passes
+    exactly when its image does.  With rank(q) the index of q^delta among
+    the additive tables, the walk for the i-th additive table p_i enters no
+    subtree whose tables all rank below i, and a hit (p_i, q) with
+    rank(q) = j > i yields the hit (p_j, p_i^delta) as well; each pair
+    passes through the walk once, as itself or as its image, and every
+    instance is still checked on the pairs walked.
     """
     n = len(order)
     adds = _monoid_tables(join, meet, zero, order)
     muls = _monoid_tables(meet, join, one, order[::-1])
+    if delta is None:  # every walk covers the whole tree, nothing mirrors
+        rank = [0] * len(muls)
+    else:
+        index = {t: i for i, t in enumerate(adds)}
+        rank = [index[dual_table(t, delta)] for t in muls]
+        dual_of = sorted(range(len(muls)), key=rank.__getitem__)
     cells = _inner_cells(order[::-1])
-    tree = _prefix_tree(muls, cells)
+    tree = _prefix_tree(muls, cells, rank)
     depth = [0] * (n * n)  # cell i*n+j is known from this depth on
     flat = []
     for d, (i, j) in enumerate(cells, 1):
@@ -243,18 +265,27 @@ def _pairs(join, meet, zero, one, order, flt):
                 hits.append(node)
             else:
                 k1, k2 = flat[d]
-                for v, child in node:
+                for v, child, top in node:
+                    if top < floor:
+                        continue
                     q[k1] = q[k2] = v
                     qn[k1] = qn[k2] = v * n
                     walk(child, d + 1)
         for at in waiting:
             pending[at].pop()
 
-    for t in adds:
+    mirrored = [[] for _ in adds]  # mirrored[j]: odot indices for p_j
+    for i, t in enumerate(adds):
+        floor = 0 if delta is None else i
         p = [v for row in t for v in row]
         pn = [v * n for v in p]
         hits = []
         walk(tree, 0)
+        for idx in hits:
+            if rank[idx] > floor:
+                mirrored[rank[idx]].append(dual_of[i])
+        hits += mirrored[i]
+        mirrored[i] = None
         for idx in sorted(hits):
             yield t, muls[idx]
 
@@ -271,7 +302,9 @@ def enumerate_chain(n, flt="all"):
     """
     _check_arguments(n, flt, "ENUM_CHAIN", "chain")
     out = []
-    pairs = _pairs(max_table(n), min_table(n), 0, n - 1, list(range(n)), flt)
+    order = list(range(n))
+    pairs = _pairs(max_table(n), min_table(n), 0, n - 1, order, flt,
+                   delta=order[::-1])
     for count, (p, q) in enumerate(pairs):
         A = chain_algebra(n, p, q, name=f"chain{n}_{count}", validate=False)
         if _passes(A, flt):

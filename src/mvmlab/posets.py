@@ -2,6 +2,7 @@
 output, and isomorphism testing by the canonical form of `algebra`.  Orders
 are bitset rows, bit j of row i set iff i <= j."""
 
+import functools
 import itertools
 
 from .algebra import canonical_form
@@ -40,12 +41,16 @@ def cover_pairs(up):
     return out
 
 
+@functools.lru_cache(maxsize=8)
 def lattice_cover_pairs(join):
     """Covering pairs of the order a lattice's join table defines (a <= b
-    iff a v b = b), by `cover_pairs`."""
+    iff a v b = b), by `cover_pairs`, as a tuple.  Cached by the join table,
+    a tuple of tuples: the algebras a loop meets often share one lattice,
+    such as `max_table(n)` in a chain enumeration, and a few entries serve
+    such a loop."""
     n = len(join)
-    return cover_pairs([sum(1 << b for b in range(n) if join[a][b] == b)
-                        for a in range(n)])
+    return tuple(cover_pairs([sum(1 << b for b in range(n) if join[a][b] == b)
+                              for a in range(n)]))
 
 
 class Poset:

@@ -5,6 +5,7 @@ import math
 
 from .algebra import are_isomorphic
 from .axioms import is_mv_monoid, is_positive_mv
+from .congruences import is_subdirectly_irreducible
 from .constructions import ln_plus, si_quotients
 from .errors import BadArgument, NotDivisorClosed, NotPositiveMV
 from .terms import Equation, const, oplus, odot, parse, power, scalar, var
@@ -121,10 +122,6 @@ def _tau_step(left, below):
     return _fold_odot(left, _fold_oplus(var(0), below))
 
 
-def _tau_alt_step(left, below):
-    return _fold_oplus(_fold_odot(left, var(0)), below)
-
-
 def _ladder(step, n, lo, hi):
     """Row n of a tau ladder at the columns lo..hi, built row by row.  Row m
     is needed at the columns lo-(n-m) .. hi only, and its cells left of
@@ -149,11 +146,6 @@ def tau(n, k):
     base tau(0,k) = 1 for k <= -1 and 0 for k >= 0, then
     tau(n+1,k) = tau(n,k-1) * (x + tau(n,k))."""
     return _ladder(_tau_step, n, k, k)[0]
-
-
-def tau_alt(n, k):
-    """Same ladder via the second recursion (tau(n,k-1) * x) + tau(n,k)."""
-    return _ladder(_tau_alt_step, n, k, k)[0]
 
 
 def phi(n):
@@ -217,8 +209,12 @@ def _si_indices(A):
     SI quotient is no L_e+; kept in A's cache, so that asking about many
     index sets computes the SI quotients once."""
     if "si_indices" not in A._cache:
+        # an SI A is one of its own SI quotients, and the only one when it
+        # is some L_e+, since L_e+ is simple
+        quotients = ([A] if is_subdirectly_irreducible(A)[0]
+                     else si_quotients(A))
         indices = set()
-        for Q in si_quotients(A):
+        for Q in quotients:
             e = Q.size - 1  # SI algebras are nontrivial, so e >= 1
             if not are_isomorphic(Q, ln_plus(e)):
                 indices = None

@@ -169,7 +169,7 @@ def test_degenerate_chains_are_not_si():
 
 
 def test_truncated_chains_are_simple():
-    for n in range(1, 9):
+    for n in range(1, 13):
         A = ln_plus(n)
         assert is_simple(A)
         si, m = is_subdirectly_irreducible(A)

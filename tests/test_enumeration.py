@@ -21,14 +21,25 @@ TRUNCATION = [parse("(x * y) + z ≈ ((x + y) * ((x * y) + z)) v z"),
 
 
 def test_counts_per_size():
-    assert [len(enumerate_chain(n, "all")) for n in range(1, 6)] == \
-        [1, 1, 4, 19, 118]
-    assert [len(enumerate_chain(n, "si-necessary")) for n in range(1, 6)] == \
-        [0, 1, 3, 9, 35]
-    assert [len(enumerate_chain(n, "si")) for n in range(1, 6)] == \
-        [0, 1, 3, 7, 19]
-    assert [len(enumerate_chain(n, "positive")) for n in range(1, 6)] == \
-        [1, 1, 2, 4, 8]
+    assert [len(enumerate_chain(n, "all")) for n in range(1, 8)] == \
+        [1, 1, 4, 19, 118, 857, 7235]
+    assert [len(enumerate_chain(n, "si-necessary")) for n in range(1, 8)] == \
+        [0, 1, 3, 9, 35, 143, 683]
+    assert [len(enumerate_chain(n, "si")) for n in range(1, 8)] == \
+        [0, 1, 3, 7, 19, 39, 107]
+    assert [len(enumerate_chain(n, "positive")) for n in range(1, 8)] == \
+        [1, 1, 2, 4, 8, 16, 32]
+
+
+@pytest.mark.slow
+def test_eight_element_chain_census():
+    # opt in with -m slow: about 15 s
+    assert len(enumerate_chain(8, "si")) == 207
+    positive = enumerate_chain(8, "positive")
+    assert len(positive) == 64
+    L = ln_plus(7)
+    assert [(A.oplus, A.odot) for A in positive
+            if is_subdirectly_irreducible(A)[0]] == [(L.oplus, L.odot)]
 
 
 def test_output_is_deterministic_and_duplicate_free():
@@ -247,10 +258,17 @@ def _chain_args(n):
     return max_table(n), min_table(n), 0, n - 1, list(range(n))
 
 
+def _chain_pairs(n, flt):
+    # the pair stage as `enumerate_chain` runs it, mirrored through the
+    # order reversal of the chain
+    return list(_pairs(*_chain_args(n), flt, delta=list(range(n))[::-1]))
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_joint_search_matches_the_pair_loop_on_chains(n):
     for flt in FILTERS:
         want = _reference_pairs(*_chain_args(n), flt)
+        assert _chain_pairs(n, flt) == want, flt
         assert list(_pairs(*_chain_args(n), flt)) == want, flt
         expected = [(f"chain{n}_{k}", p, q) for k, (p, q) in enumerate(want)
                     if _passes(chain_algebra(n, p, q, validate=False), flt)]
@@ -309,5 +327,28 @@ def _chain_dual(t):
 def test_order_duality_maps_the_all_output_onto_itself(n):
     # reversing the chain swaps the roles of oplus and odot; every axiom of
     # the "all" filter has its dual among them
-    pairs = set(_pairs(*_chain_args(n), "all"))
+    pairs = set(_chain_pairs(n, "all"))
     assert {(_chain_dual(q), _chain_dual(p)) for p, q in pairs} == pairs
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_pair_stage_matches_satisfies_on_every_pair_of_tables(n):
+    # brute force over all pairs of monoid tables, each algebra checked by
+    # the term engine on the connecting axioms written out above
+    join, meet, zero, one, order = _chain_args(n)
+    tables = [(p, q) for p in _monoid_tables(join, meet, zero, order)
+              for q in _monoid_tables(meet, join, one, order[::-1])]
+
+    def holds(p, q, equations):
+        A = chain_algebra(n, p, q, validate=False)
+        return all(satisfies(A, e) for e in equations)
+
+    relaxed = [(p, q) for p, q in tables if holds(p, q, MIXED_ASSOC)]
+    full = [(p, q) for p, q in relaxed if holds(p, q, TRUNCATION)]
+    for flt in FILTERS:
+        want = relaxed if flt == "all" else full
+        assert _chain_pairs(n, flt) == want, flt
+        # sigma(p, q) = (q^delta, p^delta) maps the passing pairs onto
+        # themselves: the mirrored walk rests on this
+        assert {(_chain_dual(q), _chain_dual(p)) for p, q in want} \
+            == set(want), flt

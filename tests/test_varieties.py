@@ -4,15 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvmlab import (DivisorClosedSet, almost_minimal_axioms, canonical_key,
-                    catalog, catalog_names, classify_variety, cn_delta,
-                    cn_nabla, congruence_lattice, divisor_closed_sets,
-                    enumerate_chain, evaluate, hs_closure, is_mv_monoid,
-                    ln_plus, member_of_variety, order_dual, parse, phi,
-                    product, quotient, satisfies, si_quotients, sigma,
-                    subalgebras, tau, tau_alt)
+from mvmlab import (DivisorClosedSet, almost_minimal_axioms, are_isomorphic,
+                    canonical_key, catalog, catalog_names, classify_variety,
+                    cn_delta, cn_nabla, congruence_lattice,
+                    divisor_closed_sets, enumerate_chain, evaluate,
+                    hs_closure, is_mv_monoid, ln_plus, member_of_variety,
+                    order_dual, parse, phi, product, quotient, satisfies,
+                    si_quotients, sigma, subalgebras, tau)
 from mvmlab.errors import NotDivisorClosed, NotPositiveMV
-from mvmlab.terms import variables
+from mvmlab.terms import var, variables
+from mvmlab.varieties import _fold_odot, _fold_oplus, _ladder
+
+from conftest import shuffled
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +88,14 @@ def test_tau_matches_the_clamp_formula(n):
                 assert evaluate(t, A, {0: i}) == want
 
 
+def _tau_alt(n, k):
+    # the same ladder by the second recursion (tau(n,k-1) * x) + tau(n,k)
+    def step(left, below):
+        return _fold_oplus(_fold_odot(left, var(0)), below)
+
+    return _ladder(step, n, k, k)[0]
+
+
 def test_tau_alt_agrees_with_tau():
     for n in range(0, 7):
         for k in range(-1, n + 1):
@@ -92,7 +103,7 @@ def test_tau_alt_agrees_with_tau():
                 A = ln_plus(m)
                 for i in range(m + 1):
                     assert (evaluate(tau(n, k), A, {0: i})
-                            == evaluate(tau_alt(n, k), A, {0: i}))
+                            == evaluate(_tau_alt(n, k), A, {0: i}))
 
 
 def test_tau_base_cases():
@@ -301,6 +312,29 @@ def _positive_corpus():
             for S, _ in subalgebras(P):
                 found.setdefault(canonical_key(S), S)
     return list(found.values())
+
+
+def _si_indices_by_quotients(A):
+    # the e with L_e+ an SI quotient, or None, from every SI quotient
+    indices = set()
+    for Q in si_quotients(A):
+        if not are_isomorphic(Q, ln_plus(Q.size - 1)):
+            return None
+        indices.add(Q.size - 1)
+    return indices
+
+
+def test_si_indices_of_si_algebras_match_the_quotient_route():
+    from mvmlab.varieties import _si_indices
+    found = []
+    for n in range(2, 7):
+        for i, A in enumerate(enumerate_chain(n, "si")):
+            for B in (A, shuffled(A, i)):
+                assert _si_indices(B) == _si_indices_by_quotients(B), A.name
+                if _si_indices(B) is not None:
+                    found.append(_si_indices(B))
+    # L_1+ .. L_5+, each also relabeled
+    assert found == [{e} for e in range(1, 6) for _ in range(2)]
 
 
 def test_classify_agrees_with_the_hs_route():
