@@ -1,8 +1,7 @@
 """Named axiom suites: the defining equations of MV-monoids, cancellativity,
 the necessary condition for subdirect irreducibility, and good pairs."""
 
-from . import terms
-from .terms import CANCELLATIVITY, parse, satisfies, satisfies_quasi
+from .terms import CANCELLATIVITY, _failures, parse, satisfies_quasi
 
 # Fixed ordered list with stable names so failure reports are diff-stable.
 _AXIOM_TEXT = [
@@ -35,6 +34,7 @@ _AXIOM_TEXT = [
 ]
 
 MV_MONOID_AXIOMS = [(name, parse(text)) for name, text in _AXIOM_TEXT]
+_AXIOM_NAME = {eq: name for name, eq in MV_MONOID_AXIOMS}
 
 
 class AxiomReport:
@@ -62,12 +62,9 @@ def is_mv_monoid(A):
     cached = A._cache.get("mvm_report")
     if cached is not None:
         return cached
-    failures = []
-    for name, eq in MV_MONOID_AXIOMS:
-        res = satisfies(A, eq)
-        if not res:
-            failures.append((name, res.witness_named()))
-    report = AxiomReport(failures)
+    report = AxiomReport(
+        (_AXIOM_NAME[res.equation], res.witness_named())
+        for res in _failures(A, _AXIOM_NAME))
     A._cache["mvm_report"] = report
     return report
 

@@ -8,8 +8,7 @@ _DEFAULTS = {
     "PRODUCT": 64,      # product size
     "ENUM_CHAIN": 8,    # chain enumeration
     "ENUM_LATTICE": 6,  # enumeration over a fixed non-chain lattice
-    "DOWNSET": 16,      # downset lattice of a poset
-    "HOM": 10 ** 7,     # |B|^|A| bound for homomorphism search
+    "DOWNSET": 12,      # downset lattice of a poset
 }
 
 

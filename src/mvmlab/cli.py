@@ -145,14 +145,7 @@ def _witness(res):
 
 
 def _cmd_check_eq(args, out):
-    A = _load_arg(args.file)
-    parsed = terms.parse(args.eq)
-    if isinstance(parsed, terms.QuasiEquation):
-        res = terms.satisfies_quasi(A, parsed)
-    elif isinstance(parsed, terms.Equation):
-        res = terms.satisfies(A, parsed)
-    else:
-        raise MvmError("--eq must be an equation or quasi-equation")
+    res = terms.satisfies(_load_arg(args.file), terms.parse(args.eq))
     out.write(_dump({"holds": res.passed, "witness": _witness(res)}) + "\n")
 
 

@@ -1,63 +1,13 @@
-"""Homomorphism enumeration, HS closure over isomorphism classes (the
-quotients of the subalgebras, in one pass), and the poset of subdirectly
-irreducible algebras ordered by HSU membership."""
+"""HS closure over isomorphism classes (the quotients of the subalgebras, in
+one pass), and the poset of subdirectly irreducible algebras ordered by HSU
+membership."""
 
 import warnings
 
 from .algebra import canonical_key
-from .caps import check
 from .congruences import congruence_lattice, is_subdirectly_irreducible
 from .constructions import _quotient, subalgebras
 from .posets import Poset
-
-
-def homomorphisms(A, B):
-    """All maps A -> B preserving the four operations and 0, 1, as tuples
-    indexed by elements of A; backtracking in element order with forward
-    checking on already-assigned table constraints."""
-    check("HOM", B.size ** A.size, "homomorphism search space |B|^|A|")
-    tables = ((A.join, B.join), (A.meet, B.meet),
-              (A.oplus, B.oplus), (A.odot, B.odot))
-    f = [None] * A.size
-    out = []
-
-    def consistent(x):
-        # forward check only; pairs whose table result is assigned later are
-        # re-verified by the complete() pass
-        for ta, tb in tables:
-            for y in range(A.size):
-                if f[y] is None:
-                    continue
-                for u, v in ((x, y), (y, x)):
-                    w = ta[u][v]
-                    if f[w] is not None and tb[f[u]][f[v]] != f[w]:
-                        return False
-        return True
-
-    def complete():
-        return all(tb[f[u]][f[v]] == f[ta[u][v]]
-                   for ta, tb in tables
-                   for u in range(A.size) for v in range(A.size))
-
-    def assign(x):
-        if x == A.size:
-            if complete():
-                out.append(tuple(f))
-            return
-        if x == A.zero:
-            candidates = [B.zero]
-        elif x == A.one:
-            candidates = [B.one]
-        else:
-            candidates = range(B.size)
-        for v in candidates:
-            f[x] = v
-            if consistent(x):
-                assign(x + 1)
-            f[x] = None
-
-    assign(0)
-    return out
 
 
 def hs_closure(S):

@@ -12,13 +12,14 @@ failing assignment.  A quasi-equation is checked in blocks, one per value of
 the first variable, so each node is evaluated once per block.
 """
 
+import weakref
 from operator import and_, eq, getitem, ne
 
-from .errors import MissingAssignment, TermSyntaxError
+from .errors import BadArgument, MissingAssignment, TermSyntaxError
 
 
 class Term:
-    __slots__ = ()
+    __slots__ = ("__weakref__",)
 
     def __str__(self):
         return to_text(self)
@@ -39,7 +40,9 @@ class BinOp(Term):
     __slots__ = ("op", "left", "right")  # op: oplus | odot | join | meet
 
 
-_interned = {}
+# held weakly: an entry goes when its term does, and the ids in a key stay
+# valid as long as the term lives, since a term holds its children
+_interned = weakref.WeakValueDictionary()
 
 
 def _intern(key, build):
@@ -475,18 +478,17 @@ class CheckResult:
         return {var_name(i): v for i, v in enumerate(self.witness)}
 
 
-def satisfies(A, e):
-    """Check an Equation, or anything with an `.equations` attribute (axiom
-    sets); assignments are scanned in lexicographic order."""
-    eqs = getattr(e, "equations", None)
-    return satisfies_all(A, [e] if eqs is None else eqs)
-
-
-def satisfies_all(A, equations):
-    """The first failing equation, in list order, with its least failing
-    assignment.  Equations with the same variable count share one column per
-    node, and evaluation stops at the first failure."""
-    equations = list(equations)
+def _failures(A, equations):
+    """Each failing equation of an iterable (or of a single equation), in
+    order, as a failed CheckResult with its least failing assignment.
+    Equations with the same variable count share one column per node, and
+    evaluation goes only as far as the caller reads."""
+    equations = (list(equations) if hasattr(equations, "__iter__")
+                 else [equations])
+    for e in equations:
+        if not isinstance(e, Equation):
+            raise BadArgument("expected an equation, a quasi-equation or a "
+                              f"list of equations, got {type(e).__name__}")
     width = _widths([t for e in equations for t in (e.lhs, e.rhs)])
     evaluators = {}
     for e in equations:
@@ -497,8 +499,22 @@ def satisfies_all(A, equations):
         lhs, rhs = column(e.lhs), column(e.rhs)
         if lhs != rhs:
             witness = _assignment(list(map(ne, lhs, rhs)), A.size, nv)
-            return CheckResult(False, witness=witness, equation=e)
-    return CheckResult(True)
+            yield CheckResult(False, witness=witness, equation=e)
+
+
+def satisfies(A, e):
+    """Check an Equation, a QuasiEquation, or any iterable of equations (an
+    axiom set, a list, a tuple); assignments are scanned in lexicographic
+    order.  Anything else raises BadArgument."""
+    if isinstance(e, QuasiEquation):
+        return satisfies_quasi(A, e)
+    return satisfies_all(A, e)
+
+
+def satisfies_all(A, equations):
+    """The first failing equation, in list order, with its least failing
+    assignment; evaluation stops there."""
+    return next(_failures(A, equations), CheckResult(True))
 
 
 def _first_value_blocks(A, nv):

@@ -4,7 +4,7 @@ classification of varieties of positive MV-algebras."""
 import math
 
 from .algebra import are_isomorphic
-from .axioms import is_mv_monoid, is_positive_mv
+from .axioms import is_mv_monoid
 from .congruences import is_subdirectly_irreducible
 from .constructions import ln_plus, si_quotients
 from .errors import BadArgument, NotDivisorClosed, NotPositiveMV
@@ -227,16 +227,19 @@ def _si_indices(A):
 def classify_variety(generators):
     """The divisor-closed index set of the variety generated by positive
     MV-algebras: the divisors of the e with L_e+ an SI quotient of a
-    generator.  A finite positive MV-algebra lies in V(L_d+ : d in D) for
-    some finite D, so by Jónsson's lemma (see `member_of_variety`) its SI
-    quotients are L_e+ and `_si_indices` is never None for it.  The variety
+    generator.  The SI indices decide positivity too.  A finite positive
+    MV-algebra lies in V(L_d+ : d in D) for some finite D, so by Jónsson's
+    lemma (see `member_of_variety`) its SI quotients are L_e+.  Conversely,
+    a finite algebra embeds in the product of its SI quotients (Birkhoff),
+    so if they are all L_e+ it is a positive MV-algebra.  The variety
     generated is V(L_e+ : e in the union), whose index set is the divisor
     closure, since the subalgebras of L_e+ are the L_d+ with d | e."""
-    generators = list(generators)
+    indices = set()
     for i, A in enumerate(generators):
-        if not is_positive_mv(A):
+        found = _si_indices(A)
+        if found is None:
             raise NotPositiveMV(f"generator {i} is not a positive MV-algebra",
                                 index=i)
-    indices = set().union(*map(_si_indices, generators))
+        indices |= found
     return DivisorClosedSet({d for e in indices for d in range(1, e + 1)
                              if e % d == 0})

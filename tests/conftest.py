@@ -54,6 +54,16 @@ def random_chain_tables(draw):
     return chain_algebra(n, draw(table), draw(table))
 
 
+def seeded_chain_tables(count, seed):
+    """`count` chains of 1..5 elements with arbitrary oplus and odot tables,
+    drawn from random.Random(seed): most break the monoid laws too."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 5)
+        yield chain_algebra(n, *([[rng.randrange(n) for _ in range(n)]
+                                  for _ in range(n)] for _ in range(2)))
+
+
 @functools.cache
 def si_chain_pairs():
     """Every pair of SI chains of sizes 2..6 whose product has at most 12

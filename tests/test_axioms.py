@@ -1,8 +1,11 @@
 import pytest
 
-from mvmlab import (catalog, chain_algebra, cn_delta, cn_nabla, is_good_pair,
-                    is_mv_monoid, is_positive_mv, lm_delta, lm_nabla, ln_plus,
-                    satisfies, si_necessary_condition, trivial_algebra)
+from conftest import seeded_chain_tables
+
+from mvmlab import (catalog, chain_algebra, cn_delta, cn_nabla,
+                    enumerate_chain, is_good_pair, is_mv_monoid,
+                    is_positive_mv, lm_delta, lm_nabla, ln_plus, satisfies,
+                    si_necessary_condition, trivial_algebra)
 from mvmlab.axioms import MV_MONOID_AXIOMS
 
 
@@ -48,6 +51,18 @@ def test_failure_report_names_axiom_and_witness():
     eq = dict(MV_MONOID_AXIOMS)[name]
     res = satisfies(bad, eq)
     assert not res and res.witness_named() == witness
+
+
+def test_one_pass_report_matches_the_per_axiom_checks():
+    corpus = [A for n in range(1, 6) for A in enumerate_chain(n, "all")]
+    corpus += seeded_chain_tables(300, 12)
+    broken_monoid = 0
+    for A in corpus:
+        expected = [(n, satisfies(A, e).witness_named())
+                    for n, e in MV_MONOID_AXIOMS if not satisfies(A, e)]
+        assert is_mv_monoid(A).failures == expected, A
+        broken_monoid += any(n.startswith("mon.") for n, _ in expected)
+    assert broken_monoid > 200
 
 
 def test_non_monoid_fails_unit_axiom():

@@ -187,6 +187,13 @@ def test_check_eq_syntax_error(algebra_file):
     assert run("check-eq", algebra_file(ln_plus(2)), "--eq", "x ≈")[0] == 1
 
 
+def test_check_eq_rejects_a_bare_term(algebra_file, capsys):
+    code, out = run("check-eq", algebra_file(ln_plus(2)), "--eq", "x + y")
+    err = capsys.readouterr().err
+    assert code == 1 and out == ""
+    assert err.startswith("error: expected an equation")
+
+
 def test_check_eq_deep_nesting_is_a_syntax_error(algebra_file, capsys):
     deep = "(" * 2000 + "x" + ")" * 2000
     code, out = run("check-eq", algebra_file(ln_plus(2)), "--eq",

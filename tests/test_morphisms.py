@@ -1,19 +1,35 @@
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_subalgebras, shuffled, si_chain_pairs
-from mvmlab import (canonical_key, catalog, cn_delta, congruence_lattice,
-                    enumerate_chain, hs_closure, homomorphisms, ln_plus,
-                    lm_delta, order_dual, product, quotient, si_poset,
-                    trivial_algebra)
+from mvmlab import (are_isomorphic, canonical_key, catalog, catalog_names,
+                    cn_delta, congruence_lattice, enumerate_chain, hs_closure,
+                    ln_plus, lm_delta, order_dual, product, quotient,
+                    si_poset, trivial_algebra)
 from mvmlab.cli import identify
-from mvmlab.errors import CapExceeded
 
 
 def names_of(keyed):
     return sorted(identify(A) for A in keyed.values())
+
+
+# ---------------------------------------------------------------------------
+# homomorphisms, by brute force: the oracle for isomorphism
+
+def homomorphisms(A, B):
+    """Every map A -> B preserving the four operations and 0, 1, as tuples
+    indexed by the elements of A, in lexicographic order."""
+    tables = ((A.join, B.join), (A.meet, B.meet),
+              (A.oplus, B.oplus), (A.odot, B.odot))
+    cells = list(itertools.product(range(A.size), repeat=2))
+    return [f for f in itertools.product(range(B.size), repeat=A.size)
+            if f[A.zero] == B.zero and f[A.one] == B.one
+            and all(tb[f[u]][f[v]] == f[ta[u][v]]
+                    for ta, tb in tables for u, v in cells)]
 
 
 def test_identity_is_the_only_truncated_chain_endomorphism():
@@ -47,9 +63,18 @@ def test_pure_chain_endomorphisms_are_monotone_maps():
     assert homomorphisms(L2, L2) == [(0, 0, 2), (0, 1, 2), (0, 2, 2)]
 
 
-def test_homomorphism_cap():
-    with pytest.raises(CapExceeded):
-        homomorphisms(ln_plus(8), ln_plus(8))
+def test_are_isomorphic_matches_a_bijective_homomorphism():
+    algebras = [A for n in range(2, 5) for A in enumerate_chain(n, "all")]
+    algebras += [shuffled(A, i) for i, A in enumerate(algebras)]
+    algebras += [A for A in map(catalog, catalog_names()) if A.size <= 4]
+    isomorphic = 0
+    for A, B in itertools.combinations(algebras, 2):
+        if A.size == B.size:
+            bijective = any(len(set(f)) == A.size
+                            for f in homomorphisms(A, B))
+            assert are_isomorphic(A, B) == bijective, (A, B)
+            isomorphic += bijective
+    assert isomorphic > 30
 
 
 # ---------------------------------------------------------------------------

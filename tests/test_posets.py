@@ -57,7 +57,7 @@ def test_downset_lattice_of_the_two_element_antichain():
 
 def test_downset_cap(monkeypatch):
     with pytest.raises(CapExceeded, match=r"^poset size is 20, above the cap "
-                       r"16 \(MVMLAB_CAP_DOWNSET\)$"):
+                       r"12 \(MVMLAB_CAP_DOWNSET\)$"):
         Poset(range(20), []).downsets()
     monkeypatch.setenv("MVMLAB_CAP_DOWNSET", "3")
     with pytest.raises(CapExceeded, match="the cap 3 "):

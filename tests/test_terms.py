@@ -1,3 +1,4 @@
+import gc
 import itertools
 
 import pytest
@@ -5,14 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvmlab import (CANCELLATIVITY, Equation, QuasiEquation, catalog,
-                    catalog_names, cn_delta, enumerate_chain, evaluate,
-                    ln_plus, parse, satisfies, satisfies_all, satisfies_quasi,
-                    to_text)
+                    catalog_names, cn_delta, cn_nabla, enumerate_chain,
+                    evaluate, ln_plus, parse, phi, satisfies, satisfies_all,
+                    satisfies_quasi, to_text)
 from mvmlab.axioms import MV_MONOID_AXIOMS
-from mvmlab.errors import MissingAssignment, TermSyntaxError
-from mvmlab.terms import (Const, Var, _assignment, _product_evaluator,
-                          _widths, const, join, meet, odot, oplus, power,
-                          scalar, var, variables)
+from mvmlab.errors import BadArgument, MissingAssignment, TermSyntaxError
+from mvmlab.terms import (Const, Var, _assignment, _interned,
+                          _product_evaluator, _widths, const, join, meet,
+                          odot, oplus, power, scalar, var, variables)
 
 
 # ---------------------------------------------------------------------------
@@ -23,6 +24,16 @@ def test_terms_are_interned():
     assert const("zero") is const("zero")
     assert oplus(var(0), var(1)) is oplus(var(0), var(1))
     assert oplus(var(0), var(1)) is not oplus(var(1), var(0))
+
+
+def test_interned_terms_go_with_their_last_user():
+    gc.collect()
+    before = len(_interned)
+    aset = phi(100)
+    assert len(_interned) > before + 1000
+    del aset
+    gc.collect()
+    assert len(_interned) == before
 
 
 def test_scalar_and_power():
@@ -158,6 +169,30 @@ def test_satisfies_all_matches_individual_checks():
             first_bad = next(i for i, r in enumerate(singles) if not r)
             assert combined.equation is eqs[first_bad]
             assert combined.witness == singles[first_bad].witness
+
+
+def test_satisfies_takes_any_iterable_of_equations():
+    eqs = [parse("x + x ≈ x"), parse("x v y ≈ y v x"), parse("x * x ≈ x")]
+    for A in (ln_plus(2), cn_delta(3), cn_nabla(3), catalog("L2")):
+        expected = _outcome(satisfies_all(A, eqs))
+        for arg in (eqs, tuple(eqs), iter(eqs), (e for e in eqs)):
+            assert _outcome(satisfies(A, arg)) == expected
+        assert _outcome(satisfies(A, eqs[:2])) == \
+            _outcome(satisfies_all(A, eqs[:2]))
+    assert satisfies(cn_delta(3), [])
+    q = CANCELLATIVITY
+    assert _outcome(satisfies(cn_delta(2), q)) == \
+        _outcome(satisfies_quasi(cn_delta(2), q))
+
+
+@pytest.mark.parametrize("bad", [
+    parse("x + y"), [parse("x + y")], [CANCELLATIVITY],
+    [parse("x ≈ x"), CANCELLATIVITY], "x ≈ x", 3, None])
+def test_satisfies_rejects_what_is_not_an_equation(bad):
+    with pytest.raises(BadArgument):
+        satisfies(ln_plus(2), bad)
+    with pytest.raises(BadArgument):
+        satisfies_all(ln_plus(2), bad)
 
 
 def test_cancellativity_quasi_equation():

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import pytest
@@ -8,14 +9,15 @@ from mvmlab import (DivisorClosedSet, almost_minimal_axioms, are_isomorphic,
                     canonical_key, catalog, catalog_names, classify_variety,
                     cn_delta, cn_nabla, congruence_lattice,
                     divisor_closed_sets, enumerate_chain, evaluate,
-                    hs_closure, is_mv_monoid, ln_plus, member_of_variety,
-                    order_dual, parse, phi, product, quotient, satisfies,
-                    si_quotients, sigma, subalgebras, tau)
+                    hs_closure, is_mv_monoid, is_positive_mv, ln_plus,
+                    member_of_variety, order_dual, parse, phi, product,
+                    quotient, satisfies, si_quotients, sigma, subalgebras,
+                    tau)
 from mvmlab.errors import NotDivisorClosed, NotPositiveMV
 from mvmlab.terms import var, variables
 from mvmlab.varieties import _fold_odot, _fold_oplus, _ladder
 
-from conftest import shuffled
+from conftest import seeded_chain_tables, shuffled
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +299,7 @@ def _classify_by_hs_closure(generators):
             if canonical_key(ln_plus(n)) in closure}
 
 
+@functools.cache
 def _positive_corpus():
     """One algebra per iso class: the positive chains of size <= 6, their
     products of <= 12 elements, and the subalgebras of those products, save
@@ -352,6 +355,24 @@ def test_classify_rejects_non_positive_generators():
     with pytest.raises(NotPositiveMV) as exc:
         classify_variety([ln_plus(2), cn_delta(2)])
     assert exc.value.index == 1
+    # the SI indices decide positivity: the axioms and cancellativity agree
+    catalogued = [catalog(name) for name in catalog_names()]
+    corpus = [A for n in range(1, 6) for A in enumerate_chain(n, "all")]
+    corpus += seeded_chain_tables(300, 21)
+    corpus += catalogued + list(_positive_corpus())
+    corpus += [product(A, B) for A, B in
+               itertools.combinations_with_replacement(catalogued, 2)
+               if A.size * B.size <= 12]
+    rejected = 0
+    for A in corpus:
+        try:
+            classify_variety([A])
+        except NotPositiveMV:
+            rejected += 1
+            assert not is_positive_mv(A), A
+        else:
+            assert is_positive_mv(A), A
+    assert 0 < rejected < len(corpus) - 200
 
 
 def test_almost_minimal_axioms():
