@@ -317,33 +317,30 @@ class FiniteLMonoid:
         return self.join[a][b] == b
 
 
-def make_lmonoid(size, zero, plus, join=None, meet=None, name="",
-                 validate=True):
+def make_lmonoid(size, zero, plus, join=None, meet=None, name=""):
     _check_size(size)
     chain = join is None and meet is None
     if chain:
         join, meet = max_table(size), min_table(size)
-    if validate:
-        for what, t in (("plus", plus), ("join", join), ("meet", meet)):
-            _check_table(t, size, what)
-        _check_element(zero, size, "zero")
+    for what, t in (("plus", plus), ("join", join), ("meet", meet)):
+        _check_table(t, size, what)
+    _check_element(zero, size, "zero")
     plus, join, meet = _freeze(plus), _freeze(join), _freeze(meet)
-    if validate:
-        _validate_lattice(join, meet, size)
-        n = size
-        for i in range(n):
-            if plus[zero][i] != i:
-                raise NotAnLMonoid("zero is not a +-unit", (zero, i))
-            for j in range(n):
-                if plus[i][j] != plus[j][i]:
-                    raise NotAnLMonoid("+ commutativity fails", (i, j))
-                for k in range(n):
-                    if plus[plus[i][j]][k] != plus[i][plus[j][k]]:
-                        raise NotAnLMonoid("+ associativity fails", (i, j, k))
-                    if plus[i][join[j][k]] != join[plus[i][j]][plus[i][k]]:
-                        raise NotAnLMonoid("+ over join fails", (i, j, k))
-                    if plus[i][meet[j][k]] != meet[plus[i][j]][plus[i][k]]:
-                        raise NotAnLMonoid("+ over meet fails", (i, j, k))
+    _validate_lattice(join, meet, size)
+    n = size
+    for i in range(n):
+        if plus[zero][i] != i:
+            raise NotAnLMonoid("zero is not a +-unit", (zero, i))
+        for j in range(n):
+            if plus[i][j] != plus[j][i]:
+                raise NotAnLMonoid("+ commutativity fails", (i, j))
+            for k in range(n):
+                if plus[plus[i][j]][k] != plus[i][plus[j][k]]:
+                    raise NotAnLMonoid("+ associativity fails", (i, j, k))
+                if plus[i][join[j][k]] != join[plus[i][j]][plus[i][k]]:
+                    raise NotAnLMonoid("+ over join fails", (i, j, k))
+                if plus[i][meet[j][k]] != meet[plus[i][j]][plus[i][k]]:
+                    raise NotAnLMonoid("+ over meet fails", (i, j, k))
     if not chain:
         chain = join == max_table(size) and meet == min_table(size)
     return FiniteLMonoid(size, zero, plus, join, meet, chain, name=name)

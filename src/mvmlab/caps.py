@@ -2,7 +2,7 @@
 
 import os
 
-from .errors import CapExceeded
+from .errors import BadArgument, CapExceeded
 
 _DEFAULTS = {
     "PRODUCT": 64,      # product size
@@ -14,8 +14,12 @@ _DEFAULTS = {
 
 def check(name, measured, what):
     """Raise CapExceeded when the measured `what` exceeds cap `name`."""
-    env = os.environ.get(f"MVMLAB_CAP_{name}")
-    limit = _DEFAULTS[name] if env is None else int(env)
+    var = f"MVMLAB_CAP_{name}"
+    env = os.environ.get(var)
+    try:
+        limit = _DEFAULTS[name] if env is None else int(env)
+    except ValueError:
+        raise BadArgument(f"{var} must be an integer, got {env!r}") from None
     if measured > limit:
         raise CapExceeded(f"{what} is {measured}, above the cap {limit} "
-                          f"(MVMLAB_CAP_{name})")
+                          f"({var})")

@@ -61,15 +61,11 @@ def _parse_set(text):
     return varieties.DivisorClosedSet(members)
 
 
-def _load_arg(path):
-    return algebra.load_file(path)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 def _cmd_axioms(args, out):
-    report = is_mv_monoid(_load_arg(args.file))
+    report = is_mv_monoid(algebra.load_file(args.file))
     out.write(_dump(report.as_dict()) + "\n")
 
 
@@ -80,7 +76,7 @@ def _congruence_poset(lat):
 
 
 def _cmd_congruences(args, out):
-    A = _load_arg(args.file)
+    A = algebra.load_file(args.file)
     lat = congruences.congruence_lattice(A)
     P = _congruence_poset(lat)
     if args.dot:
@@ -145,7 +141,7 @@ def _witness(res):
 
 
 def _cmd_check_eq(args, out):
-    res = terms.satisfies(_load_arg(args.file), terms.parse(args.eq))
+    res = terms.satisfies(algebra.load_file(args.file), terms.parse(args.eq))
     out.write(_dump({"holds": res.passed, "witness": _witness(res)}) + "\n")
 
 
@@ -161,31 +157,31 @@ def _axiomset_verdict(A, aset):
 
 
 def _cmd_phi(args, out):
-    out.write(_dump(_axiomset_verdict(_load_arg(args.file),
+    out.write(_dump(_axiomset_verdict(algebra.load_file(args.file),
                                       varieties.phi(args.n))) + "\n")
 
 
 def _cmd_sigma(args, out):
-    out.write(_dump(_axiomset_verdict(_load_arg(args.file),
+    out.write(_dump(_axiomset_verdict(algebra.load_file(args.file),
                                       varieties.sigma(_parse_set(args.set))))
               + "\n")
 
 
 def _cmd_member(args, out):
-    A = _load_arg(args.file)
+    A = algebra.load_file(args.file)
     I = _parse_set(args.set)
     out.write(_dump({"set": list(I), "member": varieties.member_of_variety(A, I)})
               + "\n")
 
 
 def _cmd_classify(args, out):
-    gens = [_load_arg(f) for f in args.files]
+    gens = [algebra.load_file(f) for f in args.files]
     I = varieties.classify_variety(gens)
     out.write(_dump({"set": list(I)}) + "\n")
 
 
 def _cmd_hsu(args, out):
-    gens = [_load_arg(f) for f in args.files]
+    gens = [algebra.load_file(f) for f in args.files]
     closure = morphisms.hs_closure(gens)
     names = sorted(identify(A) for A in closure.values())
     out.write(_dump({"classes": names}) + "\n")
@@ -208,7 +204,7 @@ def _poset_out(P, args, out, dot_name, label_of=str):
 
 
 def _cmd_poset(args, out):
-    gens = [_load_arg(f) for f in args.files]
+    gens = [algebra.load_file(f) for f in args.files]
     _poset_out(_named_poset(morphisms.si_poset(gens)), args, out, "si_poset")
 
 

@@ -3,15 +3,16 @@ parser, evaluator and (quasi-)equation satisfaction in finite algebras.
 
 Term nodes are interned (hash-consed): structurally equal terms are the same
 object, so a generated term is a DAG that shares its subterms.  Every walk
-over a term uses an explicit stack, so depth is bounded by memory, not by the
-interpreter's recursion limit.  A check evaluates each DAG node at most once
-per call, as a column of its values over all assignments in
+over a term, and the parser, uses an explicit stack, so depth is bounded by
+memory, not by the interpreter's recursion limit.  A check evaluates each DAG
+node at most once per call, as a column of its values over all assignments in
 `itertools.product` order, with C-level `map`s over the operation tables; the
 first index where two columns differ decodes to the lexicographically least
 failing assignment.  A quasi-equation is checked in blocks, one per value of
 the first variable, so each node is evaluated once per block.
 """
 
+import re
 import weakref
 from operator import and_, eq, getitem, ne
 
@@ -178,171 +179,136 @@ def to_text(t):
 
 _VARS = {"x": 0, "y": 1, "z": 2}
 
+# one alternative per token kind, tried in this order; \d is what int reads
+_TOKEN = re.compile(r"""
+    (?P<SPACE>\s+) | (?P<ARROW>=>) | (?P<EQ>[≈=]) | (?P<MEET>\^\^)
+  | (?P<POW>\^) | (?P<PUNCT>[+*&()]) | (?P<JOIN>v) | (?P<INT>\d+)
+  | (?P<VAR>[xyz]\d*) | (?P<BAD>.)""", re.VERBOSE | re.DOTALL)
+
 
 def _tokenize(text):
+    """(kind, value, position) triples, ending with ("END", None, len)."""
     toks = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
+    for m in _TOKEN.finditer(text):
+        kind, s, i = m.lastgroup, m.group(), m.start()
+        if kind == "SPACE":
             continue
-        if text.startswith("=>", i):
-            toks.append(("ARROW", "=>", i))
-            i += 2
-        elif c in "≈=":
-            toks.append(("EQ", c, i))
-            i += 1
-        elif text.startswith("^^", i):
-            toks.append(("MEET", "^^", i))
-            i += 2
-        elif c == "^":
-            toks.append(("POW", "^", i))
-            i += 1
-        elif c in "+*&()":
-            toks.append((c, c, i))
-            i += 1
-        elif c == "v":
-            toks.append(("JOIN", "v", i))
-            i += 1
-        elif c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(("INT", int(text[i:j]), i))
-            i = j
-        elif c in _VARS:
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            if j > i + 1:
-                if c != "x":
-                    raise TermSyntaxError(f"indexed variables use x<digits>", i)
-                toks.append(("VAR", int(text[i + 1:j]), i))
+        value = s
+        if kind == "BAD":
+            raise TermSyntaxError(f"unexpected character {s!r}", i)
+        if kind == "PUNCT":
+            kind = s
+        elif kind == "INT":
+            value = int(s)
+        elif kind == "VAR":
+            if len(s) == 1:
+                value = _VARS[s]
+            elif s[0] == "x":
+                value = int(s[1:])
             else:
-                toks.append(("VAR", _VARS[c], i))
-            i = j
-        else:
-            raise TermSyntaxError(f"unexpected character {c!r}", i)
-    toks.append(("END", None, n))
+                raise TermSyntaxError("indexed variables use x<digits>", i)
+        toks.append((kind, value, i))
+    toks.append(("END", None, len(text)))
     return toks
 
 
-class _Parser:
-    def __init__(self, text):
-        self.toks = _tokenize(text)
-        self.pos = 0
+# binary operators, loosest first; all associate to the left
+_BINARY = {"JOIN": join, "MEET": meet, "+": oplus, "*": odot}
+_LEVEL = {kind: level for level, kind in enumerate(_BINARY)}
+_OPEN = -1                # an open bracket, which no operator pops
+_PREFIX = len(_BINARY)    # a scalar prefix binds tighter than any operator
+_STARTS_OPERAND = ("VAR", "(", "INT")
 
-    def peek(self):
-        return self.toks[self.pos]
 
-    def next(self):
-        t = self.toks[self.pos]
-        self.pos += 1
-        return t
+def _expect(toks, i, kind):
+    k, v, p = toks[i]
+    if k != kind:
+        raise TermSyntaxError(f"expected {kind}, got {v!r}", p)
+    return i + 1
 
-    def expect(self, kind):
-        k, v, p = self.next()
-        if k != kind:
-            raise TermSyntaxError(f"expected {kind}, got {v!r}", p)
-        return v
 
-    def expr(self):
-        t = self.meet_level()
-        while self.peek()[0] == "JOIN":
-            self.next()
-            t = join(t, self.meet_level())
-        return t
+def _reduce(ops, vals, level):
+    """Apply the operators on top of `ops` that bind at least as tightly as
+    `level` to the operands on top of `vals`."""
+    while ops and ops[-1][0] >= level:
+        lvl, op = ops.pop()
+        if lvl == _PREFIX:
+            vals[-1] = scalar(op, vals[-1])
+        else:
+            right = vals.pop()
+            vals[-1] = op(vals[-1], right)
 
-    def meet_level(self):
-        t = self.sum_level()
-        while self.peek()[0] == "MEET":
-            self.next()
-            t = meet(t, self.sum_level())
-        return t
 
-    def sum_level(self):
-        t = self.prod_level()
-        while self.peek()[0] == "+":
-            self.next()
-            t = oplus(t, self.prod_level())
-        return t
-
-    def prod_level(self):
-        t = self.scalar_level()
-        while self.peek()[0] == "*":
-            self.next()
-            t = odot(t, self.scalar_level())
-        return t
-
-    def _starts_atom(self):
-        k, v, _ = self.peek()
-        return k in ("VAR", "(", "INT")
-
-    def scalar_level(self):
-        k, v, p = self.peek()
-        if k == "INT":
-            self.next()
-            if self._starts_atom():
-                return scalar(v, self.scalar_level())
-            if v == 0:
-                return const("zero")
-            if v == 1:
-                return const("one")
+def _term(toks, i):
+    """The longest term starting at toks[i], and the index of the token after
+    it.  Shunting-yard over explicit stacks: `ops` holds (level, operator)
+    pairs, with brackets at _OPEN and scalar prefixes k as (_PREFIX, k), and
+    `vals` the operands, so any depth of nesting takes linear time."""
+    ops, vals = [], []
+    while True:
+        # an operand: open brackets and scalar prefixes, then an atom
+        kind, v, p = toks[i]
+        while kind == "(" or (kind == "INT"
+                              and toks[i + 1][0] in _STARTS_OPERAND):
+            ops.append((_OPEN, None) if kind == "(" else (_PREFIX, v))
+            i += 1
+            kind, v, p = toks[i]
+        i += 1
+        if kind == "VAR":
+            vals.append(var(v))
+        elif kind == "INT" and v in (0, 1):
+            vals.append(const("one" if v else "zero"))
+        elif kind == "INT":
             raise TermSyntaxError(f"bare integer {v} is not a term", p)
-        return self.postfix()
+        else:
+            raise TermSyntaxError(f"unexpected token {v!r}", p)
+        # then powers and closing brackets, up to an operator or the end
+        while True:
+            kind, v, p = toks[i]
+            if kind == "POW":
+                i = _expect(toks, i + 1, "INT")
+                vals[-1] = power(vals[-1], toks[i - 1][1])
+                continue
+            # a closing bracket or the term's end reduces down to the
+            # innermost open bracket, as the loosest operator does
+            level = _LEVEL.get(kind, 0)
+            _reduce(ops, vals, level)
+            if kind in _BINARY:
+                ops.append((level, _BINARY[kind]))
+                i += 1
+                break
+            if not ops:
+                return vals[0], i
+            if kind != ")":
+                raise TermSyntaxError(f"expected ), got {v!r}", p)
+            ops.pop()
+            i += 1
 
-    def postfix(self):
-        t = self.atom()
-        while self.peek()[0] == "POW":
-            self.next()
-            t = power(t, self.expect("INT"))
-        return t
 
-    def atom(self):
-        k, v, p = self.next()
-        if k == "VAR":
-            return var(v)
-        if k == "(":
-            t = self.expr()
-            self.expect(")")
-            return t
-        raise TermSyntaxError(f"unexpected token {v!r}", p)
-
-    def equation(self):
-        lhs = self.expr()
-        self.expect("EQ")
-        return Equation(lhs, self.expr())
-
-    def input(self):
-        kinds = {k for k, _, _ in self.toks}
-        if "ARROW" in kinds:
-            premises = [self.equation()]
-            while self.peek()[0] == "&":
-                self.next()
-                premises.append(self.equation())
-            self.expect("ARROW")
-            conclusion = self.equation()
-            self.expect("END")
-            return QuasiEquation(premises, conclusion)
-        if "EQ" in kinds:
-            e = self.equation()
-            self.expect("END")
-            return e
-        t = self.expr()
-        self.expect("END")
-        return t
+def _equation(toks, i):
+    lhs, i = _term(toks, i)
+    rhs, i = _term(toks, _expect(toks, i, "EQ"))
+    return Equation(lhs, rhs), i
 
 
 def parse(text):
     """Parse a term, an equation, or a quasi-equation (`eq & eq => eq`)."""
-    p = _Parser(text)
-    try:
-        return p.input()
-    except RecursionError:
-        # the descent recurses once per level of brackets or scalar prefixes
-        raise TermSyntaxError("term is nested too deeply",
-                              p.peek()[2]) from None
+    toks = _tokenize(text)
+    kinds = {k for k, _, _ in toks}
+    if "ARROW" in kinds:
+        premise, i = _equation(toks, 0)
+        premises = [premise]
+        while toks[i][0] == "&":
+            premise, i = _equation(toks, i + 1)
+            premises.append(premise)
+        conclusion, i = _equation(toks, _expect(toks, i, "ARROW"))
+        out = QuasiEquation(premises, conclusion)
+    elif "EQ" in kinds:
+        out, i = _equation(toks, 0)
+    else:
+        out, i = _term(toks, 0)
+    _expect(toks, i, "END")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -365,17 +331,18 @@ def _postorder(roots, done, visit):
             stack.pop()
 
 
+def _width(width, t):
+    """Variable width of t: index + 1 for a variable, 0 for a constant, the
+    larger child width (read from `width`) for a binary node."""
+    if isinstance(t, BinOp):
+        return max(width[t.left], width[t.right])
+    return t.index + 1 if isinstance(t, Var) else 0
+
+
 def _widths(roots):
-    """Variable width of every node under `roots`: index + 1 for a variable,
-    0 for a constant, the larger child width for a binary node."""
+    """Variable width of every node under `roots`."""
     width = {}
-
-    def visit(t):
-        if isinstance(t, BinOp):
-            return max(width[t.left], width[t.right])
-        return t.index + 1 if isinstance(t, Var) else 0
-
-    _postorder(roots, width, visit)
+    _postorder(roots, width, lambda t: _width(width, t))
     return width
 
 
@@ -397,11 +364,12 @@ def _normalize_env(env):
     return out
 
 
-def _evaluator(A, size, var_column):
+def _evaluator(A, size, var_column, cols=None):
     """column(t): the values of t in A over `size` assignments, where
-    var_column(i) gives those of variable i.  Columns are kept for the
-    evaluator's lifetime, so each node is evaluated once, when first needed."""
-    cols = {}
+    var_column(i) gives those of variable i.  Columns are kept in `cols` (a
+    new dict by default), so each node is evaluated once, when first needed,
+    unless the caller drops its column from `cols`."""
+    cols = {} if cols is None else cols
 
     def visit(t):
         if isinstance(t, BinOp):
@@ -425,9 +393,9 @@ def _product_column(n, nv, i):
     return [v for v in range(n) for _ in range(n ** (nv - 1 - i))] * n ** i
 
 
-def _product_evaluator(A, nv):
+def _product_evaluator(A, nv, cols=None):
     return _evaluator(A, A.size ** nv,
-                      lambda i: _product_column(A.size, nv, i))
+                      lambda i: _product_column(A.size, nv, i), cols)
 
 
 def _assignment(mask, n, nv):
@@ -481,7 +449,8 @@ class CheckResult:
 def _failures(A, equations):
     """Each failing equation of an iterable (or of a single equation), in
     order, as a failed CheckResult with its least failing assignment.
-    Equations with the same variable count share one column per node, and
+    Equations with the same variable count share one column per node, a
+    column is dropped once the last equation over its node is checked, and
     evaluation goes only as far as the caller reads."""
     equations = (list(equations) if hasattr(equations, "__iter__")
                  else [equations])
@@ -489,14 +458,28 @@ def _failures(A, equations):
         if not isinstance(e, Equation):
             raise BadArgument("expected an equation, a quasi-equation or a "
                               f"list of equations, got {type(e).__name__}")
-    width = _widths([t for e in equations for t in (e.lhs, e.rhs)])
+    # walked backwards, the list meets each node first under the last
+    # equation over it, which is the last to read the node's column
+    width, last_met = {}, []
+
+    def visit(t):
+        last_met[-1].append(t)
+        return _width(width, t)
+
+    for e in reversed(equations):
+        last_met.append([])
+        _postorder((e.lhs, e.rhs), width, visit)
     evaluators = {}
-    for e in equations:
+    for e, done in zip(equations, reversed(last_met)):
         nv = max(width[e.lhs], width[e.rhs])
-        column = evaluators.get(nv)
-        if column is None:
-            column = evaluators[nv] = _product_evaluator(A, nv)
+        if nv not in evaluators:
+            cols = {}
+            evaluators[nv] = cols, _product_evaluator(A, nv, cols)
+        column = evaluators[nv][1]
         lhs, rhs = column(e.lhs), column(e.rhs)
+        for cols, _ in evaluators.values():
+            for t in done:
+                cols.pop(t, None)
         if lhs != rhs:
             witness = _assignment(list(map(ne, lhs, rhs)), A.size, nv)
             yield CheckResult(False, witness=witness, equation=e)

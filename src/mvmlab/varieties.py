@@ -17,9 +17,11 @@ class DivisorClosedSet:
     __slots__ = ("members",)
 
     def __init__(self, members):
-        ms = sorted(set(members))
-        if any(not isinstance(m, int) or m < 1 for m in ms):
+        members = list(members)
+        # bool is an int subclass, so True would pass for 1
+        if any(type(m) is not int or m < 1 for m in members):
             raise NotDivisorClosed("members must be positive integers")
+        ms = sorted(set(members))
         present = set(ms)
         for m in ms:
             for d in range(1, m + 1):

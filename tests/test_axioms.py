@@ -1,12 +1,16 @@
+import functools
+import tracemalloc
+
 import pytest
 
 from conftest import seeded_chain_tables
 
 from mvmlab import (catalog, chain_algebra, cn_delta, cn_nabla,
                     enumerate_chain, is_good_pair, is_mv_monoid,
-                    is_positive_mv, lm_delta, lm_nabla, ln_plus, satisfies,
-                    si_necessary_condition, trivial_algebra)
+                    is_positive_mv, lm_delta, lm_nabla, ln_plus, product,
+                    satisfies, si_necessary_condition, trivial_algebra)
 from mvmlab.axioms import MV_MONOID_AXIOMS
+from mvmlab.terms import _product_evaluator
 
 
 def test_axiom_list_is_complete_and_named():
@@ -63,6 +67,29 @@ def test_one_pass_report_matches_the_per_axiom_checks():
         assert is_mv_monoid(A).failures == expected, A
         broken_monoid += any(n.startswith("mon.") for n, _ in expected)
     assert broken_monoid > 200
+
+
+def _peak_traced_bytes(f):
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_one_pass_report_drops_columns_it_no_longer_reads():
+    A = functools.reduce(product, [ln_plus(1)] * 5)  # 32^3 assignments
+
+    def keep_every_column():
+        column = _product_evaluator(A, 3)
+        for _, e in MV_MONOID_AXIOMS:
+            column(e.lhs), column(e.rhs)
+
+    # at 59 nodes, holding every column costs over twice the live ones
+    assert _peak_traced_bytes(lambda: is_mv_monoid(A)) < \
+        _peak_traced_bytes(keep_every_column) / 2
+    assert is_mv_monoid(A)
 
 
 def test_non_monoid_fails_unit_axiom():

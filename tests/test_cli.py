@@ -194,13 +194,38 @@ def test_check_eq_rejects_a_bare_term(algebra_file, capsys):
     assert err.startswith("error: expected an equation")
 
 
-def test_check_eq_deep_nesting_is_a_syntax_error(algebra_file, capsys):
+def test_check_eq_takes_any_depth(algebra_file):
     deep = "(" * 2000 + "x" + ")" * 2000
-    code, out = run("check-eq", algebra_file(ln_plus(2)), "--eq",
-                    f"{deep} ≈ x")
+    f = algebra_file(ln_plus(2))
+    assert run_json("check-eq", f, "--eq", f"{deep} ≈ x") == \
+        {"holds": True, "witness": None}
+    doc = run_json("check-eq", f, "--eq", f"{deep} ≈ 0")
+    assert doc == {"holds": False, "witness": {"x": 1}}
+
+
+def test_sigma_output_checks_back(algebra_file):
+    # the threshold equation 201x ≈ 200x prints 200 brackets deep
+    f = algebra_file(ln_plus(1))
+    doc = run_json("sigma", f, "--set", ",".join(map(str, range(1, 201))))
+    assert doc["holds"] is True and len(doc["equations"]) == 1
+    assert run_json("check-eq", f, "--eq", doc["equations"][0]) == \
+        {"holds": True, "witness": None}
+
+
+def test_check_eq_superscript_digit_is_a_syntax_error(algebra_file, capsys):
+    code, out = run("check-eq", algebra_file(ln_plus(2)), "--eq", "x² ≈ x")
     err = capsys.readouterr().err
     assert code == 1 and out == ""
-    assert err.startswith("error: term is nested too deeply")
+    assert err == "error: unexpected character '²' (at position 1)\n"
+
+
+def test_malformed_cap_value_is_an_error(monkeypatch, capsys):
+    monkeypatch.setenv("MVMLAB_CAP_ENUM_CHAIN", "abc")
+    code, out = run("enumerate", "--size", "3", "--count-only")
+    err = capsys.readouterr().err
+    assert code == 1 and out == ""
+    assert err == "error: MVMLAB_CAP_ENUM_CHAIN must be an integer, " \
+        "got 'abc'\n"
 
 
 def test_phi_sigma_member_commands(algebra_file):

@@ -1,5 +1,7 @@
 import gc
+import inspect
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -12,8 +14,9 @@ from mvmlab import (CANCELLATIVITY, Equation, QuasiEquation, catalog,
 from mvmlab.axioms import MV_MONOID_AXIOMS
 from mvmlab.errors import BadArgument, MissingAssignment, TermSyntaxError
 from mvmlab.terms import (Const, Var, _assignment, _interned,
-                          _product_evaluator, _widths, const, join, meet,
-                          odot, oplus, power, scalar, var, variables)
+                          _product_evaluator, _tokenize, _widths, const,
+                          join, meet, odot, oplus, power, scalar, var,
+                          variables)
 
 
 # ---------------------------------------------------------------------------
@@ -87,17 +90,291 @@ def test_parse_quasi_equation():
 
 
 def test_parse_rejects_garbage():
-    # the last two nest past the recursive descent's depth
-    for text in ["x ≈", "≈ x", "x +", "2", "x y", "x ≈ y ≈ z", "(x", "w",
-                 "(" * 2000 + "x" + ")" * 2000, "2 " * 2000 + "x"]:
+    for text in ["x ≈", "≈ x", "x +", "2", "x y", "x ≈ y ≈ z", "(x", "w"]:
         with pytest.raises(TermSyntaxError):
             parse(text)
+
+
+def test_parse_takes_any_depth():
+    x = var(0)
+    assert parse("(" * 5000 + "x" + ")" * 5000) is x
+    assert parse("(" * 2000 + "x" + ")" * 2000 + " ≈ x") == Equation(x, x)
+    t = x
+    for _ in range(2000):
+        t = scalar(2, t)
+    assert parse("2 " * 2000 + "x") is t
+    deep = scalar(2000, x)
+    assert parse(to_text(deep)) is deep
+
+
+def _parse_at_depth(depth, text):
+    if depth:
+        return _parse_at_depth(depth - 1, text)
+    return parse(text)
+
+
+def test_parse_does_not_depend_on_the_caller_depth():
+    # called 900 frames deep with 30 frames left below the recursion limit
+    text = "(" * 20 + "x + y" + ")" * 20 + " ≈ y + x"
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 930)
+    try:
+        assert _parse_at_depth(900, text) == parse(text)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_constants_take_powers():
+    # constants are atoms, so 1^2 reads as (1)^2 does
+    assert parse("1^2") is power(const("one"), 2) is parse("(1)^2")
+    assert parse("2 0^3 + x") is oplus(scalar(2, power(const("zero"), 3)),
+                                       var(0))
+
+
+def test_digits_are_decimal_digits():
+    for text, position in [("x² ≈ x", 1), ("y²", 1), ("2²x", 1)]:
+        with pytest.raises(TermSyntaxError) as exc:
+            parse(text)
+        assert str(exc.value) == \
+            f"unexpected character '²' (at position {position})"
+    assert parse("٣x") is scalar(3, var(0))  # any decimal digit, as int reads
 
 
 def test_syntax_error_reports_position():
     with pytest.raises(TermSyntaxError) as exc:
         parse("x + $")
     assert exc.value.position == 4
+
+
+# ---------------------------------------------------------------------------
+# independent oracle: the recursive-descent parser `parse` replaced, one
+# method per precedence level, reading digits with str.isdigit
+
+def _old_tokenize(text):
+    toks = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        if text.startswith("=>", i):
+            toks.append(("ARROW", "=>", i))
+            i += 2
+        elif c in "≈=":
+            toks.append(("EQ", c, i))
+            i += 1
+        elif text.startswith("^^", i):
+            toks.append(("MEET", "^^", i))
+            i += 2
+        elif c == "^":
+            toks.append(("POW", "^", i))
+            i += 1
+        elif c in "+*&()":
+            toks.append((c, c, i))
+            i += 1
+        elif c == "v":
+            toks.append(("JOIN", "v", i))
+            i += 1
+        elif c.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            toks.append(("INT", int(text[i:j]), i))
+            i = j
+        elif c in "xyz":
+            j = i + 1
+            while j < n and text[j].isdigit():
+                j += 1
+            if j > i + 1:
+                if c != "x":
+                    raise TermSyntaxError("indexed variables use x<digits>", i)
+                toks.append(("VAR", int(text[i + 1:j]), i))
+            else:
+                toks.append(("VAR", "xyz".index(c), i))
+            i = j
+        else:
+            raise TermSyntaxError(f"unexpected character {c!r}", i)
+    toks.append(("END", None, n))
+    return toks
+
+
+class _OldParser:
+    def __init__(self, text):
+        self.toks = _old_tokenize(text)
+        self.pos = 0
+
+    def peek(self):
+        return self.toks[self.pos]
+
+    def next(self):
+        t = self.toks[self.pos]
+        self.pos += 1
+        return t
+
+    def expect(self, kind):
+        k, v, p = self.next()
+        if k != kind:
+            raise TermSyntaxError(f"expected {kind}, got {v!r}", p)
+        return v
+
+    def expr(self):
+        t = self.meet_level()
+        while self.peek()[0] == "JOIN":
+            self.next()
+            t = join(t, self.meet_level())
+        return t
+
+    def meet_level(self):
+        t = self.sum_level()
+        while self.peek()[0] == "MEET":
+            self.next()
+            t = meet(t, self.sum_level())
+        return t
+
+    def sum_level(self):
+        t = self.prod_level()
+        while self.peek()[0] == "+":
+            self.next()
+            t = oplus(t, self.prod_level())
+        return t
+
+    def prod_level(self):
+        t = self.scalar_level()
+        while self.peek()[0] == "*":
+            self.next()
+            t = odot(t, self.scalar_level())
+        return t
+
+    def _starts_atom(self):
+        k, v, _ = self.peek()
+        return k in ("VAR", "(", "INT")
+
+    def scalar_level(self):
+        k, v, p = self.peek()
+        if k == "INT":
+            self.next()
+            if self._starts_atom():
+                return scalar(v, self.scalar_level())
+            if v == 0:
+                return const("zero")
+            if v == 1:
+                return const("one")
+            raise TermSyntaxError(f"bare integer {v} is not a term", p)
+        return self.postfix()
+
+    def postfix(self):
+        t = self.atom()
+        while self.peek()[0] == "POW":
+            self.next()
+            t = power(t, self.expect("INT"))
+        return t
+
+    def atom(self):
+        k, v, p = self.next()
+        if k == "VAR":
+            return var(v)
+        if k == "(":
+            t = self.expr()
+            self.expect(")")
+            return t
+        raise TermSyntaxError(f"unexpected token {v!r}", p)
+
+    def equation(self):
+        lhs = self.expr()
+        self.expect("EQ")
+        return Equation(lhs, self.expr())
+
+    def input(self):
+        kinds = {k for k, _, _ in self.toks}
+        if "ARROW" in kinds:
+            premises = [self.equation()]
+            while self.peek()[0] == "&":
+                self.next()
+                premises.append(self.equation())
+            self.expect("ARROW")
+            conclusion = self.equation()
+            self.expect("END")
+            return QuasiEquation(premises, conclusion)
+        if "EQ" in kinds:
+            e = self.equation()
+            self.expect("END")
+            return e
+        t = self.expr()
+        self.expect("END")
+        return t
+
+
+def _parsed(parser, text):
+    """What `parser` makes of `text`: the term, the sides of each equation,
+    or the syntax error's message."""
+    try:
+        out = parser(text)
+    except TermSyntaxError as exc:
+        return str(exc)
+    if isinstance(out, QuasiEquation):
+        return [(e.lhs, e.rhs) for e in (*out.premises, out.conclusion)]
+    if isinstance(out, Equation):
+        return (out.lhs, out.rhs)
+    return out
+
+
+def _newly_accepted(text):
+    """The documented differences: a digit that int cannot read (a traceback
+    or another message before), and a power of a constant (an error before)."""
+    if any(c.isdigit() and not c.isdecimal() for c in text):
+        return True
+    try:
+        kinds = [(k, v) for k, v, _ in _tokenize(text)]
+    except TermSyntaxError:
+        return False
+    return any(k == "INT" and v in (0, 1) and nxt == "POW"
+               for (k, v), (nxt, _) in zip(kinds, kinds[1:]))
+
+
+def _glued(fragments):
+    # a space between two digits keeps every integer small: a scalar prefix k
+    # builds k nodes, and "10" "10" "10" would read as 101010
+    out = ""
+    for f in fragments:
+        out += " " + f if out[-1:].isdigit() and f[:1].isdigit() else f
+    return out
+
+
+_FRAGMENTS = ["x", "y", "z", "x3", "y2", "0", "1", "2", "3", "10", "+", "*",
+              "v", "^^", "^", "(", ")", "≈", "=", "=>", "&", " ", "$", "²",
+              "٣"]
+_atom_text = st.sampled_from(["x", "y", "z", "x3", "0", "1", "(x)"])
+_term_text = st.recursive(_atom_text, lambda sub: (
+    st.tuples(sub, st.sampled_from([" v ", " ^^ ", " + ", " * ", "+", "*"]),
+              sub).map("".join)
+    | st.tuples(st.sampled_from(["2", "3 ", "0", "1 "]), sub).map(_glued)
+    | sub.map(lambda t: f"({t})")
+    | st.tuples(sub, st.sampled_from(["^2", "^0", " ^ 3"])).map("".join)),
+    max_leaves=10)
+_equation_text = st.tuples(_term_text, st.sampled_from([" ≈ ", "="]),
+                           _term_text).map("".join)
+_input_text = st.one_of(
+    _term_text, _equation_text,
+    st.lists(_equation_text, min_size=1, max_size=3).map(" & ".join).flatmap(
+        lambda pre: _equation_text.map(lambda c: f"{pre} => {c}")))
+
+
+def _mutated(text, at, insert):
+    at %= len(text) + 1
+    return text[:at] + insert + text[at + (insert == ""):]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    st.lists(st.sampled_from(_FRAGMENTS), max_size=12).map(_glued),
+    _input_text,
+    st.builds(_mutated, _input_text, st.integers(0, 200),
+              st.sampled_from(["", "(", ")", "+", "≈", "2", "&", "=>"]))))
+def test_parse_agrees_with_the_recursive_descent(text):
+    new = _parsed(parse, text)  # a typed error at worst, never a traceback
+    if not _newly_accepted(text):
+        assert new == _parsed(lambda t: _OldParser(t).input(), text)
 
 
 _term_strategy = st.recursive(

@@ -53,6 +53,13 @@ def test_divisor_closed_set_rejects_gaps():
         DivisorClosedSet({0, 1})
 
 
+def test_divisor_closed_set_checks_types_before_sorting():
+    with pytest.raises(NotDivisorClosed):
+        DivisorClosedSet([1, "a"])  # sorting it would raise TypeError
+    with pytest.raises(NotDivisorClosed):
+        member_of_variety(ln_plus(2), [1, True, 2])  # True is not 1
+
+
 def test_empty_set_conventions():
     empty = DivisorClosedSet(())
     assert empty.max() == 0 and empty.lcm() == 1
