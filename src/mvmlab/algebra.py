@@ -99,6 +99,11 @@ class FiniteAlgebra:
         # number of elements strictly below a
         return sum(1 for x in range(self.size) if x != a and self.leq(x, a))
 
+    def heights(self):
+        """Every element's height in one pass over the columns of join:
+        x <= a iff join[x][a] == a, less a itself (join is idempotent)."""
+        return [col.count(a) - 1 for a, col in enumerate(zip(*self.join))]
+
     def rename(self, name):
         return FiniteAlgebra(self.size, self.zero, self.one, self.oplus,
                              self.odot, self.join, self.meet, self.chain_flag,
@@ -272,7 +277,8 @@ def canonical_key(A):
     if key is None:
         key = A._cache["key"] = canonical_form(
             A.size, (A.join, A.meet, A.oplus, A.odot), (A.zero, A.one),
-            [(A.height(e), e == A.zero, e == A.one) for e in range(A.size)])
+            [(h, e == A.zero, e == A.one)
+             for e, h in enumerate(A.heights())])
     return key
 
 

@@ -9,6 +9,7 @@ _DEFAULTS = {
     "ENUM_CHAIN": 8,    # chain enumeration
     "ENUM_LATTICE": 6,  # enumeration over a fixed non-chain lattice
     "DOWNSET": 12,      # downset lattice of a poset
+    "REPEAT": 10_000,   # scalar prefix or exponent in parsed text
 }
 
 

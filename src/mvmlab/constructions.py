@@ -4,6 +4,7 @@ plus Gamma-of-lexicographic-product, products, subalgebras and quotients."""
 
 import collections
 import itertools
+import operator
 
 from .algebra import (canonical_key, chain_algebra, make_algebra,
                       make_lmonoid, order_dual, trivial_algebra)
@@ -260,30 +261,37 @@ def subuniverse_closure(A, gens):
     return _extend(A, (), {A.zero, A.one, *gens})
 
 
-def _induced(A, reps, index, name=""):
-    """The algebra on len(reps) elements whose element i stands for reps[i]
-    and whose operations are A's on the representatives, read back through
-    `index` (element of A -> new element)."""
+def _induced_tables(A, reps, index):
+    """(zero, one, join, meet, oplus, odot) of the algebra on len(reps)
+    elements whose element i stands for reps[i] and whose operations are A's
+    on the representatives, read back through `index` (element of A -> new
+    element).  Equal tuples give equal algebras, hence equal keys."""
+    if len(reps) == 1:  # the trivial algebra; `pick` would not make tuples
+        return (0, 0) + (((0,),),) * 4
+    get, pick = index.__getitem__, operator.itemgetter(*reps)
+
     def table(t):
-        return [[index[t[a][b]] for b in reps] for a in reps]
+        return tuple(tuple(map(get, pick(row))) for row in pick(t))
 
-    return make_algebra(len(reps), index[A.zero], index[A.one],
-                        table(A.oplus), table(A.odot),
-                        join=table(A.join), meet=table(A.meet), name=name,
-                        validate=False)
+    return (get(A.zero), get(A.one), table(A.join), table(A.meet),
+            table(A.oplus), table(A.odot))
 
 
-def _subalgebra_on(A, subset):
-    elems = sorted(subset)
-    sub = _induced(A, elems, {e: i for i, e in enumerate(elems)})
-    return sub, tuple(elems)  # embedding: new index -> element of A
+def _from_tables(tables, name=""):
+    # the algebra of an `_induced_tables` tuple, trusted as it stands
+    zero, one, join, meet, oplus, odot = tables
+    return make_algebra(len(join), zero, one, oplus, odot, join=join,
+                        meet=meet, name=name, validate=False)
 
 
 def subalgebras(A):
     """All subuniverses up to isomorphism, as (algebra, embedding) pairs
     sorted by (size, key), each class embedded as its least subuniverse by
     (size, sorted elements).  Every subuniverse is reached from the least
-    one by adding one element at a time and closing."""
+    one by adding one element at a time and closing.  Many subuniverses
+    induce the very tables of a smaller one in that order (on L1+^4, 355
+    subuniverses give 71 distinct tables): such a subalgebra is neither
+    built nor keyed, since its class already has its least subuniverse."""
     least = subuniverse_closure(A, ())
     universes, stack = {least}, [least]
     while stack:
@@ -291,10 +299,13 @@ def subalgebras(A):
         grown = {_extend(A, S, (e,)) for e in range(A.size) if e not in S}
         stack += grown - universes
         universes |= grown
-    found = {}
+    found, seen = {}, set()
     for U in sorted(map(sorted, universes), key=lambda U: (len(U), U)):
-        sub, emb = _subalgebra_on(A, U)
-        found.setdefault(canonical_key(sub), (sub, emb))
+        tables = _induced_tables(A, U, {e: i for i, e in enumerate(U)})
+        if tables not in seen:
+            seen.add(tables)
+            sub = _from_tables(tables)
+            found.setdefault(canonical_key(sub), (sub, tuple(U)))
     return [found[k] for k in sorted(found, key=lambda k: (k[0], k))]
 
 
@@ -305,10 +316,21 @@ def quotient(A, theta):
     return _quotient(A, theta)
 
 
+def _quotient_tables(A, theta):
+    # `_induced_tables` of A/theta: block i stands for its least element,
+    # the first with block id i
+    ids = theta.ids
+    reps = [ids.index(b) for b in range(theta.num_blocks())]
+    return _induced_tables(A, reps, ids)
+
+
+def _quotient_name(A):
+    return f"{A.name}/theta" if A.name else ""
+
+
 def _quotient(A, theta):
     # `quotient` without the check, for a theta taken from Con(A)
-    return _induced(A, [b[0] for b in theta.blocks()], theta.ids,
-                    name=f"{A.name}/theta" if A.name else "")
+    return _from_tables(_quotient_tables(A, theta), _quotient_name(A))
 
 
 def si_quotients(A):

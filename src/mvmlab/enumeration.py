@@ -318,7 +318,7 @@ def enumerate_on_lattice(L, flt="all"):
     canonical-key order.  Filters as for `enumerate_chain`."""
     n = L.size
     _check_arguments(n, flt, "ENUM_LATTICE", "lattice")
-    order = sorted(range(n), key=L.height)
+    order = sorted(range(n), key=L.heights().__getitem__)
     found = {}
     for p, q in _pairs(L.join, L.meet, L.zero, L.one, order, flt):
         A = make_algebra(n, L.zero, L.one, p, q, join=L.join, meet=L.meet,

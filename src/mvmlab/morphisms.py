@@ -6,7 +6,8 @@ import warnings
 
 from .algebra import canonical_key
 from .congruences import congruence_lattice, is_subdirectly_irreducible
-from .constructions import _quotient, subalgebras
+from .constructions import (_from_tables, _quotient_name, _quotient_tables,
+                            subalgebras)
 from .posets import Poset
 
 
@@ -15,17 +16,27 @@ def hs_closure(S):
     algebra per isomorphism class; returns {key: algebra}, each class of S
     represented by its first member in S.  One pass suffices: SH(K) is
     contained in HS(K), so HS(K) is closed under H and S (Burris &
-    Sankappanavar, II §9)."""
-    found = {}
+    Sankappanavar, II §9).
+
+    Most quotients repeat the very tables of an earlier subalgebra or
+    quotient (every subalgebra has the trivial quotient, for one).  Equal
+    tables give equal keys, so such a quotient is neither built nor keyed:
+    its class is in `found` already, and its representative stays the
+    first."""
+    found, seen = {}, set()
     for A in S:
         found.setdefault(canonical_key(A), A)
     for A in list(found.values()):
         for B, _ in subalgebras(A):
             # B is its own quotient by the identity, the first congruence
             found.setdefault(canonical_key(B), B)
+            seen.add((B.zero, B.one, B.join, B.meet, B.oplus, B.odot))
             for theta in congruence_lattice(B).congruences[1:]:
-                Q = _quotient(B, theta)
-                found.setdefault(canonical_key(Q), Q)
+                tables = _quotient_tables(B, theta)
+                if tables not in seen:
+                    seen.add(tables)
+                    Q = _from_tables(tables, _quotient_name(B))
+                    found.setdefault(canonical_key(Q), Q)
     return found
 
 

@@ -16,6 +16,7 @@ import re
 import weakref
 from operator import and_, eq, getitem, ne
 
+from .caps import check
 from .errors import BadArgument, MissingAssignment, TermSyntaxError
 
 
@@ -239,17 +240,29 @@ def _reduce(ops, vals, level):
             vals[-1] = op(vals[-1], right)
 
 
-def _term(toks, i):
+def _repeat(spent, k):
+    """Charge a scalar prefix or exponent k, which builds up to k nodes, to
+    the one-element list `spent` that one input shares, before any node is
+    built.  The cap bounds the sum: a cap on each k alone would let m
+    prefixes in a row build m times as many."""
+    spent[0] += k
+    check("REPEAT", spent[0], "the sum of scalar prefixes and exponents")
+
+
+def _term(toks, i, spent):
     """The longest term starting at toks[i], and the index of the token after
     it.  Shunting-yard over explicit stacks: `ops` holds (level, operator)
     pairs, with brackets at _OPEN and scalar prefixes k as (_PREFIX, k), and
-    `vals` the operands, so any depth of nesting takes linear time."""
+    `vals` the operands, so any depth of nesting takes linear time.  Scalar
+    prefixes and exponents are charged to `spent` (see `_repeat`)."""
     ops, vals = [], []
     while True:
         # an operand: open brackets and scalar prefixes, then an atom
         kind, v, p = toks[i]
         while kind == "(" or (kind == "INT"
                               and toks[i + 1][0] in _STARTS_OPERAND):
+            if kind == "INT":
+                _repeat(spent, v)
             ops.append((_OPEN, None) if kind == "(" else (_PREFIX, v))
             i += 1
             kind, v, p = toks[i]
@@ -267,6 +280,7 @@ def _term(toks, i):
             kind, v, p = toks[i]
             if kind == "POW":
                 i = _expect(toks, i + 1, "INT")
+                _repeat(spent, toks[i - 1][1])
                 vals[-1] = power(vals[-1], toks[i - 1][1])
                 continue
             # a closing bracket or the term's end reduces down to the
@@ -285,28 +299,31 @@ def _term(toks, i):
             i += 1
 
 
-def _equation(toks, i):
-    lhs, i = _term(toks, i)
-    rhs, i = _term(toks, _expect(toks, i, "EQ"))
+def _equation(toks, i, spent):
+    lhs, i = _term(toks, i, spent)
+    rhs, i = _term(toks, _expect(toks, i, "EQ"), spent)
     return Equation(lhs, rhs), i
 
 
 def parse(text):
-    """Parse a term, an equation, or a quasi-equation (`eq & eq => eq`)."""
+    """Parse a term, an equation, or a quasi-equation (`eq & eq => eq`).
+    The scalar prefixes and exponents of one input may sum to at most the
+    REPEAT cap (10,000 by default); above it, CapExceeded."""
     toks = _tokenize(text)
     kinds = {k for k, _, _ in toks}
+    spent = [0]
     if "ARROW" in kinds:
-        premise, i = _equation(toks, 0)
+        premise, i = _equation(toks, 0, spent)
         premises = [premise]
         while toks[i][0] == "&":
-            premise, i = _equation(toks, i + 1)
+            premise, i = _equation(toks, i + 1, spent)
             premises.append(premise)
-        conclusion, i = _equation(toks, _expect(toks, i, "ARROW"))
+        conclusion, i = _equation(toks, _expect(toks, i, "ARROW"), spent)
         out = QuasiEquation(premises, conclusion)
     elif "EQ" in kinds:
-        out, i = _equation(toks, 0)
+        out, i = _equation(toks, 0, spent)
     else:
-        out, i = _term(toks, 0)
+        out, i = _term(toks, 0, spent)
     _expect(toks, i, "END")
     return out
 

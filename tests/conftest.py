@@ -6,7 +6,10 @@ import pytest
 from hypothesis import strategies as st
 
 from mvmlab import (canonical_key, catalog, catalog_names, chain_algebra,
-                    enumerate_chain, make_algebra)
+                    congruence_lattice, enumerate_chain, make_algebra,
+                    order_dual, product)
+from mvmlab.algebra import canonical_form
+from mvmlab.constructions import _extend, subuniverse_closure
 
 
 @pytest.fixture(scope="session")
@@ -99,3 +102,78 @@ def reference_subalgebras(A):
                                join=table(A.join), meet=table(A.meet))
             found.setdefault(canonical_key(sub), (sub, tuple(elems)))
     return [found[k] for k in sorted(found, key=lambda k: (k[0], k))]
+
+
+# ---------------------------------------------------------------------------
+# HS closures and subalgebras that build and key every candidate: the
+# oracles for skipping repeated tables
+
+def height_key(A):
+    """`canonical_key` with each element's height counted one element at a
+    time (`FiniteAlgebra.height`), kept in A's cache apart from the key."""
+    key = A._cache.get("height_key")
+    if key is None:
+        key = A._cache["height_key"] = canonical_form(
+            A.size, (A.join, A.meet, A.oplus, A.odot), (A.zero, A.one),
+            [(A.height(e), e == A.zero, e == A.one) for e in range(A.size)])
+    return key
+
+
+def _induced(A, reps, index, name=""):
+    def table(t):
+        return [[index[t[a][b]] for b in reps] for a in reps]
+
+    return make_algebra(len(reps), index[A.zero], index[A.one],
+                        table(A.oplus), table(A.odot),
+                        join=table(A.join), meet=table(A.meet), name=name,
+                        validate=False)
+
+
+def unskipped_subalgebras(A):
+    """`subalgebras` with a subalgebra built and keyed for every
+    subuniverse, in the same (size, sorted elements) order."""
+    least = subuniverse_closure(A, ())
+    universes, stack = {least}, [least]
+    while stack:
+        S = stack.pop()
+        grown = {_extend(A, S, (e,)) for e in range(A.size) if e not in S}
+        stack += grown - universes
+        universes |= grown
+    found = {}
+    for U in sorted(map(sorted, universes), key=lambda U: (len(U), U)):
+        sub = _induced(A, U, {e: i for i, e in enumerate(U)})
+        found.setdefault(height_key(sub), (sub, tuple(U)))
+    return [found[k] for k in sorted(found, key=lambda k: (k[0], k))]
+
+
+def unskipped_hs_closure(S):
+    """`hs_closure` with every quotient of every subalgebra built and
+    keyed, in the same order, so its dict order is the one to match."""
+    found = {}
+    for A in S:
+        found.setdefault(height_key(A), A)
+    for A in list(found.values()):
+        for B, _ in unskipped_subalgebras(A):
+            found.setdefault(height_key(B), B)
+            for theta in congruence_lattice(B).congruences[1:]:
+                Q = _induced(B, [b[0] for b in theta.blocks()], theta.ids,
+                             name=f"{B.name}/theta" if B.name else "")
+                found.setdefault(height_key(Q), Q)
+    return found
+
+
+def algebra_tables(A):
+    return (A.zero, A.one, A.join, A.meet, A.oplus, A.odot)
+
+
+@functools.cache
+def si_product_family():
+    """The product of each `si_chain_pairs` pair, taken as it is, as its
+    order dual, or shuffled (plain or dual), in turn."""
+    out = []
+    for i, (A, B) in enumerate(si_chain_pairs()):
+        P = product(A, B)
+        if i % 3 == 1 or i % 6 == 5:
+            P = order_dual(P)
+        out.append(shuffled(P, i) if i % 3 == 2 else P)
+    return out

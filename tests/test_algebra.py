@@ -4,16 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvmlab import (are_isomorphic, canonical_key, catalog, chain_algebra,
-                    cn_delta, cn_nabla, lm_delta, lm_nabla, ln_plus, load,
-                    load_file, make_algebra, order_dual, product, save,
-                    trivial_algebra)
+from mvmlab import (are_isomorphic, canonical_key, catalog, catalog_names,
+                    chain_algebra, cn_delta, cn_nabla, enumerate_chain,
+                    lm_delta, lm_nabla, ln_plus, load, load_file,
+                    make_algebra, order_dual, product, save, trivial_algebra)
 from mvmlab.algebra import canonical_form, load_lmonoid, make_lmonoid
-from mvmlab.constructions import _induced
+from mvmlab.constructions import _from_tables, _induced_tables
 from mvmlab.errors import (MalformedDocument, NotALattice, NotAnLMonoid,
                            TableOutOfRange)
 
-from conftest import relabel, shuffled
+from conftest import height_key, relabel, shuffled, si_product_family
 
 
 def test_trivial_algebra():
@@ -198,10 +198,24 @@ def test_canonical_key_is_kept_per_algebra():
             [(A.height(e), e == A.zero, e == A.one) for e in range(A.size)])
         assert canonical_key(A) is key
         # algebras built from A start without its key
-        same = _induced(A, range(A.size), range(A.size))
+        same = _from_tables(_induced_tables(A, range(A.size), range(A.size)))
         for B in (A.rename("copy"), order_dual(A), same):
             assert "key" not in B._cache
         assert canonical_key(A.rename("copy")) == canonical_key(same) == key
+
+
+def test_heights_in_one_pass_match_the_per_element_count():
+    algebras = [catalog(name) for name in catalog_names()]
+    for A in algebras + list(si_product_family()):
+        assert A.heights() == [A.height(e) for e in range(A.size)]
+
+
+def test_canonical_key_is_unchanged_by_the_one_pass_heights():
+    algebras = [catalog(name) for name in catalog_names()]
+    algebras += [A for n in range(1, 6) for A in enumerate_chain(n, "all")]
+    for i, A in enumerate(algebras + list(si_product_family())):
+        for B in (A, shuffled(A, i)):
+            assert canonical_key(B) == height_key(B)
 
 
 def test_are_isomorphic_rejects_different_sizes():

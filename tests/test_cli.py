@@ -3,6 +3,8 @@ import ast
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -217,6 +219,32 @@ def test_check_eq_superscript_digit_is_a_syntax_error(algebra_file, capsys):
     err = capsys.readouterr().err
     assert code == 1 and out == ""
     assert err == "error: unexpected character '²' (at position 1)\n"
+
+
+@pytest.mark.parametrize("eq", ["200000x ≈ x", "x^200000 ≈ x"])
+def test_check_eq_caps_scalar_prefixes_and_exponents(algebra_file, capsys,
+                                                     eq):
+    code, out = run("check-eq", algebra_file(ln_plus(2)), "--eq", eq)
+    err = capsys.readouterr().err
+    assert code == 1 and out == ""
+    assert err == "error: the sum of scalar prefixes and exponents is " \
+        "200000, above the cap 10000 (MVMLAB_CAP_REPEAT)\n"
+
+
+def test_python_dash_m_runs_the_command_line(algebra_file):
+    # `python -m mvmlab` in a source checkout, as the installed `mvmlab`
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+    f = algebra_file(ln_plus(3))
+    done = subprocess.run([sys.executable, "-m", "mvmlab", "axioms", f],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 0 and done.stderr == ""
+    assert done.stdout == run("axioms", f)[1]
+    done = subprocess.run([sys.executable, "-m", "mvmlab", "check-eq", f,
+                           "--eq", "x ≈"], capture_output=True, text=True,
+                          env=env)
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr.startswith("error: ")
 
 
 def test_malformed_cap_value_is_an_error(monkeypatch, capsys):

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (random_chain_tables, reference_subalgebras, shuffled,
-                      si_chain_pairs)
+from conftest import (algebra_tables, random_chain_tables,
+                      reference_subalgebras, shuffled, si_chain_pairs,
+                      si_product_family, unskipped_subalgebras)
 from mvmlab import (are_isomorphic, canonical_key, catalog, catalog_names,
                     cn_delta, cn_delta_star, cn_nabla, cn_nabla_star,
                     gamma_of_lex, is_mv_monoid, lm_delta, lm_delta_star,
@@ -157,6 +158,17 @@ def test_subalgebras_of_relabeled_products_match_the_subset_scan(pair, seed):
 @given(random_chain_tables())
 def test_subalgebras_of_non_commutative_tables_match_the_subset_scan(A):
     assert subalgebras(A) == reference_subalgebras(A)
+
+
+def _listing(subs):
+    return [(algebra_tables(B), B.name, emb) for B, emb in subs]
+
+
+def test_subalgebras_skip_only_repeated_tables(catalog_algebras):
+    # same tables, names and embeddings as building and keying every
+    # subuniverse
+    for A in [*catalog_algebras.values(), *si_product_family()]:
+        assert _listing(subalgebras(A)) == _listing(unskipped_subalgebras(A))
 
 
 def test_subalgebras_of_infinitesimal_chain():

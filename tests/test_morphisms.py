@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_subalgebras, shuffled, si_chain_pairs
+from conftest import (algebra_tables, reference_subalgebras, shuffled,
+                      si_chain_pairs, si_product_family, unskipped_hs_closure)
 from mvmlab import (are_isomorphic, canonical_key, catalog, catalog_names,
                     cn_delta, congruence_lattice, enumerate_chain, hs_closure,
                     ln_plus, lm_delta, order_dual, product, quotient,
-                    si_poset, trivial_algebra)
+                    si_poset, subalgebras, trivial_algebra)
 from mvmlab.cli import identify
 
 
@@ -158,6 +159,41 @@ def test_hs_closure_keeps_the_first_generator_of_each_class(drawn):
 def test_hs_closure_of_large_products_matches_the_fixpoint(factors):
     P = product(*map(ln_plus, factors))
     assert set(hs_closure([P])) == set(_reference_hs_closure([P]))
+
+
+def _same_closure(new, old):
+    """Same keys in the same order, and representatives with the same
+    tables and names."""
+    assert list(new) == list(old)
+    for k, A in new.items():
+        assert algebra_tables(A) == algebra_tables(old[k])
+        assert A.name == old[k].name
+
+
+def test_hs_closure_skips_only_repeated_tables():
+    for P in si_product_family():
+        _same_closure(hs_closure([P]), unskipped_hs_closure([P]))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(si_product_family()[:40]),
+                          st.integers(0, 3)), min_size=2, max_size=3))
+def test_hs_closure_of_several_generators_skips_only_repeats(drawn):
+    # named and unnamed generators, some isomorphic, share one seen set
+    gens = [shuffled(P, seed).rename(f"g{seed}") if seed else P
+            for P, seed in drawn]
+    _same_closure(hs_closure(gens), unskipped_hs_closure(gens))
+
+
+@pytest.mark.slow
+def test_hs_closure_of_the_fifth_boolean_power():
+    # opt in with -m slow: about 12 s, most of it in the oracle
+    L = ln_plus(1)
+    P = product(product(product(product(L, L), L), L), L)
+    assert len(subalgebras(P)) == 87
+    closure = hs_closure([P])
+    assert len(closure) == 88
+    _same_closure(closure, unskipped_hs_closure([P]))
 
 
 def test_hs_closure_of_a_product_contains_both_factors():

@@ -2,6 +2,7 @@ import gc
 import inspect
 import itertools
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,8 @@ from mvmlab import (CANCELLATIVITY, Equation, QuasiEquation, catalog,
                     evaluate, ln_plus, parse, phi, satisfies, satisfies_all,
                     satisfies_quasi, to_text)
 from mvmlab.axioms import MV_MONOID_AXIOMS
-from mvmlab.errors import BadArgument, MissingAssignment, TermSyntaxError
+from mvmlab.errors import (BadArgument, CapExceeded, MissingAssignment,
+                           TermSyntaxError)
 from mvmlab.terms import (Const, Var, _assignment, _interned,
                           _product_evaluator, _tokenize, _widths, const,
                           join, meet, odot, oplus, power, scalar, var,
@@ -105,6 +107,29 @@ def test_parse_takes_any_depth():
     assert parse("2 " * 2000 + "x") is t
     deep = scalar(2000, x)
     assert parse(to_text(deep)) is deep
+
+
+@pytest.mark.parametrize("text", ["200000x ≈ x", "x^200000 ≈ x",
+                                  "99999999999x≈x", "10000 " * 20 + "x",
+                                  "5000x ≈ 5001x", "x ≈ y => 9000x ≈ x^2000"])
+def test_scalar_prefixes_and_exponents_are_capped(text):
+    # the cap bounds the sum over one input, before any node is built
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match=r"^the sum of scalar prefixes "
+                       r"and exponents is \d+, above the cap 10000 "
+                       r"\(MVMLAB_CAP_REPEAT\)$"):
+        parse(text)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_scalar_prefixes_and_exponents_under_the_cap(monkeypatch):
+    x = var(0)
+    assert parse("201x ≈ 200x") == Equation(scalar(201, x), scalar(200, x))
+    assert parse("5000x ≈ x^5000") == Equation(scalar(5000, x), power(x, 5000))
+    monkeypatch.setenv("MVMLAB_CAP_REPEAT", "3")
+    assert parse("3x") is scalar(3, x)
+    with pytest.raises(CapExceeded):
+        parse("2(2x)")
 
 
 def _parse_at_depth(depth, text):
