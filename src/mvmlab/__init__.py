@@ -16,7 +16,7 @@ from .constructions import (catalog, catalog_names, cn_delta, cn_delta_star,
                             lm_delta_star, lm_nabla, lm_nabla_star, ln_plus,
                             product, quotient, si_quotients, subalgebras)
 from .enumeration import enumerate_chain, enumerate_on_lattice
-from .morphisms import hs_closure, si_poset
+from .morphisms import hs_closure, si_members, si_poset
 from .posets import Poset, downset_lattice
 from .terms import (CANCELLATIVITY, Equation, QuasiEquation, evaluate, parse,
                     satisfies, satisfies_all, satisfies_quasi, to_text)

@@ -8,7 +8,7 @@ stored in documents.
 
 import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import (MalformedDocument, NotALattice, NotAnLMonoid,
                      TableOutOfRange)
@@ -105,9 +105,7 @@ class FiniteAlgebra:
         return [col.count(a) - 1 for a, col in enumerate(zip(*self.join))]
 
     def rename(self, name):
-        return FiniteAlgebra(self.size, self.zero, self.one, self.oplus,
-                             self.odot, self.join, self.meet, self.chain_flag,
-                             name=name)
+        return replace(self, name=name, _cache={})
 
     def __repr__(self):
         tag = self.name or "?"
@@ -270,15 +268,14 @@ def canonical_form(n, tables, constants, keys):
 def canonical_key(A):
     """Byte string equal for two algebras iff they are isomorphic: the
     canonical form of the four tables and (zero, one), starting from each
-    element's height and whether it is zero or one.  Chains refine to
-    singletons (height is injective), so their search has one leaf.  Kept
-    in A's cache."""
+    element's height (in a bounded lattice only zero has height 0 and only
+    one height n-1).  Chains refine to singletons (height is injective), so
+    their search has one leaf.  Kept in A's cache."""
     key = A._cache.get("key")
     if key is None:
         key = A._cache["key"] = canonical_form(
             A.size, (A.join, A.meet, A.oplus, A.odot), (A.zero, A.one),
-            [(h, e == A.zero, e == A.one)
-             for e, h in enumerate(A.heights())])
+            A.heights())
     return key
 
 

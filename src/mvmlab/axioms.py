@@ -76,16 +76,9 @@ def is_positive_mv(A):
 def si_necessary_condition(A):
     """Nontrivial, totally ordered, and oplus(x,y)=1 or odot(x,y)=0 for all
     pairs."""
-    n = A.size
-    if n <= 1:
-        return False
-    for i in range(n):
-        for j in range(n):
-            if A.join[i][j] not in (i, j):
-                return False
-            if A.oplus[i][j] != A.one and A.odot[i][j] != A.zero:
-                return False
-    return True
+    return A.size > 1 and A.is_chain() and all(
+        p == A.one or q == A.zero
+        for ps, qs in zip(A.oplus, A.odot) for p, q in zip(ps, qs))
 
 
 def is_good_pair(A, x0, x1):

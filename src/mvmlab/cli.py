@@ -313,9 +313,7 @@ def _repro_fig7(args, out):
 
 def _repro_fig8(args, out):
     seeds = [constructions.catalog("A3n"), constructions.catalog("B3d")]
-    closure = morphisms.hs_closure(seeds)
-    sis = [A for A in closure.values()
-           if congruences.is_subdirectly_irreducible(A)[0]]
+    sis = morphisms.si_members(seeds).values()
     D = posets.downset_lattice(_named_poset(morphisms.si_poset(sis)))
     _poset_out(D, args, out, "fig8", _downset_label)
 

@@ -162,8 +162,7 @@ class CongruenceLattice:
     """All congruences ordered by refinement, with the covering relation
     (built on first access)."""
 
-    def __init__(self, algebra, congruences):
-        self.algebra = algebra
+    def __init__(self, congruences):
         # sort by (number of blocks desc, ids) so identity is first, total last
         self.congruences = sorted(congruences,
                                   key=lambda c: (-c.num_blocks(), c.ids))
@@ -225,7 +224,7 @@ def congruence_lattice(A):
     known = {identity_congruence(A.size)}
     for p in principal_congruences(A):
         known |= {c.join(p) for c in known}
-    return CongruenceLattice(A, known)
+    return CongruenceLattice(known)
 
 
 def monolith(A):

@@ -286,7 +286,7 @@ def _from_tables(tables, name=""):
 
 def subalgebras(A):
     """All subuniverses up to isomorphism, as (algebra, embedding) pairs
-    sorted by (size, key), each class embedded as its least subuniverse by
+    sorted by canonical key, each class embedded as its least subuniverse by
     (size, sorted elements).  Every subuniverse is reached from the least
     one by adding one element at a time and closing.  Many subuniverses
     induce the very tables of a smaller one in that order (on L1+^4, 355
@@ -306,7 +306,7 @@ def subalgebras(A):
             seen.add(tables)
             sub = _from_tables(tables)
             found.setdefault(canonical_key(sub), (sub, tuple(U)))
-    return [found[k] for k in sorted(found, key=lambda k: (k[0], k))]
+    return [found[k] for k in sorted(found)]
 
 
 def quotient(A, theta):

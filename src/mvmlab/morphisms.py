@@ -1,6 +1,6 @@
 """HS closure over isomorphism classes (the quotients of the subalgebras, in
-one pass), and the poset of subdirectly irreducible algebras ordered by HSU
-membership."""
+one pass), its subdirectly irreducible members, and the poset of subdirectly
+irreducible algebras ordered by HSU membership."""
 
 import warnings
 
@@ -38,6 +38,14 @@ def hs_closure(S):
                     Q = _from_tables(tables, _quotient_name(B))
                     found.setdefault(canonical_key(Q), Q)
     return found
+
+
+def si_members(K):
+    """The SI members of HS(K), as {key: algebra}: by Jónsson's lemma (Burris
+    & Sankappanavar, IV §6), those of V(K) for a finite set K of finite
+    algebras with a lattice reduct, such as MV-monoids."""
+    return {k: B for k, B in hs_closure(K).items()
+            if is_subdirectly_irreducible(B)[0]}
 
 
 def hs_poset(S):

@@ -1,14 +1,22 @@
 """The tau term ladder, the Phi_n / Sigma_I axiom sets, and the divisor-set
 classification of varieties of positive MV-algebras."""
 
+import functools
 import math
 
-from .algebra import are_isomorphic
+from .algebra import FiniteAlgebra, canonical_key
 from .axioms import is_mv_monoid
 from .congruences import is_subdirectly_irreducible
 from .constructions import ln_plus, si_quotients
 from .errors import BadArgument, NotDivisorClosed, NotPositiveMV
+from .morphisms import si_members
 from .terms import Equation, const, oplus, odot, parse, power, scalar, var
+
+
+def _divisors(m):
+    """The divisors of m, increasing, in pairs (d, m // d) with d * d <= m."""
+    low = [d for d in range(1, math.isqrt(m) + 1) if m % d == 0]
+    return low + [m // d for d in reversed(low) if d * d != m]
 
 
 class DivisorClosedSet:
@@ -24,8 +32,8 @@ class DivisorClosedSet:
         ms = sorted(set(members))
         present = set(ms)
         for m in ms:
-            for d in range(1, m + 1):
-                if m % d == 0 and d not in present:
+            for d in _divisors(m):
+                if d not in present:
                     raise NotDivisorClosed(f"{m} is in the set but its "
                                            f"divisor {d} is not")
         self.members = tuple(ms)
@@ -61,15 +69,12 @@ class DivisorClosedSet:
 
 
 def divisor_closed_sets(bound):
-    """All divisor-closed subsets of {1..bound}."""
-    out = []
-    universe = list(range(1, bound + 1))
-    for bits in range(1 << bound):
-        chosen = {universe[i] for i in range(bound) if bits >> i & 1}
-        if all(all(d in chosen for d in range(1, m + 1) if m % d == 0)
-               for m in chosen):
-            out.append(DivisorClosedSet(chosen))
-    return sorted(out, key=lambda I: I.members)
+    """All divisor-closed subsets of {1..bound}, grown one m at a time."""
+    found = [()]
+    for m in range(1, bound + 1):
+        found += [S + (m,) for S in found
+                  if all(d in S for d in _divisors(m)[:-1])]
+    return sorted(map(DivisorClosedSet, found), key=lambda I: I.members)
 
 
 class AxiomSet:
@@ -190,40 +195,41 @@ def almost_minimal_axioms(tag):
     raise BadArgument(f"unknown tag {tag!r}")
 
 
-def member_of_variety(A, I):
-    """Whether A lies in V(I), the variety generated by the truncated chains
-    L_d+ with d in I.  MV-monoids have a lattice reduct, so V(I) is
-    congruence distributive, and by Jónsson's lemma (Burris & Sankappanavar,
-    IV §6) its SI members lie in HS(L_d+ : d in I).  The subalgebras of L_d+
-    are the L_e+ with e | d, all simple, so the SI members of V(I) are the
-    L_e+ with e in I.  A finite A is a subdirect product of its SI quotients,
-    hence A is in V(I) iff it is an MV-monoid whose SI quotients all are."""
-    if not isinstance(I, DivisorClosedSet):
-        I = DivisorClosedSet(I)
-    if not is_mv_monoid(A):
-        return False
-    indices = _si_indices(A)
-    return indices is not None and all(e in I for e in indices)
+def member_of_variety(A, K):
+    """Whether A lies in V(K), K a list of finite algebras or an index set I
+    standing for the L_d+ with d in I.  The SI members of V(K) are those of
+    HS(K) (`si_members`); for I, the L_e+ with e in I, since the subalgebras
+    of L_d+ are the L_e+ with e | d, all simple.  A finite A is a subdirect
+    product of its SI quotients, hence A is in V(K) iff it is an MV-monoid
+    whose SI classes all are SI members of V(K)."""
+    K = list(K)
+    if K and all(isinstance(B, FiniteAlgebra) for B in K):
+        targets = si_members(K).keys()
+    else:  # an L_e+ with more elements than A is no quotient of A
+        targets = {_ln_plus_key(e) for e in DivisorClosedSet(K) if e < A.size}
+    return bool(is_mv_monoid(A)) and _si_classes(A).keys() <= targets
+
+
+@functools.cache
+def _ln_plus_key(e):
+    return canonical_key(ln_plus(e))
+
+
+def _si_classes(A):
+    """A's SI quotients up to isomorphism, {key: quotient}, kept in A's
+    cache.  An SI A stands alone, as its other SI quotients lie in HS(A)."""
+    if "si_classes" not in A._cache:
+        quotients = ([A] if is_subdirectly_irreducible(A)[0]
+                     else si_quotients(A))
+        A._cache["si_classes"] = {canonical_key(Q): Q for Q in quotients}
+    return A._cache["si_classes"]
 
 
 def _si_indices(A):
-    """The e with an SI quotient of A isomorphic to L_e+, or None when some
-    SI quotient is no L_e+; kept in A's cache, so that asking about many
-    index sets computes the SI quotients once."""
-    if "si_indices" not in A._cache:
-        # an SI A is one of its own SI quotients, and the only one when it
-        # is some L_e+, since L_e+ is simple
-        quotients = ([A] if is_subdirectly_irreducible(A)[0]
-                     else si_quotients(A))
-        indices = set()
-        for Q in quotients:
-            e = Q.size - 1  # SI algebras are nontrivial, so e >= 1
-            if not are_isomorphic(Q, ln_plus(e)):
-                indices = None
-                break
-            indices.add(e)
-        A._cache["si_indices"] = indices
-    return A._cache["si_indices"]
+    """The e with L_e+ among A's SI classes; None if some class is no L_e+."""
+    found = {k: Q.size - 1 for k, Q in _si_classes(A).items()}
+    if all(k == _ln_plus_key(e) for k, e in found.items()):
+        return set(found.values())
 
 
 def classify_variety(generators):
@@ -231,7 +237,7 @@ def classify_variety(generators):
     MV-algebras: the divisors of the e with L_e+ an SI quotient of a
     generator.  The SI indices decide positivity too.  A finite positive
     MV-algebra lies in V(L_d+ : d in D) for some finite D, so by Jónsson's
-    lemma (see `member_of_variety`) its SI quotients are L_e+.  Conversely,
+    lemma (see `si_members`) its SI quotients are L_e+.  Conversely,
     a finite algebra embeds in the product of its SI quotients (Birkhoff),
     so if they are all L_e+ it is a positive MV-algebra.  The variety
     generated is V(L_e+ : e in the union), whose index set is the divisor
@@ -243,5 +249,4 @@ def classify_variety(generators):
             raise NotPositiveMV(f"generator {i} is not a positive MV-algebra",
                                 index=i)
         indices |= found
-    return DivisorClosedSet({d for e in indices for d in range(1, e + 1)
-                             if e % d == 0})
+    return DivisorClosedSet({d for e in indices for d in _divisors(e)})

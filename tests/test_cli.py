@@ -362,6 +362,15 @@ def test_repro_fig1_fig2_variety_posets():
     assert "C2d" in doc["nodes"] and "C2n" in doc["nodes"]
 
 
+def test_repro_depth_extends_fig1_and_fig2():
+    for target, depth, gained in (("fig1", "7", {"L7+"}),
+                                  ("fig2", "5", {"C5d", "C5n", "L5+"})):
+        before = set(run_json("repro", target)["nodes"])
+        after = set(run_json("repro", target, "--depth", depth)["nodes"])
+        assert not gained & before and gained <= after
+        assert before <= after
+
+
 def test_repro_dot_output_is_byte_stable():
     for target in ("fig6", "fig7", "fig9"):
         a = run("repro", target, "--dot")

@@ -2,11 +2,11 @@ import itertools
 
 import pytest
 
-from mvmlab import (Poset, canonical_key, chain_algebra, enumerate_chain,
-                    enumerate_on_lattice, is_mv_monoid, is_positive_mv,
-                    is_simple, is_subdirectly_irreducible, ln_plus,
-                    make_algebra, parse, product, satisfies,
-                    si_necessary_condition)
+from mvmlab import (Poset, canonical_key, chain_algebra, cn_delta, cn_nabla,
+                    enumerate_chain, enumerate_on_lattice, is_mv_monoid,
+                    is_positive_mv, is_simple, is_subdirectly_irreducible,
+                    ln_plus, make_algebra, member_of_variety, parse, product,
+                    satisfies, si_necessary_condition)
 from mvmlab.algebra import max_table, min_table
 from mvmlab.enumeration import FILTERS, _monoid_tables, _pairs, _passes
 from mvmlab.errors import CapExceeded
@@ -315,6 +315,24 @@ def test_joint_search_matches_the_pair_loop_on_lattices(diamond, which):
                 found.setdefault(canonical_key(A), (p, q))
         got = [(A.oplus, A.odot) for A in enumerate_on_lattice(L, flt)]
         assert got == [found[k] for k in sorted(found)], flt
+
+
+def test_almost_minimal_varieties_are_defined_by_their_equations(diamond):
+    # V(C_delta) is the class of MV-monoids with x + x = x, and V(C_nabla)
+    # dually with x * x = x: membership by SI classes against the equations,
+    # on every MV-monoid chain of at most 6 elements and every MV-monoid on
+    # the off-chain lattices above
+    algebras = [A for n in range(1, 7) for A in enumerate_chain(n, "all")]
+    lattices = [diamond, *(_downset_algebra(*_NON_CHAIN_POSETS[name])
+                           for name in _NON_CHAIN_POSETS)]
+    off_chain = [A for L in lattices for A in enumerate_on_lattice(L, "all")]
+    algebras = [A for A in algebras + off_chain if is_mv_monoid(A)]
+    assert len(algebras) == 533 + len(off_chain)
+    for gen, eq in ((cn_delta(2), parse("x + x ≈ x")),
+                    (cn_nabla(2), parse("x * x ≈ x"))):
+        verdicts = [member_of_variety(A, [gen]) for A in algebras]
+        assert verdicts == [bool(satisfies(A, eq)) for A in algebras], gen
+        assert 0 < sum(verdicts) < len(algebras)
 
 
 def _chain_dual(t):

@@ -9,8 +9,9 @@ from conftest import (algebra_tables, reference_subalgebras, shuffled,
                       si_chain_pairs, si_product_family, unskipped_hs_closure)
 from mvmlab import (are_isomorphic, canonical_key, catalog, catalog_names,
                     cn_delta, congruence_lattice, enumerate_chain, hs_closure,
-                    ln_plus, lm_delta, order_dual, product, quotient,
-                    si_poset, subalgebras, trivial_algebra)
+                    is_subdirectly_irreducible, ln_plus, lm_delta, order_dual,
+                    product, quotient, si_members, si_poset, subalgebras,
+                    trivial_algebra)
 from mvmlab.cli import identify
 
 
@@ -205,6 +206,28 @@ def test_hs_closure_of_a_product_contains_both_factors():
 
 # ---------------------------------------------------------------------------
 # SI poset
+
+def test_si_members_are_the_si_classes_of_the_hs_closure():
+    def keys(*algebras):
+        return {canonical_key(A) for A in algebras}
+
+    # the subalgebras of L_d+ are the L_e+ with e | d, all simple
+    assert set(si_members([ln_plus(6)])) == \
+        keys(*(ln_plus(e) for e in (1, 2, 3, 6)))
+    assert set(si_members([ln_plus(2), ln_plus(3)])) == \
+        keys(ln_plus(1), ln_plus(2), ln_plus(3))
+    assert set(si_members([cn_delta(2)])) == keys(ln_plus(1), cn_delta(2))
+    # a product is no SI member, but its factors are
+    P = product(ln_plus(1), ln_plus(2))
+    assert set(si_members([P])) == keys(ln_plus(1), ln_plus(2))
+    assert si_members([]) == {} and si_members([trivial_algebra()]) == {}
+    # the generators of fig8: the SI classes of the HS closure, in its order
+    gens = [catalog("A3n"), catalog("B3d")]
+    closure = hs_closure(gens)
+    assert list(si_members(gens)) == [k for k, B in closure.items()
+                                      if is_subdirectly_irreducible(B)[0]]
+    assert len(si_members(gens)) < len(closure)
+
 
 def test_si_poset_of_small_chains():
     P = si_poset([ln_plus(1), ln_plus(2), ln_plus(3)])

@@ -1,5 +1,7 @@
 import functools
 import itertools
+import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from mvmlab import (DivisorClosedSet, almost_minimal_axioms, are_isomorphic,
                     hs_closure, is_mv_monoid, is_positive_mv, ln_plus,
                     member_of_variety, order_dual, parse, phi, product,
                     quotient, satisfies, si_quotients, sigma, subalgebras,
-                    tau)
+                    tau, trivial_algebra)
 from mvmlab.errors import NotDivisorClosed, NotPositiveMV
 from mvmlab.terms import var, variables
 from mvmlab.varieties import _fold_odot, _fold_oplus, _ladder
@@ -60,10 +62,61 @@ def test_divisor_closed_set_checks_types_before_sorting():
         member_of_variety(ln_plus(2), [1, True, 2])  # True is not 1
 
 
+def _message_by_full_scan(members):
+    # the least m with a missing divisor, and its least one, trying every
+    # d <= m (the check before divisors were found in pairs)
+    present = set(members)
+    for m in sorted(present):
+        for d in range(1, m + 1):
+            if m % d == 0 and d not in present:
+                return f"{m} is in the set but its divisor {d} is not"
+    return None
+
+
+def test_divisor_closed_set_messages_match_the_full_scan():
+    rng = random.Random(15)
+    for _ in range(500):
+        if rng.random() < 0.5:
+            p = rng.random()
+            members = {m for m in range(1, 61) if rng.random() < p}
+        else:  # a closed set with one member taken out
+            members = {d for m in rng.sample(range(1, 61), rng.randint(1, 4))
+                       for d in range(1, m + 1) if m % d == 0}
+            members.discard(rng.choice(sorted(members)))
+        want = _message_by_full_scan(members)
+        try:
+            I = DivisorClosedSet(members)
+        except NotDivisorClosed as exc:
+            assert str(exc) == want
+        else:
+            assert want is None and set(I) == members
+
+
+def test_divisor_closed_set_of_a_big_prime_answers_at_once():
+    p = 1_000_000_007
+    start = time.perf_counter()
+    assert list(DivisorClosedSet([1, p])) == [1, p]
+    assert time.perf_counter() - start < 0.1
+    with pytest.raises(NotDivisorClosed, match=f"^{p} is in the set but its "
+                                               "divisor 1 is not$"):
+        DivisorClosedSet([p])
+    assert member_of_variety(ln_plus(1), [1, p])
+    assert not member_of_variety(ln_plus(2), [1, p])
+
+
 def test_empty_set_conventions():
     empty = DivisorClosedSet(())
     assert empty.max() == 0 and empty.lcm() == 1
     assert len(empty) == 0
+
+
+def test_divisor_closed_sets_are_the_closed_subsets():
+    for bound in range(11):
+        closed = [S for r in range(bound + 1)
+                  for S in itertools.combinations(range(1, bound + 1), r)
+                  if _message_by_full_scan(S) is None]
+        assert [I.members for I in divisor_closed_sets(bound)] == \
+            sorted(closed)
 
 
 def test_divisor_closed_sets_up_to_six():
@@ -278,6 +331,45 @@ def test_member_of_variety_computes_the_si_quotients_once(monkeypatch):
         assert member_of_variety(P, I) == (2 in I and 3 in I)
     assert not member_of_variety(product(P, cn_delta(2)), {1, 2, 3})
     assert len(calls) == 2
+
+
+def test_membership_by_index_set_matches_membership_by_generators():
+    # the closed form (the L_e+ with e in I) against the SI members of
+    # HS(L_d+ : d in I), on relabeled SI chains and products
+    inputs = [shuffled(A, i) for n in range(2, 8)
+              for i, A in enumerate(enumerate_chain(n, "si"))]
+    inputs += [shuffled(product(ln_plus(a), ln_plus(b)), a + b)
+               for a, b in ((1, 2), (2, 2), (2, 3))]
+    sets = divisor_closed_sets(6)
+    assert len(sets) == 17
+    members = 0
+    for I in sets:
+        gens = [ln_plus(d) for d in I]
+        for A in inputs:
+            verdict = member_of_variety(A, I)
+            assert member_of_variety(A, gens) == verdict, (A, I)
+            members += verdict
+    # each L_e+ (e <= 6) lies in the sets holding e, each product in those
+    # holding both factors
+    assert members == sum(e in I for e in range(1, 7) for I in sets) + sum(
+        a in I and b in I for a, b in ((1, 2), (2, 2), (2, 3)) for I in sets)
+
+
+def test_member_of_variety_rejects_mixed_or_non_integer_sets():
+    A = ln_plus(2)
+    for K in ([ln_plus(1), 1], [1, ln_plus(1)], [1.0], ["1"], [1, 2.0],
+              [ln_plus(2), "L1+"]):
+        with pytest.raises(NotDivisorClosed):
+            member_of_variety(A, K)
+
+
+def test_no_generators_and_the_empty_index_set_both_give_the_trivial_variety():
+    corpus = [catalog(name) for name in catalog_names()]
+    corpus += [product(ln_plus(1), ln_plus(1)), trivial_algebra()]
+    for A in corpus:
+        verdict = member_of_variety(A, [])
+        assert verdict == member_of_variety(A, DivisorClosedSet(()))
+        assert verdict == (A.size == 1), A
 
 
 def test_member_of_variety_rejects_non_mv_monoids():
