@@ -6,9 +6,8 @@ from .algebra import (FiniteAlgebra, FiniteLMonoid, are_isomorphic,
                       trivial_algebra)
 from .axioms import (AxiomReport, is_good_pair, is_mv_monoid, is_positive_mv,
                      si_necessary_condition)
-from .congruences import (Congruence, CongruenceLattice, congruence_lattice,
-                          identity_congruence, is_simple,
-                          is_subdirectly_irreducible, monolith,
+from .congruences import (Congruence, congruence_lattice, identity_congruence,
+                          is_simple, is_subdirectly_irreducible, monolith,
                           principal_congruence, principal_congruences,
                           total_congruence)
 from .constructions import (catalog, catalog_names, cn_delta, cn_delta_star,

@@ -259,8 +259,15 @@ def _continued_poset_out(P, args, out, dot_name, note):
         out.write(_dump({**P.as_dict(), "continues": True}) + "\n")
 
 
+def _depth(args, default):
+    # how far fig1 and fig2 draw their infinite figures
+    if args.depth is not None and args.depth < 1:
+        raise BadArgument(f"--depth must be at least 1, got {args.depth}")
+    return args.depth or default
+
+
 def _repro_fig1(args, out):
-    depth = args.depth or 5
+    depth = _depth(args, 5)
     gens = [algebra.trivial_algebra(), constructions.ln_plus(1),
             constructions.cn_delta(2), constructions.cn_nabla(2)]
     gens += [constructions.ln_plus(p) for p in _primes_up_to(depth)]
@@ -271,7 +278,7 @@ def _repro_fig1(args, out):
 
 
 def _repro_fig2(args, out):
-    depth = args.depth or 4
+    depth = _depth(args, 4)
     gens = [algebra.trivial_algebra(), constructions.ln_plus(1)]
     for n in range(2, depth + 1):
         gens.append(constructions.cn_delta(n))

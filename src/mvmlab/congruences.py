@@ -1,12 +1,9 @@
 """Congruences: principal congruences by translation closure, the full
 congruence lattice, subdirect irreducibility and simplicity."""
 
-import collections
 import functools
-import itertools
-import operator
 
-from .posets import cover_pairs, lattice_cover_pairs
+from .posets import lower_covers
 
 
 class Congruence:
@@ -158,73 +155,74 @@ def congruence_join(A, parts):
                             identity_congruence(A.size))
 
 
-class CongruenceLattice:
-    """All congruences ordered by refinement, with the covering relation
-    (built on first access)."""
+def _sort_key(c):
+    # the identity first and the total congruence last
+    return -c.num_blocks(), c.ids
 
-    def __init__(self, congruences):
-        # sort by (number of blocks desc, ids) so identity is first, total last
-        self.congruences = sorted(congruences,
-                                  key=lambda c: (-c.num_blocks(), c.ids))
+
+class CongruenceLattice:
+    """All congruences, sorted by (number of blocks desc, ids), with the
+    covering relation built on first access.  Con(A) is a finite distributive
+    lattice, held as the down-sets of its join-irreducibles: bit i of a
+    congruence's bitset is set iff the i-th join-irreducible lies below it,
+    and down[i] is the bitset of the i-th (Birkhoff; Davey & Priestley,
+    Introduction to Lattices and Order)."""
+
+    def __init__(self, by_bits, down):
+        self._down = down
+        self._bits = sorted(by_bits, key=lambda m: _sort_key(by_bits[m]))
+        self.congruences = [by_bits[m] for m in self._bits]
 
     @functools.cached_property
     def covers(self):
-        return cover_pairs(self._order_rows())
-
-    def _order_rows(self):
-        # row j = {i : c_j refines c_i}, the AND over the pairs c_j relates
-        # of the bitset of congruences relating that pair
-        cs = self.congruences
-        relating = collections.defaultdict(int)
-        for i, c in enumerate(cs):
-            for block in c.blocks():
-                for pair in itertools.combinations(block, 2):
-                    relating[pair] |= 1 << i
-        return [functools.reduce(operator.and_,
-                                 (relating[b[0], e]
-                                  for b in c.blocks() for e in b[1:]),
-                                 (1 << len(cs)) - 1)
-                for c in cs]
+        # m is covered by m | 1 << j for each j minimal outside m
+        index = {m: i for i, m in enumerate(self._bits)}
+        return sorted((i, index[m | 1 << j]) for i, m in enumerate(self._bits)
+                      for j, d in enumerate(self._down) if d & ~m == 1 << j)
 
     def __len__(self):
         return len(self.congruences)
 
-    def bottom(self):
-        return self.congruences[0]
-
-    def top(self):
-        return self.congruences[-1]
-
     def is_chain(self):
-        cs = self.congruences
-        return all(cs[i].refines(cs[i + 1]) for i in range(len(cs) - 1))
-
-    def nontrivial(self):
-        return [c for c in self.congruences if not c.is_identity()]
+        # a distributive lattice with k join-irreducibles has length k
+        return len(self) == len(self._down) + 1
 
 
 def principal_congruences(A):
-    """The distinct principal congruences theta(a, b) over the covering pairs
-    a < b of the lattice reduct, which generate Con(A).  A congruence that
-    relates a and b relates a ^ b and a v b and so collapses the interval
-    between them; hence theta(a, b) is the join of the theta(c, d) over the
-    covers c < d of a maximal chain from a ^ b to a v b, and every nontrivial
-    congruence contains one of them."""
+    """The join-irreducibles of Con(A): the distinct theta(j-, j) over the
+    elements j of the lattice reduct with exactly one lower cover j-.
+
+    Every congruence is a join of theta(a, b) over covering pairs a < b,
+    since a congruence relating a and b collapses the interval [a ^ b, a v b]
+    and so every cover of a maximal chain in it.  Such a pair is perspective
+    to [j-, j] for j minimal among the elements below b and not below a,
+    which has one lower cover j- (j v a = b and j ^ a = j-), so theta(a, b)
+    = theta(j-, j) (Grätzer, Lattice Theory: Foundation).  And theta(c, d)
+    of a cover is join-prime: a chain of steps in theta or phi from c to d,
+    mapped by x -> (x v c) ^ d, is a chain in {c, d} with a step from c to
+    d."""
     seen = set()
-    for a, b in lattice_cover_pairs(A.join):
-        p = principal_congruence(A, a, b)
-        if p not in seen:
-            seen.add(p)
-            yield p
+    for j, below in enumerate(lower_covers(A.join)):
+        if len(below) == 1:
+            p = principal_congruence(A, below[0], j)
+            if p not in seen:
+                seen.add(p)
+                yield p
 
 
 def congruence_lattice(A):
-    # every congruence is a join of principals; after folding in k of them,
-    # known holds every join of a subset of those k
-    known = {identity_congruence(A.size)}
-    for p in principal_congruences(A):
-        known |= {c.join(p) for c in known}
-    return CongruenceLattice(known)
+    # each join-irreducible p is join-prime, so the join-irreducibles below
+    # c v p are those below c or p: after folding in k of them, known holds
+    # every join of a subset of those k by its bitset, and only a new bitset
+    # costs a join
+    J = list(principal_congruences(A))
+    down = [sum(1 << i for i, q in enumerate(J) if q.refines(p)) for p in J]
+    known = {0: identity_congruence(A.size)}
+    for p, d in zip(J, down):
+        for m, c in list(known.items()):
+            if m | d not in known:
+                known[m | d] = c.join(p)
+    return CongruenceLattice(known, down)
 
 
 def monolith(A):

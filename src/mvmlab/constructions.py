@@ -2,14 +2,14 @@
 Chang-type chains, the degenerate LM chains, the 3- and 4-element catalog),
 plus Gamma-of-lexicographic-product, products, subalgebras and quotients."""
 
-import collections
 import itertools
 import operator
 
 from .algebra import (canonical_key, chain_algebra, make_algebra,
                       make_lmonoid, order_dual, trivial_algebra)
 from .caps import check
-from .congruences import congruence_lattice, is_congruence, translation_tables
+from .congruences import (_sort_key, congruence_join, is_congruence,
+                          principal_congruences, translation_tables)
 from .errors import MalformedDocument, NotACongruence, UnknownName
 
 
@@ -335,10 +335,12 @@ def _quotient(A, theta):
 
 def si_quotients(A):
     """The subdirectly irreducible quotients A/theta, in the order of
-    `congruence_lattice(A)`: those whose theta has exactly one upper cover,
-    since Con(A/theta) is the interval above theta.  A finite algebra is a
+    `congruence_lattice(A)`.  Con(A/theta) is the interval above theta, so
+    these are the theta with exactly one upper cover; in the distributive
+    Con(A) they are the kappa(p), the join of the join-irreducibles not
+    above p, one for each join-irreducible p.  A finite algebra is a
     subdirect product of them (Birkhoff)."""
-    lat = congruence_lattice(A)
-    upper = collections.Counter(i for i, _ in lat.covers)
-    return [_quotient(A, c) for i, c in enumerate(lat.congruences)
-            if upper[i] == 1]
+    J = list(principal_congruences(A))
+    kappas = [congruence_join(A, [q for q in J if not p.refines(q)])
+              for p in J]
+    return [_quotient(A, c) for c in sorted(kappas, key=_sort_key)]

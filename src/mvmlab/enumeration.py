@@ -21,7 +21,7 @@ from .axioms import si_necessary_condition
 from .caps import check
 from .congruences import is_subdirectly_irreducible
 from .errors import BadArgument
-from .posets import lattice_cover_pairs
+from .posets import lower_covers
 from .terms import CANCELLATIVITY, satisfies_quasi
 
 FILTERS = ("all", "si-necessary", "si", "positive")
@@ -73,9 +73,7 @@ def _monoid_tables(join, meet, unit, order):
     n = len(order)
     leq = [[join[a][b] == b for b in range(n)] for a in range(n)]
     above = [[v for v in order if leq[a][v]] for a in range(n)]
-    lower_covers = [[] for _ in range(n)]
-    for b, a in lattice_cover_pairs(join):
-        lower_covers[a].append(b)
+    below = lower_covers(join)
     incomparable = [(b, c) for b in range(n) for c in range(b + 1, n)
                     if not leq[b][c] and not leq[c][b]]
     top = order[-1]
@@ -84,8 +82,7 @@ def _monoid_tables(join, meet, unit, order):
         t[top][i] = t[i][top] = top
         t[unit][i] = t[i][unit] = i
     inner = order[1:-1]
-    cells = [(i, j, [(a, j) for a in lower_covers[i]]
-              + [(i, b) for b in lower_covers[j]])
+    cells = [(i, j, [(a, j) for a in below[i]] + [(i, b) for b in below[j]])
              for i, j in _inner_cells(order)]
     out = []
     rows = {}  # each distinct row is stored once, shared by the tables

@@ -1,11 +1,8 @@
-"""Small finite posets with covering relations, downset lattices, DOT
-output, and isomorphism testing by the canonical form of `algebra`.  Orders
-are bitset rows, bit j of row i set iff i <= j."""
+"""Small finite posets with covering relations, downset lattices and DOT
+output.  Orders are bitset rows, bit j of row i set iff i <= j."""
 
 import functools
-import itertools
 
-from .algebra import canonical_form
 from .caps import check
 
 
@@ -42,15 +39,18 @@ def cover_pairs(up):
 
 
 @functools.lru_cache(maxsize=8)
-def lattice_cover_pairs(join):
-    """Covering pairs of the order a lattice's join table defines (a <= b
-    iff a v b = b), by `cover_pairs`, as a tuple.  Cached by the join table,
-    a tuple of tuples: the algebras a loop meets often share one lattice,
-    such as `max_table(n)` in a chain enumeration, and a few entries serve
-    such a loop."""
+def lower_covers(join):
+    """Each element's lower covers, increasing, as a tuple of tuples, in the
+    order a lattice's join table defines (a <= b iff a v b = b).  Cached by
+    the join table, a tuple of tuples: the algebras a loop meets often share
+    one lattice, such as `max_table(n)` in a chain enumeration, and a few
+    entries serve such a loop."""
     n = len(join)
-    return tuple(cover_pairs([sum(1 << b for b in range(n) if join[a][b] == b)
-                              for a in range(n)]))
+    below = [[] for _ in range(n)]
+    for b, a in cover_pairs([sum(1 << c for c in range(n) if join[a][c] == c)
+                             for a in range(n)]):
+        below[a].append(b)
+    return tuple(map(tuple, below))
 
 
 class Poset:
@@ -96,20 +96,6 @@ class Poset:
                 for m in range(1 << n)
                 if not any(up[i] & m for i in _bits(~m & (1 << n) - 1))]
 
-    def is_isomorphic_to(self, other):
-        return len(self) == len(other) and self._key() == other._key()
-
-    def _key(self):
-        # <= as the table t[i][j] = j if i <= j else i, from (up-set size,
-        # down-set size)
-        n, up = len(self), self._up
-        leq = [[j if up[i] >> j & 1 else i for j in range(n)]
-               for i in range(n)]
-        return canonical_form(n, [leq], [],
-                              [(up[i].bit_count(),
-                                sum(row >> i & 1 for row in up))
-                               for i in range(n)])
-
     def to_dot(self, name="poset", label_of=str):
         lines = [f"digraph {name} {{", "  rankdir=BT;"]
         order = sorted(range(len(self.labels)),
@@ -138,13 +124,3 @@ def downset_lattice(P):
     inclusion."""
     sets = P.downsets()
     return Poset(sets, [(a, b) for a in sets for b in sets if a <= b])
-
-
-def chain_poset(n):
-    return Poset(list(range(n)), [(i, i + 1) for i in range(n - 1)])
-
-
-def boolean_poset(k):
-    subsets = [frozenset(s) for r in range(k + 1)
-               for s in itertools.combinations(range(k), r)]
-    return Poset(subsets, [(a, b) for a in subsets for b in subsets if a <= b])

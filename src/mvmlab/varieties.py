@@ -64,9 +64,6 @@ class DivisorClosedSet:
     def max(self):
         return self.members[-1] if self.members else 0
 
-    def lcm(self):
-        return math.lcm(*self.members) if self.members else 1
-
 
 def divisor_closed_sets(bound):
     """All divisor-closed subsets of {1..bound}, grown one m at a time."""

@@ -48,6 +48,21 @@ def shuffled(A, seed):
     return relabel(A, perm)
 
 
+def posets_isomorphic(P, Q):
+    """Whether two posets are isomorphic: equal canonical forms of <= as the
+    table t[i][j] = j if i <= j else i, each element coloured by its (up-set
+    size, down-set size)."""
+    return len(P) == len(Q) and _poset_form(P) == _poset_form(Q)
+
+
+def _poset_form(P):
+    n, a = len(P), P.labels
+    leq = [[P.leq(a[i], a[j]) for j in range(n)] for i in range(n)]
+    table = [[j if leq[i][j] else i for j in range(n)] for i in range(n)]
+    sizes = [(sum(leq[i]), sum(row[i] for row in leq)) for i in range(n)]
+    return canonical_form(n, [table], [], sizes)
+
+
 @st.composite
 def random_chain_tables(draw):
     """A chain with arbitrary, usually non-commutative, oplus and odot."""

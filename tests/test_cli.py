@@ -1,5 +1,7 @@
 import argparse
 import ast
+import contextlib
+import hashlib
 import io
 import json
 import os
@@ -8,8 +10,10 @@ import sys
 
 import pytest
 
-from mvmlab import cli, cn_delta, ln_plus, load, save
+from mvmlab import cli, cn_delta, ln_plus, load, product, save
 from mvmlab.constructions import cn_delta_star
+
+from conftest import shuffled
 
 
 def run(*argv):
@@ -371,12 +375,91 @@ def test_repro_depth_extends_fig1_and_fig2():
         assert before <= after
 
 
+def test_repro_depth_below_one_is_a_bad_argument():
+    # it used to fall back to the default depth (fig1 --depth 0) or draw a
+    # two-node figure (fig2 --depth -2), exiting 0
+    for target, depth in (("fig1", "0"), ("fig2", "-2")):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, text = run("repro", target, "--depth", depth)
+        assert code == 1 and text == ""
+        assert err.getvalue() == \
+            f"error: --depth must be at least 1, got {depth}\n"
+    assert "L2+" in run_json("repro", "fig1", "--depth", "2")["nodes"]
+    # the other targets ignore --depth, as before
+    assert run("repro", "fig7", "--depth", "0") == run("repro", "fig7")
+
+
 def test_repro_dot_output_is_byte_stable():
     for target in ("fig6", "fig7", "fig9"):
         a = run("repro", target, "--dot")
         b = run("repro", target, "--dot")
         assert a == b and a[0] == 0
         assert a[1].startswith("digraph")
+
+
+# SHA-256 digests of stdout, as JSON and as --dot: a digest fails when
+# any byte of that output changes
+_GOLDEN_REPRO = {
+    "fig1": (
+        "d54bbbe4ae8288ea6595121f086be2ccea88e380d5e8717ec6938fa4d55321e5",
+        "28c2b9a60aceff52b95dce5df6308f6bb73e5cf1f4b39e6bf70ef30334bb333b"),
+    "fig2": (
+        "10352417fcba22d24d972db92cc718c31444f496821e1eea4c0cab152fedd6ef",
+        "d3e5522dcc800353bad4a0beab0383ad2ccde632536fbbafb2c052349d29c05d"),
+    "fig3": (
+        "60e31ea9789f62ef59969949987b14e7fe87a16de95bf1af8799093431ca0c22",
+        "60e31ea9789f62ef59969949987b14e7fe87a16de95bf1af8799093431ca0c22"),
+    "fig4": (
+        "6bb6ff1a64764b858456f74c55f924fa0b640422b161ca3eb5c26bad009a3565",
+        "6bb6ff1a64764b858456f74c55f924fa0b640422b161ca3eb5c26bad009a3565"),
+    "fig6": (
+        "effe0e1deaf58ffd5462df8bb19a2c7139c54341d3e39bbc4a12a97a8bec0d1e",
+        "7ec0f37fca6cff0732a3893afef5104f8d98eebebff6cae3e462b38c20cfd18a"),
+    "fig7": (
+        "357b17596cba9f773923e56963099c57e276fdc8e4ff25a580101dd36720ab3c",
+        "b4bff9e3496f7508c9568a4d65f5abf7040f780a7dd28fbc59f5273d4078d68e"),
+    "fig8": (
+        "04f8fd86349d3ce83a72518e517756a6fed2420afa20451287a08980af0c5326",
+        "85be62ff76b7a3a45cb0c352df3463b729c5057915193fd012625599904afe85"),
+    "fig9": (
+        "52c3745cfc81ce3b027915757c7b321aa5f98bd35b97eb62d3e1fb474f2eab45",
+        "3630d5b1df2b76134c91c3256ba96ed0091e5aad4ff000b487b19bf78605fa49"),
+    "counts": (
+        "22ec0c86f180a069573e2d716c897543db9ae8bba6d908feb9705c055dd4eb0e",
+        "22ec0c86f180a069573e2d716c897543db9ae8bba6d908feb9705c055dd4eb0e"),
+}
+
+_GOLDEN_CONGRUENCES = [
+    # L1+^4
+    ("96179488a1246d0db6500e25643a038c0e5ddcbd6d9d456c47c25b5bac20e695",
+     "2d8defd574de27ea32152ea0bf8ab763e926c7e47cb6b7bc6f5b80bd75b39f96"),
+    # L2+ x L3+ relabeled by shuffled(_, 5)
+    ("7a731100fccb8853b1b2aa922be71a7d30d20f0fc9fe018ab874a3bfe3f8915b",
+     "540ed500e0d729065be6bb2aa04da2acd00ed063389460401b4a7a039a10b646"),
+]
+
+
+def _sha(*argv):
+    code, text = run(*argv)
+    assert code == 0, text
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("target", sorted(_GOLDEN_REPRO))
+def test_repro_output_matches_its_golden_digest(target):
+    assert (_sha("repro", target), _sha("repro", target, "--dot")) == \
+        _GOLDEN_REPRO[target]
+
+
+def test_congruences_output_matches_its_golden_digest(algebra_file):
+    L1 = ln_plus(1)
+    algebras = [product(product(L1, L1), product(L1, L1)),
+                shuffled(product(ln_plus(2), ln_plus(3)), 5)]
+    for A, digests in zip(algebras, _GOLDEN_CONGRUENCES):
+        path = algebra_file(A)
+        assert (_sha("congruences", path),
+                _sha("congruences", path, "--dot")) == digests
 
 
 def test_repro_recomputes_instead_of_hardcoding():

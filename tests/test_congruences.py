@@ -1,18 +1,23 @@
+import collections
 import functools
 import itertools
 import math
+import operator
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_chain_tables, si_chain_pairs
+from conftest import random_chain_tables, shuffled, si_chain_pairs
 from mvmlab import (Congruence, catalog, chain_algebra, cn_delta, cn_nabla,
                     congruence_lattice, enumerate_chain, identity_congruence,
                     is_simple, is_subdirectly_irreducible, lm_delta, lm_nabla,
-                    ln_plus, monolith, order_dual, principal_congruence,
-                    principal_congruences, product, quotient, si_quotients,
-                    subalgebras, total_congruence, trivial_algebra)
+                    ln_plus, make_algebra, monolith, order_dual,
+                    principal_congruence, principal_congruences, product,
+                    quotient, si_quotients, subalgebras, total_congruence,
+                    trivial_algebra)
+from mvmlab import congruences
 from mvmlab.congruences import congruence_join, is_congruence
 from mvmlab.constructions import _quotient
 from mvmlab.errors import NotACongruence
@@ -135,7 +140,8 @@ def test_infinitesimal_chains_have_chain_congruence_lattices():
             L = congruence_lattice(build(n))
             assert len(L) == n + 1
             assert L.is_chain()
-            assert L.bottom().is_identity() and L.top().is_total()
+            assert L.congruences[0].is_identity()
+            assert L.congruences[-1].is_total()
 
 
 def test_pure_chain_congruence_lattice_is_boolean():
@@ -184,7 +190,7 @@ def test_trivial_algebra_is_not_si_or_simple():
 def test_monolith_refines_every_nontrivial_congruence():
     for A in (cn_delta(3), catalog("A3n"), catalog("B3d"), lm_delta(3)):
         m = monolith(A)
-        for c in congruence_lattice(A).nontrivial():
+        for c in congruence_lattice(A).congruences[1:]:
             assert m.refines(c)
 
 
@@ -347,3 +353,141 @@ def test_trusted_quotients_and_lazy_covers_match_the_checked_ones():
                               for e in range(P.size)])
             with pytest.raises(NotACongruence):
                 quotient(P, bad)
+
+
+# ---------------------------------------------------------------------------
+# the all-covers reference: Con(A) as it was built before it was read off
+# the join-irreducibles, with one closure per covering pair of the lattice
+# reduct, the covers from refinement rows and the SI quotients from a count
+# of upper covers
+
+def _lattice_cover_pairs(A):
+    n = A.size
+    return cover_pairs([sum(1 << b for b in range(n) if A.join[a][b] == b)
+                        for a in range(n)])
+
+
+def _all_covers_lattice(A):
+    known = {identity_congruence(A.size)}
+    for a, b in _lattice_cover_pairs(A):
+        p = principal_congruence(A, a, b)
+        known |= {c.join(p) for c in known}
+    return sorted(known, key=lambda c: (-c.num_blocks(), c.ids))
+
+
+def _refinement_covers(cs):
+    # row j = {i : c_j refines c_i}, the AND over the pairs c_j relates of
+    # the bitset of congruences relating that pair
+    relating = collections.defaultdict(int)
+    for i, c in enumerate(cs):
+        for block in c.blocks():
+            for pair in itertools.combinations(block, 2):
+                relating[pair] |= 1 << i
+    return cover_pairs([functools.reduce(operator.and_,
+                                         (relating[b[0], e]
+                                          for b in c.blocks() for e in b[1:]),
+                                         (1 << len(cs)) - 1)
+                        for c in cs])
+
+
+def _upper_cover_si(cs):
+    upper = collections.Counter(i for i, _ in _refinement_covers(cs))
+    return [c for i, c in enumerate(cs) if upper[i] == 1]
+
+
+def _check_against_all_covers(A):
+    cs = _all_covers_lattice(A)
+    lat = congruence_lattice(A)
+    assert lat.congruences == cs
+    assert lat.covers == _refinement_covers(cs)
+    assert lat.is_chain() == all(a.refines(b) for a, b in zip(cs, cs[1:]))
+    assert monolith(A) == (functools.reduce(Congruence.meet, cs[1:])
+                           if cs[1:] else None)
+    assert is_simple(A) == (A.size > 1 and len(cs) == 2)
+    assert [_tables(Q) for Q in si_quotients(A)] == \
+        [_tables(_quotient(A, c)) for c in _upper_cover_si(cs)]
+
+
+_PRODUCTS = [product(A, B) for A, B in si_chain_pairs()] + \
+    [functools.reduce(product, [ln_plus(1)] * 3)]
+
+
+@functools.cache
+def _subalgebras_of(i):
+    return [S for S, _ in subalgebras(_PRODUCTS[i])]
+
+
+_seeds = st.integers(0, 10 ** 6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_PRODUCTS), _seeds)
+def test_relabeled_products_match_the_all_covers_lattice(P, seed):
+    _check_against_all_covers(shuffled(P, seed))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, len(_PRODUCTS) - 1), _seeds, _seeds)
+def test_subalgebras_of_products_match_the_all_covers_lattice(i, pick, seed):
+    subs = _subalgebras_of(i)
+    _check_against_all_covers(shuffled(subs[pick % len(subs)], seed))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_PRODUCTS), _seeds)
+def test_random_operations_on_product_lattices_match_the_all_covers_lattice(
+        P, seed):
+    # each entry of oplus and odot is the join, or at some rate a random
+    # element: usually non-commutative tables that break every monoid law,
+    # with a congruence lattice that is not always trivial
+    rng = random.Random(seed)
+    n, rate = P.size, rng.choice((0.05, 0.2, 1.0))
+    oplus, odot = ([[rng.randrange(n) if rng.random() < rate else P.join[a][b]
+                     for b in range(n)] for a in range(n)] for _ in range(2))
+    A = make_algebra(n, P.zero, P.one, oplus, odot, join=P.join, meet=P.meet)
+    _check_against_all_covers(shuffled(A, seed))
+
+
+@pytest.fixture()
+def closures(monkeypatch):
+    """The (a, b) of every `principal_congruence` closure run."""
+    calls, real = [], congruences.principal_congruence
+
+    def counted(A, a, b):
+        calls.append((a, b))
+        return real(A, a, b)
+
+    monkeypatch.setattr(congruences, "principal_congruence", counted)
+    return calls
+
+
+def test_one_closure_per_join_irreducible_of_the_lattice_reduct(closures):
+    # the all-covers fold ran one closure per covering pair: 32 and 17
+    for P, pairs, joins, size in (
+            (functools.reduce(product, [ln_plus(1)] * 4), 32, 4, 16),
+            (product(ln_plus(2), ln_plus(3)), 17, 5, 4)):
+        assert len(_lattice_cover_pairs(P)) == pairs
+        closures.clear()
+        assert len(congruence_lattice(P)) == size
+        assert len(closures) == joins
+        closures.clear()
+        assert len(si_quotients(P)) == len(_upper_cover_si(
+            _all_covers_lattice(P)))
+        assert len(closures) == joins
+    # monolith stops at the first identity meet: two atoms of L1+^4
+    closures.clear()
+    assert monolith(functools.reduce(product, [ln_plus(1)] * 4)).is_identity()
+    assert len(closures) == 2
+
+
+def test_si_quotients_build_no_congruence_lattice(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a congruence lattice was built")
+
+    for P in _PRODUCTS[::9]:
+        expected = [_tables(_quotient(P, c))
+                    for c in _upper_cover_si(_all_covers_lattice(P))]
+        with monkeypatch.context() as m:
+            m.setattr(congruences, "congruence_lattice", refuse)
+            m.setattr(congruences.CongruenceLattice, "__init__", refuse)
+            assert [_tables(Q) for Q in si_quotients(P)] == expected
