@@ -77,6 +77,9 @@ def _validate_lattice(join, meet, n):
 
 @dataclass(frozen=True)
 class FiniteAlgebra:
+    """Made by `make_algebra`, so join and meet form a bounded distributive
+    lattice with bottom zero and top one; `is_mv_monoid` trusts that."""
+
     size: int
     zero: int
     one: int
@@ -114,21 +117,36 @@ class FiniteAlgebra:
 
 def make_algebra(size, zero, one, oplus, odot, join=None, meet=None,
                  name="", validate=True):
+    """The algebra with these tables.  Without join and meet the lattice is
+    the chain 0 < 1 < ... < size-1 (max and min; zero must be 0 and one
+    size-1), distributive by definition; given join and meet tables are
+    checked to form a bounded distributive lattice with bottom zero and top
+    one (NotALattice otherwise).  Every table is checked for shape and
+    range.  The monoid and connecting axioms are left to `is_mv_monoid`.
+
+    validate=False vouches for the shapes, the ranges and the lattice.  It
+    serves `product`, `_from_tables`, `order_dual`, `enumerate_chain` and
+    `enumerate_on_lattice`, which build from algebras already made; each
+    of their lattices is one of those algebras' own, or a product,
+    {0,1}-sublattice, quotient or order dual of such, hence a bounded
+    distributive lattice again.  `is_mv_monoid` trusts this and does not
+    re-check the lattice laws.
+    """
     _check_size(size)
     chain = join is None and meet is None
-    if chain:
-        join, meet = max_table(size), min_table(size)
-        if zero != 0 or one != size - 1:
-            raise MalformedDocument("chain algebras need zero=0, one=n-1")
+    if chain and (zero != 0 or one != size - 1):
+        raise MalformedDocument("chain algebras need zero=0, one=n-1")
     if validate:
         for what, t in (("oplus", oplus), ("odot", odot),
-                        ("join", join), ("meet", meet)):
+                        *(() if chain else (("join", join), ("meet", meet)))):
             _check_table(t, size, what)
         _check_element(zero, size, "zero")
         _check_element(one, size, "one")
+    if chain:
+        join, meet = max_table(size), min_table(size)
     oplus, odot = _freeze(oplus), _freeze(odot)
     join, meet = _freeze(join), _freeze(meet)
-    if validate:
+    if validate and not chain:
         _validate_lattice(join, meet, size)
         for i in range(size):
             if join[zero][i] != i:
@@ -300,7 +318,8 @@ def order_dual(A):
     return make_algebra(n, p[A.one], p[A.zero], dual_table(A.odot, p),
                         dual_table(A.oplus, p), join=dual_table(A.meet, p),
                         meet=dual_table(A.join, p),
-                        name=f"dual({A.name})" if A.name else "")
+                        name=f"dual({A.name})" if A.name else "",
+                        validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -323,13 +342,15 @@ class FiniteLMonoid:
 def make_lmonoid(size, zero, plus, join=None, meet=None, name=""):
     _check_size(size)
     chain = join is None and meet is None
-    if chain:
-        join, meet = max_table(size), min_table(size)
-    for what, t in (("plus", plus), ("join", join), ("meet", meet)):
+    for what, t in (("plus", plus),
+                    *(() if chain else (("join", join), ("meet", meet)))):
         _check_table(t, size, what)
     _check_element(zero, size, "zero")
+    if chain:  # max and min: a distributive lattice by definition
+        join, meet = max_table(size), min_table(size)
     plus, join, meet = _freeze(plus), _freeze(join), _freeze(meet)
-    _validate_lattice(join, meet, size)
+    if not chain:
+        _validate_lattice(join, meet, size)
     n = size
     for i in range(n):
         if plus[zero][i] != i:

@@ -34,7 +34,11 @@ _AXIOM_TEXT = [
 ]
 
 MV_MONOID_AXIOMS = [(name, parse(text)) for name, text in _AXIOM_TEXT]
-_AXIOM_NAME = {eq: name for name, eq in MV_MONOID_AXIOMS}
+# `is_mv_monoid` checks only the 14 axioms after the lat.* laws: those hold
+# in every FiniteAlgebra, proved once where `make_algebra` takes tables from
+# outside and kept by products, subalgebras, quotients and order duals.
+_CHECKED = {eq: name for name, eq in MV_MONOID_AXIOMS
+            if not name.startswith("lat.")}
 
 
 class AxiomReport:
@@ -63,8 +67,8 @@ def is_mv_monoid(A):
     if cached is not None:
         return cached
     report = AxiomReport(
-        (_AXIOM_NAME[res.equation], res.witness_named())
-        for res in _failures(A, _AXIOM_NAME))
+        (_CHECKED[res.equation], res.witness_named())
+        for res in _failures(A, _CHECKED))
     A._cache["mvm_report"] = report
     return report
 

@@ -9,6 +9,7 @@ import itertools
 import json
 import os
 import sys
+import warnings
 
 from . import algebra, congruences, constructions, enumeration, morphisms
 from . import posets, terms, varieties
@@ -440,6 +441,12 @@ def _build_parser():
     return ap
 
 
+def _warning_line(message, category, filename, lineno, file=None,
+                  line=None):
+    # a warning as one `warning: ...` line, without the source location
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def run(argv=None, out=None):
     out = out or sys.stdout
     ap = _build_parser()
@@ -448,7 +455,9 @@ def run(argv=None, out=None):
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:
-        args.fn(args, out)
+        with warnings.catch_warnings():
+            warnings.showwarning = _warning_line
+            args.fn(args, out)
     except (MvmError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -6,14 +6,20 @@ from hypothesis import strategies as st
 
 from mvmlab import (are_isomorphic, canonical_key, catalog, catalog_names,
                     chain_algebra, cn_delta, cn_nabla, enumerate_chain,
-                    lm_delta, lm_nabla, ln_plus, load, load_file,
-                    make_algebra, order_dual, product, save, trivial_algebra)
-from mvmlab.algebra import canonical_form, load_lmonoid, make_lmonoid
+                    enumerate_on_lattice, hs_closure, lm_delta, lm_nabla,
+                    ln_plus, load, load_file, make_algebra, order_dual,
+                    product, satisfies, save, si_quotients, subalgebras,
+                    trivial_algebra)
+from mvmlab import algebra
+from mvmlab.algebra import (_validate_lattice, canonical_form, load_lmonoid,
+                            make_lmonoid)
+from mvmlab.axioms import MV_MONOID_AXIOMS
 from mvmlab.constructions import _from_tables, _induced_tables
 from mvmlab.errors import (MalformedDocument, NotALattice, NotAnLMonoid,
                            TableOutOfRange)
 
-from conftest import height_key, relabel, shuffled, si_product_family
+from conftest import (height_key, relabel, shuffled, si_chain_pairs,
+                      si_product_family)
 
 
 def test_trivial_algebra():
@@ -94,6 +100,23 @@ def test_lattice_validation_catches_bad_tables():
         make_algebra(2, 0, 1, [[0, 1], [1, 1]], [[0, 0], [0, 1]],
                      join=[[1, 1], [1, 1]], meet=[[0, 0], [0, 1]])
     assert exc.value.witness is not None
+
+
+def test_chain_documents_are_checked_before_the_default_tables_are_built(
+        monkeypatch):
+    # the document's own tables are checked before the n x n max and min
+    # tables of its chain are built, so a huge size with small tables fails
+    # at once
+    def refuse(n):
+        raise AssertionError(f"max_table({n}) built")
+
+    monkeypatch.setattr(algebra, "max_table", refuse)
+    doc = {"size": 10 ** 8, "zero": 0, "one": 10 ** 8 - 1, "oplus": [[0]],
+           "odot": [[0]]}
+    with pytest.raises(MalformedDocument, match="oplus table is not"):
+        load(doc)
+    with pytest.raises(MalformedDocument, match="plus table is not"):
+        load_lmonoid({"size": 10 ** 8, "zero": 0, "plus": [[0]]})
 
 
 def test_chain_constructor_requires_numeric_order():
@@ -247,7 +270,7 @@ def test_lmonoid_validation():
     assert M.chain_flag and M.leq(0, 1)
 
 
-@pytest.mark.parametrize("join, meet", [
+non_distributive = pytest.mark.parametrize("join, meet", [
     # M3: 0 < {1, 2, 3} < 4, three pairwise incomparable atoms
     ([[0, 1, 2, 3, 4], [1, 1, 4, 4, 4], [2, 4, 2, 4, 4], [3, 4, 4, 3, 4],
       [4, 4, 4, 4, 4]],
@@ -259,6 +282,9 @@ def test_lmonoid_validation():
      [[0, 0, 0, 0, 0], [0, 1, 1, 0, 1], [0, 1, 2, 0, 2], [0, 0, 0, 3, 3],
       [0, 1, 2, 3, 4]]),
 ], ids=["M3", "N5"])
+
+
+@non_distributive
 def test_lmonoid_over_a_non_distributive_lattice_is_rejected(join, meet):
     n = len(join)
     # + is join (unit 0); the lattice laws are checked before the +-laws
@@ -277,3 +303,70 @@ def test_load_lmonoid():
     assert M.name == "m" and M.plus[1][1] == 2
     with pytest.raises(MalformedDocument):
         load_lmonoid({"size": 3, "zero": 0})
+
+
+@non_distributive
+def test_non_distributive_lattice_tables_are_still_rejected(join, meet):
+    n = len(join)
+    with pytest.raises(NotALattice) as exc:
+        make_algebra(n, 0, n - 1, join, meet, join=join, meet=meet)
+    assert str(exc.value) == "distributivity fails"
+    with pytest.raises(NotALattice) as exc:
+        load({"size": n, "zero": 0, "one": n - 1, "oplus": join,
+              "odot": meet, "join": join, "meet": meet})
+    assert str(exc.value) == "distributivity fails"
+
+
+# ---------------------------------------------------------------------------
+# the lattice reduct is proved once, where an algebra is made from outside
+# input; everything built from such algebras keeps a bounded distributive
+# lattice, which `is_mv_monoid` trusts
+
+_LATTICE_LAWS = [(n, e) for n, e in MV_MONOID_AXIOMS if n.startswith("lat.")]
+
+
+def _assert_bounded_distributive(A):
+    _validate_lattice(A.join, A.meet, A.size)
+    assert all(A.join[A.zero][x] == x and A.meet[A.one][x] == x
+               for x in range(A.size)), A
+    # the term engine shares no code with _validate_lattice
+    for name, e in _LATTICE_LAWS:
+        assert satisfies(A, e), (A, name)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, len(si_chain_pairs()) - 1), st.integers(0, 10 ** 6))
+def test_relabeled_products_and_what_they_generate_are_bounded_distributive(
+        i, seed):
+    P = shuffled(product(*si_chain_pairs()[i]), seed)
+    derived = [P, *(S for S, _ in subalgebras(P)), *si_quotients(P),
+               *hs_closure([P]).values()]
+    for A in derived:
+        _assert_bounded_distributive(A)
+        _assert_bounded_distributive(order_dual(A))
+
+
+@settings(max_examples=20, deadline=None)
+@given(which=st.sampled_from(["diamond", "L1+xL2+"]),
+       seed=st.integers(0, 10 ** 6))
+def test_algebras_enumerated_on_a_lattice_are_bounded_distributive(
+        diamond, which, seed):
+    L = diamond if which == "diamond" else product(ln_plus(1), ln_plus(2))
+    found = enumerate_on_lattice(shuffled(L, seed))
+    assert found
+    for A in found:
+        _assert_bounded_distributive(A)
+        _assert_bounded_distributive(order_dual(A))
+
+
+def test_chain_documents_and_order_duals_skip_the_lattice_check(
+        monkeypatch, diamond):
+    def refuse(*args):
+        raise AssertionError("_validate_lattice called")
+
+    monkeypatch.setattr(algebra, "_validate_lattice", refuse)
+    for A in (ln_plus(60), catalog("C3d"), trivial_algebra()):
+        assert load(save(A)) == A
+    make_lmonoid(3, 0, [[0, 1, 2], [1, 2, 2], [2, 2, 2]])
+    for A in (diamond, product(ln_plus(1), ln_plus(2)), ln_plus(4)):
+        assert order_dual(order_dual(A)) == A

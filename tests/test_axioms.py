@@ -1,14 +1,18 @@
 import functools
+import itertools
+import random
 import tracemalloc
 
 import pytest
 
 from conftest import seeded_chain_tables
 
-from mvmlab import (catalog, chain_algebra, cn_delta, cn_nabla,
-                    enumerate_chain, is_good_pair, is_mv_monoid,
-                    is_positive_mv, lm_delta, lm_nabla, ln_plus, product,
-                    satisfies, si_necessary_condition, trivial_algebra)
+from mvmlab import (catalog, catalog_names, chain_algebra, cn_delta,
+                    cn_nabla, enumerate_chain, enumerate_on_lattice,
+                    is_good_pair, is_mv_monoid, is_positive_mv, lm_delta,
+                    lm_nabla, ln_plus, make_algebra, product, satisfies,
+                    si_necessary_condition, trivial_algebra)
+from mvmlab import axioms
 from mvmlab.axioms import MV_MONOID_AXIOMS
 from mvmlab.terms import _product_evaluator
 
@@ -67,6 +71,69 @@ def test_one_pass_report_matches_the_per_axiom_checks():
         assert is_mv_monoid(A).failures == expected, A
         broken_monoid += any(n.startswith("mon.") for n, _ in expected)
     assert broken_monoid > 200
+
+
+def _off_chain_corpus(lattices, per_lattice, seed):
+    """Products of two catalog chains, then on each lattice, given with a
+    list of MV-monoids on it, `per_lattice` algebras with random oplus and
+    odot and as many of the MV-monoids with one entry of oplus or odot
+    changed (both (i, j) and (j, i))."""
+    chains = [catalog(name) for name in catalog_names()]
+    yield from (product(A, B) for A, B in
+                itertools.combinations_with_replacement(chains, 2))
+    rng = random.Random(seed)
+    for L, mvs in lattices:
+        n = L.size
+
+        def build(oplus, odot):
+            return make_algebra(n, L.zero, L.one, oplus, odot, join=L.join,
+                                meet=L.meet)
+
+        for _ in range(per_lattice):
+            yield build(*([[rng.randrange(n) for _ in range(n)]
+                           for _ in range(n)] for _ in range(2)))
+        for _ in range(per_lattice):
+            M = rng.choice(mvs)
+            tables = [list(map(list, M.oplus)), list(map(list, M.odot))]
+            t, i, j = rng.choice(tables), rng.randrange(n), rng.randrange(n)
+            t[i][j] = t[j][i] = rng.randrange(n)
+            yield build(*tables)
+
+
+def test_one_pass_report_matches_the_per_axiom_checks_off_the_chain(diamond):
+    # L1+^3 has more elements than `enumerate_on_lattice` takes: its
+    # MV-monoids here are the products of three on the 2-chain
+    cube = [functools.reduce(product, factors) for factors in
+            itertools.product(enumerate_chain(2, "all"), repeat=3)]
+    L1xL2 = product(ln_plus(1), ln_plus(2))
+    lattices = [(diamond, enumerate_on_lattice(diamond)), (cube[0], cube),
+                (L1xL2, enumerate_on_lattice(L1xL2))]
+    passed = broken = 0
+    for A in _off_chain_corpus(lattices, 40, 17):
+        expected = [(n, satisfies(A, e).witness_named())
+                    for n, e in MV_MONOID_AXIOMS if not satisfies(A, e)]
+        assert is_mv_monoid(A).failures == expected, A
+        passed += not expected
+        broken += any(n.startswith(("dist.", "conn.")) for n, _ in expected)
+    assert passed >= 120 and broken >= 100
+
+
+def test_is_mv_monoid_checks_only_the_axioms_after_the_lattice_laws(
+        monkeypatch, diamond):
+    checked, failures = [], axioms._failures
+
+    def recording(A, equations):
+        checked.append(list(equations))
+        return failures(A, equations)
+
+    monkeypatch.setattr(axioms, "_failures", recording)
+    rest = [e for n, e in MV_MONOID_AXIOMS if not n.startswith("lat.")]
+    bad = make_algebra(4, 0, 3, diamond.meet, diamond.join, join=diamond.join,
+                       meet=diamond.meet)
+    for A in (diamond, bad, ln_plus(3), product(ln_plus(1), cn_delta(2))):
+        is_mv_monoid(A.rename(A.name))  # a fresh cache: no stored report
+        assert checked.pop() == rest
+    assert len(rest) == 14
 
 
 def _peak_traced_bytes(f):

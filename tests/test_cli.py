@@ -10,7 +10,8 @@ import sys
 
 import pytest
 
-from mvmlab import cli, cn_delta, ln_plus, load, product, save
+from mvmlab import (cli, cn_delta, ln_plus, load, product, save,
+                    trivial_algebra)
 from mvmlab.constructions import cn_delta_star
 
 from conftest import shuffled
@@ -307,6 +308,17 @@ def test_poset_command(algebra_file):
     doc = run_json("poset", *files)
     assert doc["nodes"] == ["L1+", "L2+", "L3+"]
     assert doc["covers"] == [["L1+", "L2+"], ["L1+", "L3+"]]
+
+
+def test_poset_warns_in_one_line_without_the_source_location(
+        algebra_file, capsys):
+    # the library's UserWarning, as one line with no file path or source
+    code, out = run("poset", algebra_file(trivial_algebra()))
+    assert code == 0
+    assert json.loads(out) == {"nodes": ["trivial"], "covers": []}
+    assert capsys.readouterr().err == (
+        "warning: si_poset input FiniteAlgebra(trivial, n=1) is not "
+        "subdirectly irreducible\n")
 
 
 def test_downsets_command(tmp_path):
