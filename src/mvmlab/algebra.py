@@ -77,8 +77,14 @@ def _validate_lattice(join, meet, n):
 
 @dataclass(frozen=True)
 class FiniteAlgebra:
-    """Made by `make_algebra`, so join and meet form a bounded distributive
-    lattice with bottom zero and top one; `is_mv_monoid` trusts that."""
+    """An algebra is its tables, tuples of tuples; join and meet form a
+    bounded distributive lattice with bottom zero and top one, which
+    `is_mv_monoid` and `save` trust.  `make_algebra` proves that of outside
+    input.  Constructing one directly vouches for it, as `product`,
+    `order_dual`, subalgebras, quotients and the enumerators do: each of
+    their lattices is a proved one or a product, {0,1}-sublattice, quotient
+    or order dual of such, hence one again (Burris & Sankappanavar, II §9).
+    """
 
     size: int
     zero: int
@@ -87,7 +93,6 @@ class FiniteAlgebra:
     odot: Table
     join: Table
     meet: Table
-    chain_flag: bool
     name: str = field(default="", compare=False)
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
@@ -116,54 +121,39 @@ class FiniteAlgebra:
 
 
 def make_algebra(size, zero, one, oplus, odot, join=None, meet=None,
-                 name="", validate=True):
+                 name=""):
     """The algebra with these tables.  Without join and meet the lattice is
     the chain 0 < 1 < ... < size-1 (max and min; zero must be 0 and one
     size-1), distributive by definition; given join and meet tables are
     checked to form a bounded distributive lattice with bottom zero and top
     one (NotALattice otherwise).  Every table is checked for shape and
     range.  The monoid and connecting axioms are left to `is_mv_monoid`.
-
-    validate=False vouches for the shapes, the ranges and the lattice.  It
-    serves `product`, `_from_tables`, `order_dual`, `enumerate_chain` and
-    `enumerate_on_lattice`, which build from algebras already made; each
-    of their lattices is one of those algebras' own, or a product,
-    {0,1}-sublattice, quotient or order dual of such, hence a bounded
-    distributive lattice again.  `is_mv_monoid` trusts this and does not
-    re-check the lattice laws.
     """
     _check_size(size)
     chain = join is None and meet is None
     if chain and (zero != 0 or one != size - 1):
         raise MalformedDocument("chain algebras need zero=0, one=n-1")
-    if validate:
-        for what, t in (("oplus", oplus), ("odot", odot),
-                        *(() if chain else (("join", join), ("meet", meet)))):
-            _check_table(t, size, what)
-        _check_element(zero, size, "zero")
-        _check_element(one, size, "one")
+    for what, t in (("oplus", oplus), ("odot", odot),
+                    *(() if chain else (("join", join), ("meet", meet)))):
+        _check_table(t, size, what)
+    _check_element(zero, size, "zero")
+    _check_element(one, size, "one")
     if chain:
         join, meet = max_table(size), min_table(size)
-    oplus, odot = _freeze(oplus), _freeze(odot)
-    join, meet = _freeze(join), _freeze(meet)
-    if validate and not chain:
+    else:
+        join, meet = _freeze(join), _freeze(meet)
         _validate_lattice(join, meet, size)
         for i in range(size):
             if join[zero][i] != i:
                 raise NotALattice("zero is not the bottom", (zero, i, i))
             if meet[one][i] != i:
                 raise NotALattice("one is not the top", (one, i, i))
-    if not chain:
-        # recognize chains presented with explicit tables in numeric order
-        chain = (zero == 0 and one == size - 1
-                 and join == max_table(size) and meet == min_table(size))
-    return FiniteAlgebra(size, zero, one, oplus, odot, join, meet, chain,
-                         name=name)
+    return FiniteAlgebra(size, zero, one, _freeze(oplus), _freeze(odot),
+                         join, meet, name=name)
 
 
-def chain_algebra(size, oplus, odot, name="", validate=True):
-    return make_algebra(size, 0, size - 1, oplus, odot, name=name,
-                        validate=validate)
+def chain_algebra(size, oplus, odot, name=""):
+    return make_algebra(size, 0, size - 1, oplus, odot, name=name)
 
 
 def trivial_algebra():
@@ -196,7 +186,9 @@ def save(A):
            "odot": [list(r) for r in A.odot]}
     if A.name:
         doc["name"] = A.name
-    if not A.chain_flag:
+    # join and meet are left out exactly for the chain 0 < 1 < ... < n-1,
+    # which `load` rebuilds: in a lattice, i v (i+1) = i+1 for every i
+    if any(A.join[i][i + 1] != i + 1 for i in range(A.size - 1)):
         doc["join"] = [list(r) for r in A.join]
         doc["meet"] = [list(r) for r in A.meet]
     return doc
@@ -315,11 +307,10 @@ def order_dual(A):
     stay in numeric order)."""
     n = A.size
     p = [n - 1 - i for i in range(n)]
-    return make_algebra(n, p[A.one], p[A.zero], dual_table(A.odot, p),
-                        dual_table(A.oplus, p), join=dual_table(A.meet, p),
-                        meet=dual_table(A.join, p),
-                        name=f"dual({A.name})" if A.name else "",
-                        validate=False)
+    return FiniteAlgebra(n, p[A.one], p[A.zero], dual_table(A.odot, p),
+                         dual_table(A.oplus, p), dual_table(A.meet, p),
+                         dual_table(A.join, p),
+                         name=f"dual({A.name})" if A.name else "")
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +323,6 @@ class FiniteLMonoid:
     plus: Table
     join: Table
     meet: Table
-    chain_flag: bool
     name: str = field(default="", compare=False)
 
     def leq(self, a, b):
@@ -346,10 +336,11 @@ def make_lmonoid(size, zero, plus, join=None, meet=None, name=""):
                     *(() if chain else (("join", join), ("meet", meet)))):
         _check_table(t, size, what)
     _check_element(zero, size, "zero")
+    plus = _freeze(plus)
     if chain:  # max and min: a distributive lattice by definition
         join, meet = max_table(size), min_table(size)
-    plus, join, meet = _freeze(plus), _freeze(join), _freeze(meet)
-    if not chain:
+    else:
+        join, meet = _freeze(join), _freeze(meet)
         _validate_lattice(join, meet, size)
     n = size
     for i in range(n):
@@ -365,9 +356,7 @@ def make_lmonoid(size, zero, plus, join=None, meet=None, name=""):
                     raise NotAnLMonoid("+ over join fails", (i, j, k))
                 if plus[i][meet[j][k]] != meet[plus[i][j]][plus[i][k]]:
                     raise NotAnLMonoid("+ over meet fails", (i, j, k))
-    if not chain:
-        chain = join == max_table(size) and meet == min_table(size)
-    return FiniteLMonoid(size, zero, plus, join, meet, chain, name=name)
+    return FiniteLMonoid(size, zero, plus, join, meet, name=name)
 
 
 def load_lmonoid(doc):

@@ -5,8 +5,8 @@ plus Gamma-of-lexicographic-product, products, subalgebras and quotients."""
 import itertools
 import operator
 
-from .algebra import (canonical_key, chain_algebra, make_algebra,
-                      make_lmonoid, order_dual, trivial_algebra)
+from .algebra import (FiniteAlgebra, canonical_key, chain_algebra,
+                      make_algebra, make_lmonoid, order_dual, trivial_algebra)
 from .caps import check
 from .congruences import (_sort_key, congruence_join, is_congruence,
                           principal_congruences, translation_tables)
@@ -228,15 +228,14 @@ def product(A, B):
     index = {p: i for i, p in enumerate(pairs)}
 
     def table(ta, tb):
-        return [[index[(ta[i1][j1], tb[i2][j2])]
-                 for (j1, j2) in pairs] for (i1, i2) in pairs]
+        return tuple(tuple(index[(ta[i1][j1], tb[i2][j2])]
+                           for (j1, j2) in pairs) for (i1, i2) in pairs)
 
-    return make_algebra(
+    return FiniteAlgebra(
         n, index[(A.zero, B.zero)], index[(A.one, B.one)],
         table(A.oplus, B.oplus), table(A.odot, B.odot),
-        join=table(A.join, B.join), meet=table(A.meet, B.meet),
-        name=f"{A.name}x{B.name}" if A.name and B.name else "",
-        validate=False)
+        table(A.join, B.join), table(A.meet, B.meet),
+        name=f"{A.name}x{B.name}" if A.name and B.name else "")
 
 
 def _extend(A, closed, gens):
@@ -262,26 +261,20 @@ def subuniverse_closure(A, gens):
 
 
 def _induced_tables(A, reps, index):
-    """(zero, one, join, meet, oplus, odot) of the algebra on len(reps)
-    elements whose element i stands for reps[i] and whose operations are A's
-    on the representatives, read back through `index` (element of A -> new
-    element).  Equal tuples give equal algebras, hence equal keys."""
+    """(size, zero, one, oplus, odot, join, meet), in `FiniteAlgebra`'s
+    order, of the algebra on len(reps) elements whose element i stands for
+    reps[i] and whose operations are A's on the representatives, read back
+    through `index` (element of A -> new element).  Equal tuples give equal
+    algebras, hence equal keys."""
     if len(reps) == 1:  # the trivial algebra; `pick` would not make tuples
-        return (0, 0) + (((0,),),) * 4
+        return (1, 0, 0) + (((0,),),) * 4
     get, pick = index.__getitem__, operator.itemgetter(*reps)
 
     def table(t):
         return tuple(tuple(map(get, pick(row))) for row in pick(t))
 
-    return (get(A.zero), get(A.one), table(A.join), table(A.meet),
-            table(A.oplus), table(A.odot))
-
-
-def _from_tables(tables, name=""):
-    # the algebra of an `_induced_tables` tuple, trusted as it stands
-    zero, one, join, meet, oplus, odot = tables
-    return make_algebra(len(join), zero, one, oplus, odot, join=join,
-                        meet=meet, name=name, validate=False)
+    return (len(reps), get(A.zero), get(A.one), table(A.oplus),
+            table(A.odot), table(A.join), table(A.meet))
 
 
 def subalgebras(A):
@@ -304,7 +297,7 @@ def subalgebras(A):
         tables = _induced_tables(A, U, {e: i for i, e in enumerate(U)})
         if tables not in seen:
             seen.add(tables)
-            sub = _from_tables(tables)
+            sub = FiniteAlgebra(*tables)
             found.setdefault(canonical_key(sub), (sub, tuple(U)))
     return [found[k] for k in sorted(found)]
 
@@ -330,7 +323,7 @@ def _quotient_name(A):
 
 def _quotient(A, theta):
     # `quotient` without the check, for a theta taken from Con(A)
-    return _from_tables(_quotient_tables(A, theta), _quotient_name(A))
+    return FiniteAlgebra(*_quotient_tables(A, theta), name=_quotient_name(A))
 
 
 def si_quotients(A):

@@ -15,8 +15,8 @@ chain tables are distinct isomorphism classes; lattice outputs are
 deduplicated by canonical key.
 """
 
-from .algebra import (canonical_key, chain_algebra, dual_table, make_algebra,
-                      max_table, min_table)
+from .algebra import (FiniteAlgebra, canonical_key, dual_table, max_table,
+                      min_table)
 from .axioms import si_necessary_condition
 from .caps import check
 from .congruences import is_subdirectly_irreducible
@@ -299,11 +299,11 @@ def enumerate_chain(n, flt="all"):
     """
     _check_arguments(n, flt, "ENUM_CHAIN", "chain")
     out = []
-    order = list(range(n))
-    pairs = _pairs(max_table(n), min_table(n), 0, n - 1, order, flt,
-                   delta=order[::-1])
+    join, meet, order = max_table(n), min_table(n), list(range(n))
+    pairs = _pairs(join, meet, 0, n - 1, order, flt, delta=order[::-1])
     for count, (p, q) in enumerate(pairs):
-        A = chain_algebra(n, p, q, name=f"chain{n}_{count}", validate=False)
+        A = FiniteAlgebra(n, 0, n - 1, p, q, join, meet,
+                          name=f"chain{n}_{count}")
         if _passes(A, flt):
             out.append(A)
     return out
@@ -318,8 +318,7 @@ def enumerate_on_lattice(L, flt="all"):
     order = sorted(range(n), key=L.heights().__getitem__)
     found = {}
     for p, q in _pairs(L.join, L.meet, L.zero, L.one, order, flt):
-        A = make_algebra(n, L.zero, L.one, p, q, join=L.join, meet=L.meet,
-                         validate=False)
+        A = FiniteAlgebra(n, L.zero, L.one, p, q, L.join, L.meet)
         if _passes(A, flt):
             found.setdefault(canonical_key(A), A)
     return [found[k] for k in sorted(found)]

@@ -4,10 +4,9 @@ irreducible algebras ordered by HSU membership."""
 
 import warnings
 
-from .algebra import canonical_key
+from .algebra import FiniteAlgebra, canonical_key
 from .congruences import congruence_lattice, is_subdirectly_irreducible
-from .constructions import (_from_tables, _quotient_name, _quotient_tables,
-                            subalgebras)
+from .constructions import _quotient_name, _quotient_tables, subalgebras
 from .posets import Poset
 
 
@@ -30,12 +29,13 @@ def hs_closure(S):
         for B, _ in subalgebras(A):
             # B is its own quotient by the identity, the first congruence
             found.setdefault(canonical_key(B), B)
-            seen.add((B.zero, B.one, B.join, B.meet, B.oplus, B.odot))
+            seen.add((B.size, B.zero, B.one, B.oplus, B.odot, B.join,
+                      B.meet))
             for theta in congruence_lattice(B).congruences[1:]:
                 tables = _quotient_tables(B, theta)
                 if tables not in seen:
                     seen.add(tables)
-                    Q = _from_tables(tables, _quotient_name(B))
+                    Q = FiniteAlgebra(*tables, name=_quotient_name(B))
                     found.setdefault(canonical_key(Q), Q)
     return found
 

@@ -104,7 +104,9 @@ class Poset:
         node_id = {}
         for i in order:
             node_id[i] = f"n{len(node_id)}"
-            lines.append(f'  {node_id[i]} [label="{label_of(self.labels[i])}"];')
+            label = label_of(self.labels[i])
+            label = label.replace("\\", "\\\\").replace('"', '\\"')
+            lines.append(f'  {node_id[i]} [label="{label}"];')
         for a, b in sorted(self.covers(),
                            key=lambda e: (label_of(e[0]), label_of(e[1]))):
             lines.append(f"  {node_id[self._idx[a]]} -> {node_id[self._idx[b]]};")

@@ -195,15 +195,17 @@ def almost_minimal_axioms(tag):
 def member_of_variety(A, K):
     """Whether A lies in V(K), K a list of finite algebras or an index set I
     standing for the L_d+ with d in I.  The SI members of V(K) are those of
-    HS(K) (`si_members`); for I, the L_e+ with e in I, since the subalgebras
-    of L_d+ are the L_e+ with e | d, all simple.  A finite A is a subdirect
-    product of its SI quotients, hence A is in V(K) iff it is an MV-monoid
-    whose SI classes all are SI members of V(K)."""
+    HS(K) (`si_members`; Jónsson's lemma needs only the lattice reduct, no
+    MV-monoid axiom); for I, the L_e+ with e in I, since the subalgebras of
+    L_d+ are the L_e+ with e | d, all simple.  A finite A is a subdirect
+    product of its SI quotients, hence A is in V(K) iff its SI classes all
+    are SI members of V(K).  The index route also asks that A be an
+    MV-monoid, which that implies, as every L_e+ is one."""
     K = list(K)
     if K and all(isinstance(B, FiniteAlgebra) for B in K):
-        targets = si_members(K).keys()
-    else:  # an L_e+ with more elements than A is no quotient of A
-        targets = {_ln_plus_key(e) for e in DivisorClosedSet(K) if e < A.size}
+        return _si_classes(A).keys() <= si_members(K).keys()
+    # an L_e+ with more elements than A is no quotient of A
+    targets = {_ln_plus_key(e) for e in DivisorClosedSet(K) if e < A.size}
     return bool(is_mv_monoid(A)) and _si_classes(A).keys() <= targets
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from mvmlab import (canonical_key, catalog, catalog_names, chain_algebra,
                     congruence_lattice, enumerate_chain, make_algebra,
                     order_dual, product)
-from mvmlab.algebra import canonical_form
+from mvmlab.algebra import FiniteAlgebra, canonical_form
 from mvmlab.constructions import _extend, subuniverse_closure
 
 
@@ -136,12 +136,11 @@ def height_key(A):
 
 def _induced(A, reps, index, name=""):
     def table(t):
-        return [[index[t[a][b]] for b in reps] for a in reps]
+        return tuple(tuple(index[t[a][b]] for b in reps) for a in reps)
 
-    return make_algebra(len(reps), index[A.zero], index[A.one],
-                        table(A.oplus), table(A.odot),
-                        join=table(A.join), meet=table(A.meet), name=name,
-                        validate=False)
+    return FiniteAlgebra(len(reps), index[A.zero], index[A.one],
+                         table(A.oplus), table(A.odot), table(A.join),
+                         table(A.meet), name=name)
 
 
 def unskipped_subalgebras(A):

@@ -4,17 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvmlab import (are_isomorphic, canonical_key, catalog, catalog_names,
-                    chain_algebra, cn_delta, cn_nabla, enumerate_chain,
-                    enumerate_on_lattice, hs_closure, lm_delta, lm_nabla,
-                    ln_plus, load, load_file, make_algebra, order_dual,
-                    product, satisfies, save, si_quotients, subalgebras,
-                    trivial_algebra)
+from mvmlab import (FiniteAlgebra, are_isomorphic, canonical_key, catalog,
+                    catalog_names, chain_algebra, cn_delta, cn_nabla,
+                    congruence_lattice, enumerate_chain, enumerate_on_lattice,
+                    hs_closure, lm_delta, lm_nabla, ln_plus, load, load_file,
+                    make_algebra, order_dual, product, quotient, satisfies,
+                    save, si_quotients, subalgebras, trivial_algebra)
 from mvmlab import algebra
 from mvmlab.algebra import (_validate_lattice, canonical_form, load_lmonoid,
                             make_lmonoid)
 from mvmlab.axioms import MV_MONOID_AXIOMS
-from mvmlab.constructions import _from_tables, _induced_tables
+from mvmlab.constructions import _induced_tables
 from mvmlab.errors import (MalformedDocument, NotALattice, NotAnLMonoid,
                            TableOutOfRange)
 
@@ -30,7 +30,7 @@ def test_trivial_algebra():
 
 def test_chain_algebra_defaults():
     A = ln_plus(2)
-    assert A.chain_flag and A.is_chain()
+    assert A.is_chain() and "join" not in save(A)
     assert A.zero == 0 and A.one == 2
     assert A.join[1][2] == 2 and A.meet[1][2] == 1
     assert A.leq(0, 1) and A.leq(1, 2) and not A.leq(2, 1)
@@ -42,7 +42,7 @@ def test_explicit_chain_tables_recognized_as_chain():
     B = make_algebra(3, 0, 2, A.oplus, A.odot,
                      join=[list(r) for r in A.join],
                      meet=[list(r) for r in A.meet])
-    assert B.chain_flag
+    assert B == A and "join" not in save(B)
 
 
 def test_save_load_round_trip(catalog_algebras):
@@ -63,6 +63,40 @@ def test_save_keeps_non_chain_lattice_tables(diamond):
     doc = save(diamond)
     assert "join" in doc and "meet" in doc
     assert load(doc) == diamond.rename("diamond")
+
+
+def _assert_round_trip(A):
+    # join and meet are left out exactly for the chain in numeric order
+    doc = save(A)
+    n = A.size
+    numeric_chain = (A.zero == 0 and A.one == n - 1
+                     and A.join == algebra.max_table(n)
+                     and A.meet == algebra.min_table(n))
+    assert ("join" in doc) == ("meet" in doc) == (not numeric_chain), A
+    assert load(doc) == A
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, len(si_chain_pairs()) - 1), st.integers(0, 10 ** 6))
+def test_derived_algebras_round_trip_through_save(i, seed):
+    P = shuffled(product(*si_chain_pairs()[i]), seed)
+    derived = [P, *(S for S, _ in subalgebras(P)), *si_quotients(P)]
+    for A in derived:
+        _assert_round_trip(A)
+        _assert_round_trip(order_dual(A))
+
+
+_CHAINS = [A for n in range(1, 6) for A in enumerate_chain(n, "si")] + [
+    catalog(name) for name in catalog_names()]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_CHAINS), st.booleans(), st.integers(0, 10 ** 6))
+def test_quotients_of_chains_round_trip_through_save(C, shuffle, seed):
+    if shuffle:
+        C = shuffled(C, seed)
+    for theta in congruence_lattice(C).congruences:
+        _assert_round_trip(quotient(C, theta))
 
 
 def test_load_file_round_trip(tmp_path):
@@ -221,7 +255,8 @@ def test_canonical_key_is_kept_per_algebra():
             [(A.height(e), e == A.zero, e == A.one) for e in range(A.size)])
         assert canonical_key(A) is key
         # algebras built from A start without its key
-        same = _from_tables(_induced_tables(A, range(A.size), range(A.size)))
+        same = FiniteAlgebra(*_induced_tables(A, range(A.size),
+                                              range(A.size)))
         for B in (A.rename("copy"), order_dual(A), same):
             assert "key" not in B._cache
         assert canonical_key(A.rename("copy")) == canonical_key(same) == key
@@ -267,7 +302,7 @@ def test_lmonoid_validation():
         # non-commutative addition
         make_lmonoid(2, 0, [[0, 1], [0, 1]])
     M = make_lmonoid(2, 0, [[0, 1], [1, 1]])
-    assert M.chain_flag and M.leq(0, 1)
+    assert M.join == algebra.max_table(2) and M.leq(0, 1)
 
 
 non_distributive = pytest.mark.parametrize("join, meet", [

@@ -5,13 +5,14 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
-from mvmlab import (cli, cn_delta, ln_plus, load, product, save,
-                    trivial_algebra)
+from mvmlab import (catalog_names, cli, cn_delta, ln_plus, load, product,
+                    save, trivial_algebra)
 from mvmlab.constructions import cn_delta_star
 
 from conftest import shuffled
@@ -329,6 +330,20 @@ def test_downsets_command(tmp_path):
     assert len(doc["covers"]) == 2
 
 
+def test_dot_labels_are_escaped(tmp_path):
+    p = tmp_path / "p.json"
+    p.write_text(json.dumps({"nodes": ['a"b', "c\\d"],
+                             "leq": [['a"b', "c\\d"]]}))
+    code, text = run("downsets", str(p), "--dot")
+    assert code == 0
+    assert '  n1 [label="{a\\"b}"];' in text
+    assert '  n2 [label="{a\\"b,c\\\\d}"];' in text
+    # every label is one DOT string: no quote left unescaped inside it
+    labels = re.findall(r'\[label=(.*)\];$', text, re.M)
+    assert len(labels) == 3
+    assert all(re.fullmatch(r'"(?:[^"\\]|\\.)*"', s) for s in labels)
+
+
 def test_unknown_file_and_target_exit_codes(tmp_path):
     assert run("axioms", str(tmp_path / "missing.json"))[0] == 1
     assert run("repro", "fig99")[0] == 1
@@ -452,10 +467,66 @@ _GOLDEN_CONGRUENCES = [
 ]
 
 
+# what `save` writes: `construct` of each catalog name, and the files of
+# `enumerate --size 5 --filter si --out`, in name order, each digested as
+# its name, a NUL byte and its contents
+_GOLDEN_CONSTRUCT = {
+    "A3d":
+        "46bf402bbf737e02f7b995477b6a270f3e45a5d6ee23ccd6f58bd5e783a942f1",
+    "A3n":
+        "6dc1b7522f07a4f1c73c4d01f745989d7c87bef12222f5bbc55e48aa94eff78b",
+    "B3d":
+        "c7e77fe4c6aad25d9e99c15c99249ad094874f2db4f75e1281bd8d49736fadcd",
+    "B3n":
+        "4919b0b6590ba5beef2d4299214852b1496a3914b6e9b2ea82bbb4071995bed6",
+    "C2d":
+        "4d4f5fc69ecc9cd58cfcd9311f85290d2322d88de7036e5ac8c1f84c0e383a44",
+    "C2n":
+        "d6e2081e71ee7f4ede312fbf60fcfe5108c9afb82351e01e3028c0d1dbc7292d",
+    "C3d":
+        "89cca0e68c11bd43470f2fe1470185e8f6886bc223d26b9a23ed795cb6d06497",
+    "C3n":
+        "699184c8fa508b7f9ba0888684e800f9e741ed33be29ecb3a784a53278fb89fd",
+    "L1+":
+        "9021d31d09a5a8c37fcd1f3125c65eb1c00c94d6a521d75378de8495853e40be",
+    "L2":
+        "9edea1f47430255e6c83fc8fdbc1c18f1ed2f0b145de50a2e19560e13f678657",
+    "L2+":
+        "e46aee27c45c339ac7339596a9bcd67d9391370a983f1c301d7eda42bc32c954",
+    "L3+":
+        "f20511035217fb1f98881c08a55d73c6075c80666217140321337a821afbcded",
+    "LM3d":
+        "188b80392659ee71dc3f7624082731465889197c6825f0527018dae9933dd494",
+    "LM3n":
+        "d18e86ea45f06f045fe9eb19e85c0f810d39f0a81d1fe693aaa48cf268210ff8",
+    "trivial":
+        "458139eac589fc0b566fe0c6b4cdb82fb6dec5b31d900318e9d7de4dc0414dda",
+}
+
+_GOLDEN_ENUMERATE_FILES = (
+    19,
+    "92e49c9567c1dbe28951728521288fcaf7a7270ee42dba69d058db7edd0787ab")
+
+
 def _sha(*argv):
     code, text = run(*argv)
     assert code == 0, text
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_construct_output_matches_its_golden_digest(name):
+    assert _sha("construct", name) == _GOLDEN_CONSTRUCT[name]
+
+
+def test_enumerate_files_match_their_golden_digest(tmp_path):
+    run_json("enumerate", "--size", "5", "--filter", "si", "--out",
+             str(tmp_path))
+    names = sorted(os.listdir(tmp_path))
+    h = hashlib.sha256()
+    for f in names:
+        h.update(f.encode() + b"\0" + (tmp_path / f).read_bytes())
+    assert (len(names), h.hexdigest()) == _GOLDEN_ENUMERATE_FILES
 
 
 @pytest.mark.parametrize("target", sorted(_GOLDEN_REPRO))

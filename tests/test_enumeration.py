@@ -7,7 +7,7 @@ from mvmlab import (Poset, canonical_key, chain_algebra, cn_delta, cn_nabla,
                     is_positive_mv, is_simple, is_subdirectly_irreducible,
                     ln_plus, make_algebra, member_of_variety, parse, product,
                     satisfies, si_necessary_condition)
-from mvmlab.algebra import max_table, min_table
+from mvmlab.algebra import FiniteAlgebra, max_table, min_table
 from mvmlab.enumeration import FILTERS, _monoid_tables, _pairs, _passes
 from mvmlab.errors import CapExceeded
 
@@ -132,7 +132,7 @@ def test_enumeration_matches_naive_generate_then_filter(n):
     expected = set()
     for p in _naive_monoid_tables(join, meet, 0):
         for q in _naive_monoid_tables(join, meet, n - 1):
-            A = chain_algebra(n, p, q, validate=False)
+            A = chain_algebra(n, p, q)
             if satisfies(A, MIXED_ASSOC):
                 expected.add((p, q))
     got = {(A.oplus, A.odot) for A in enumerate_chain(n, "all")}
@@ -187,8 +187,8 @@ def test_lattice_enumeration_matches_naive_generate_then_filter(diamond,
         expected = set()
         for p in adds:
             for q in muls:
-                A = make_algebra(L.size, L.zero, L.one, p, q, join=L.join,
-                                 meet=L.meet, validate=False)
+                A = FiniteAlgebra(L.size, L.zero, L.one, p, q, L.join,
+                                  L.meet)
                 full = (satisfies(A, MIXED_ASSOC)
                         if flt == "all" else is_mv_monoid(A))
                 if full and _FILTER_HOLDS[flt](A):
@@ -271,7 +271,7 @@ def test_joint_search_matches_the_pair_loop_on_chains(n):
         assert _chain_pairs(n, flt) == want, flt
         assert list(_pairs(*_chain_args(n), flt)) == want, flt
         expected = [(f"chain{n}_{k}", p, q) for k, (p, q) in enumerate(want)
-                    if _passes(chain_algebra(n, p, q, validate=False), flt)]
+                    if _passes(chain_algebra(n, p, q), flt)]
         got = [(A.name, A.oplus, A.odot) for A in enumerate_chain(n, flt)]
         assert got == expected, flt
 
@@ -309,8 +309,7 @@ def test_joint_search_matches_the_pair_loop_on_lattices(diamond, which):
         assert list(_pairs(*args, flt)) == want, flt
         found = {}
         for p, q in want:
-            A = make_algebra(L.size, L.zero, L.one, p, q, join=L.join,
-                             meet=L.meet, validate=False)
+            A = FiniteAlgebra(L.size, L.zero, L.one, p, q, L.join, L.meet)
             if _passes(A, flt):
                 found.setdefault(canonical_key(A), (p, q))
         got = [(A.oplus, A.odot) for A in enumerate_on_lattice(L, flt)]
@@ -358,7 +357,7 @@ def test_pair_stage_matches_satisfies_on_every_pair_of_tables(n):
               for q in _monoid_tables(meet, join, one, order[::-1])]
 
     def holds(p, q, equations):
-        A = chain_algebra(n, p, q, validate=False)
+        A = chain_algebra(n, p, q)
         return bool(satisfies(A, equations))
 
     relaxed = [(p, q) for p, q in tables if holds(p, q, MIXED_ASSOC)]

@@ -334,6 +334,33 @@ def test_member_of_variety_computes_the_si_quotients_once(monkeypatch):
     assert len(calls) == 2
 
 
+def _non_mv_chains():
+    return [B for n in (4, 5) for B in enumerate_chain(n, "all")
+            if not is_mv_monoid(B)]
+
+
+def test_hs_of_a_non_mv_monoid_generator_lies_in_its_variety():
+    # Jónsson's lemma asks only for the lattice reduct: the generator route
+    # must not reject an algebra of V(K) for failing a connecting axiom
+    chains = _non_mv_chains()
+    assert len(chains) == 37
+    assert {"chain4_1", "chain4_11"} <= {B.name for B in chains}
+    members = 0
+    for B in chains:
+        for C in hs_closure([B]).values():
+            assert member_of_variety(C, [B]), (C, B)
+            members += 1
+    assert members == 281
+
+
+def test_a_non_mv_monoid_generator_excludes_what_fails_its_equations():
+    B = next(B for B in _non_mv_chains() if B.name == "chain4_1")
+    eq = parse("x + x ≈ x")
+    assert satisfies(B, eq) and not satisfies(ln_plus(2), eq)
+    assert not member_of_variety(ln_plus(2), [B])
+    assert member_of_variety(B, [B])
+
+
 def test_membership_by_index_set_matches_membership_by_generators():
     # the closed form (the L_e+ with e in I) against the SI members of
     # HS(L_d+ : d in I), on relabeled SI chains and products
