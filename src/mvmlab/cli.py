@@ -209,8 +209,13 @@ def _cmd_poset(args, out):
     _poset_out(_named_poset(morphisms.si_poset(gens)), args, out, "si_poset")
 
 
+# a backslash before each of these inside a node name keeps the labels of
+# distinct downsets distinct ({"a,b"} is not {a, b})
+_NAME_ESCAPES = str.maketrans({c: "\\" + c for c in "\\,{}"})
+
+
 def _downset_label(s):
-    return "{" + ",".join(sorted(s)) + "}"
+    return "{" + ",".join(x.translate(_NAME_ESCAPES) for x in sorted(s)) + "}"
 
 
 def _load_poset(path):

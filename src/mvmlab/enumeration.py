@@ -7,9 +7,11 @@ multiplicative ones as the additive ones of the order dual); `_pairs`
 searches, for each additive table, the prefix tree of the multiplicative
 ones for those meeting the connecting axioms, checking each axiom instance
 as soon as the cells it reads are known (finite model search in the style
-of SEM and Mace4).  On the chain, reversing the order and swapping oplus
-with odot maps the passing pairs onto themselves, so of a pair and its
-mirror image only one is walked and the other recorded from it (the usual
+of SEM and Mace4), and runs the filter on each pair it finds.  On the
+chain, reversing the order and swapping oplus with odot maps the passing
+pairs onto themselves, so the multiplicative tables are the order duals of
+the additive ones, and of a pair and its mirror image only one is walked
+and filtered, the other recorded from it with the same verdict (the usual
 symmetry breaking of finite model search).  Chains are rigid, so distinct
 chain tables are distinct isomorphism classes; lattice outputs are
 deduplicated by canonical key.
@@ -43,7 +45,7 @@ def _passes(A, flt):
     if flt == "si":
         return is_subdirectly_irreducible(A)[0]
     if flt == "positive":
-        return satisfies_quasi(A, CANCELLATIVITY)
+        return bool(satisfies_quasi(A, CANCELLATIVITY))
     return True
 
 
@@ -140,11 +142,24 @@ def _prefix_tree(tables, cells, rank):
     return build(range(len(tables)), 0)[0]
 
 
+def _dual_tables(tables, delta):
+    """The tables t^delta, sorted, each distinct row stored once as in
+    `_monoid_tables`, and rank: the k-th one is the dual of tables[rank[k]].
+    Of the additive tables and an order-reversing involution delta these are
+    the multiplicative tables, as `_monoid_tables` lists them."""
+    rows = {}
+    duals = [tuple(rows.setdefault(r, r) for r in dual_table(t, delta))
+             for t in tables]
+    rank = sorted(range(len(tables)), key=duals.__getitem__)
+    return [duals[k] for k in rank], rank
+
+
 def _pairs(join, meet, zero, one, order, flt, delta=None):
-    """The (oplus, odot) table pairs on the lattice that the filter sees, in
-    lexicographic order: pairs of monoid tables satisfying the two
+    """The (oplus, odot, kept) triples on the lattice, in lexicographic
+    order of the pairs: the pairs of monoid tables satisfying the two
     mixed-associativity axioms, and for the refined filters the two
-    truncation axioms as well, so that they satisfy the full definition.
+    truncation axioms as well, so that they satisfy the full definition,
+    each with the filter's verdict on its algebra.
 
     For each additive table p the multiplicative tables are walked as a
     prefix tree over the cells in the order `_monoid_tables` fills them.  An
@@ -157,27 +172,36 @@ def _pairs(join, meet, zero, one, order, flt, delta=None):
     monotone monoid tables are not listed: all those with y in {0, 1},
     mixed associativity (A) at x = 0 or z = 1 and (B) at x = 1 or z = 0,
     truncation (C) at x in {0, 1} or z = 1 and (D) at x in {0, 1} or z = 0;
-    (C) and (D) are symmetric in x and y.
+    (C) and (D) are symmetric in x and y.  An instance that cuts a node
+    moves to the front of the instances entering at that depth, so the
+    next table tries it first; every instance is still checked on every
+    path that passes, so the hits do not depend on that order.
 
     `delta`, when given, is an order-reversing involution of the lattice.
-    The definition is self-dual: sigma(p, q) = (q^delta, p^delta) is a
-    bijection between the pairs of monoid tables that sends instances of
-    (A), (B), (C), (D) to instances of (B), (A), (D), (C), so a pair passes
-    exactly when its image does.  With rank(q) the index of q^delta among
-    the additive tables, the walk for the i-th additive table p_i enters no
-    subtree whose tables all rank below i, and a hit (p_i, q) with
-    rank(q) = j > i yields the hit (p_j, p_i^delta) as well; each pair
-    passes through the walk once, as itself or as its image, and every
-    instance is still checked on the pairs walked.
+    The definition is self-dual: t -> t^delta maps the additive tables onto
+    the multiplicative ones, which are built that way, and sigma(p, q) =
+    (q^delta, p^delta) is a bijection between the pairs of monoid tables
+    that sends instances of (A), (B), (C), (D) to instances of (B), (A),
+    (D), (C), so a pair passes exactly when its image does.  With rank(q)
+    the index of q^delta among the additive tables, the walk for the i-th
+    additive table p_i enters no subtree whose tables all rank below i, and
+    a hit (p_i, q) with rank(q) = j > i yields the hit (p_j, p_i^delta) as
+    well; each pair passes through the walk once, as itself or as its
+    image, and every instance is still checked on the pairs walked.  The
+    filter runs on the walked pair only and its verdict is recorded for the
+    image: the image's algebra is the order dual of the walked one A
+    carried along delta, isomorphic to `order_dual(A)`, with A's
+    congruences carried by delta, so one is subdirectly irreducible exactly
+    when the other is; cancellativity and `si_necessary_condition` are
+    self-dual, so they read the same on both.
     """
     n = len(order)
     adds = _monoid_tables(join, meet, zero, order)
-    muls = _monoid_tables(meet, join, one, order[::-1])
     if delta is None:  # every walk covers the whole tree, nothing mirrors
+        muls = _monoid_tables(meet, join, one, order[::-1])
         rank = [0] * len(muls)
     else:
-        index = {t: i for i, t in enumerate(adds)}
-        rank = [index[dual_table(t, delta)] for t in muls]
+        muls, rank = _dual_tables(adds, delta)
         dual_of = sorted(range(len(muls)), key=rank.__getitem__)
     cells = _inner_cells(order[::-1])
     tree = _prefix_tree(muls, cells, rank)
@@ -256,6 +280,9 @@ def _pairs(join, meet, zero, one, order, flt, delta=None):
                 waiting.append(at)
             else:
                 continue
+            if items is enter[d]:  # fail first on the next table
+                items.remove(item)
+                items.insert(0, item)
             break
         else:
             if d == last:
@@ -271,20 +298,24 @@ def _pairs(join, meet, zero, one, order, flt, delta=None):
         for at in waiting:
             pending[at].pop()
 
-    mirrored = [[] for _ in adds]  # mirrored[j]: odot indices for p_j
+    # mirrored[j]: odot index -> the verdict on the mirror pair, for p_j
+    mirrored = [{} for _ in adds]
     for i, t in enumerate(adds):
         floor = 0 if delta is None else i
         p = [v for row in t for v in row]
         pn = [v * n for v in p]
         hits = []
         walk(tree, 0)
-        for idx in hits:
-            if rank[idx] > floor:
-                mirrored[rank[idx]].append(dual_of[i])
-        hits += mirrored[i]
+        known = mirrored[i]
         mirrored[i] = None
-        for idx in sorted(hits):
-            yield t, muls[idx]
+        for idx in sorted(hits + list(known)):
+            kept = known.get(idx)
+            if kept is None:
+                kept = _passes(FiniteAlgebra(n, zero, one, t, muls[idx], join,
+                                             meet), flt)
+                if rank[idx] > floor:
+                    mirrored[rank[idx]][dual_of[i]] = kept
+            yield t, muls[idx], kept
 
 
 def enumerate_chain(n, flt="all"):
@@ -295,18 +326,15 @@ def enumerate_chain(n, flt="all"):
     are not enforced there, so on the 4-chain it yields 19 tables of which 17
     satisfy the full definition.  The refined filters (si-necessary, si,
     positive) enforce the full axiom set before filtering.  Outputs are named
-    chain{n}_{k}, with k counting the algebras the filter was asked about.
+    chain{n}_{k}, with k counting the algebras the filter rules on, a
+    mirror image included although its verdict is read off its twin's.
     """
     _check_arguments(n, flt, "ENUM_CHAIN", "chain")
-    out = []
     join, meet, order = max_table(n), min_table(n), list(range(n))
     pairs = _pairs(join, meet, 0, n - 1, order, flt, delta=order[::-1])
-    for count, (p, q) in enumerate(pairs):
-        A = FiniteAlgebra(n, 0, n - 1, p, q, join, meet,
+    return [FiniteAlgebra(n, 0, n - 1, p, q, join, meet,
                           name=f"chain{n}_{count}")
-        if _passes(A, flt):
-            out.append(A)
-    return out
+            for count, (p, q, kept) in enumerate(pairs) if kept]
 
 
 def enumerate_on_lattice(L, flt="all"):
@@ -317,8 +345,8 @@ def enumerate_on_lattice(L, flt="all"):
     _check_arguments(n, flt, "ENUM_LATTICE", "lattice")
     order = sorted(range(n), key=L.heights().__getitem__)
     found = {}
-    for p, q in _pairs(L.join, L.meet, L.zero, L.one, order, flt):
-        A = FiniteAlgebra(n, L.zero, L.one, p, q, L.join, L.meet)
-        if _passes(A, flt):
+    for p, q, kept in _pairs(L.join, L.meet, L.zero, L.one, order, flt):
+        if kept:
+            A = FiniteAlgebra(n, L.zero, L.one, p, q, L.join, L.meet)
             found.setdefault(canonical_key(A), A)
     return [found[k] for k in sorted(found)]

@@ -330,6 +330,19 @@ def test_downsets_command(tmp_path):
     assert len(doc["covers"]) == 2
 
 
+def test_downset_labels_are_distinct(tmp_path):
+    # a node name with a comma used to print {a,b} for two downsets
+    p = tmp_path / "p.json"
+    p.write_text(json.dumps({"nodes": ["a", "b", "a,b", "c\\", "{d}"],
+                             "leq": [["a", "b"]]}))
+    doc = run_json("downsets", str(p))
+    assert len(doc["nodes"]) == len(set(doc["nodes"])) == 24
+    assert "{a,b}" in doc["nodes"] and "{a\\,b}" in doc["nodes"]
+    assert "{a,a\\,b,b,c\\\\,\\{d\\}}" in doc["nodes"]
+    covered = {b for _, b in doc["covers"]}
+    assert covered == set(doc["nodes"]) - {"{}"}
+
+
 def test_dot_labels_are_escaped(tmp_path):
     p = tmp_path / "p.json"
     p.write_text(json.dumps({"nodes": ['a"b', "c\\d"],
@@ -337,7 +350,8 @@ def test_dot_labels_are_escaped(tmp_path):
     code, text = run("downsets", str(p), "--dot")
     assert code == 0
     assert '  n1 [label="{a\\"b}"];' in text
-    assert '  n2 [label="{a\\"b,c\\\\d}"];' in text
+    # the label names c\d with its backslash escaped, \\ in DOT
+    assert '  n2 [label="{a\\"b,c\\\\\\\\d}"];' in text
     # every label is one DOT string: no quote left unescaped inside it
     labels = re.findall(r'\[label=(.*)\];$', text, re.M)
     assert len(labels) == 3
@@ -507,6 +521,20 @@ _GOLDEN_ENUMERATE_FILES = (
     19,
     "92e49c9567c1dbe28951728521288fcaf7a7270ee42dba69d058db7edd0787ab")
 
+# the same for `enumerate --size 6 --filter F --out`: they pin the chain6_k
+# names, which count mirror images whose verdict is read off their twins
+_GOLDEN_ENUMERATE_FILES_6 = {
+    "si": (
+        39,
+        "04059ff590a05cbe57676051842985e975cb8208b290d00d15c275dba55807f4"),
+    "si-necessary": (
+        143,
+        "692863b56f798fa0eaa918e17882b49f518f4aa1908c78de1ac30f196bab8462"),
+    "positive": (
+        16,
+        "d0786a01468a11544396e2d76235f174a32b7f0052deb4eaf25cb27cff6d90c5"),
+}
+
 
 def _sha(*argv):
     code, text = run(*argv)
@@ -519,14 +547,26 @@ def test_construct_output_matches_its_golden_digest(name):
     assert _sha("construct", name) == _GOLDEN_CONSTRUCT[name]
 
 
-def test_enumerate_files_match_their_golden_digest(tmp_path):
-    run_json("enumerate", "--size", "5", "--filter", "si", "--out",
+def _enumerate_files_digest(tmp_path, size, flt):
+    run_json("enumerate", "--size", str(size), "--filter", flt, "--out",
              str(tmp_path))
     names = sorted(os.listdir(tmp_path))
     h = hashlib.sha256()
     for f in names:
         h.update(f.encode() + b"\0" + (tmp_path / f).read_bytes())
-    assert (len(names), h.hexdigest()) == _GOLDEN_ENUMERATE_FILES
+    return len(names), h.hexdigest()
+
+
+def test_enumerate_files_match_their_golden_digest(tmp_path):
+    assert _enumerate_files_digest(tmp_path, 5, "si") == \
+        _GOLDEN_ENUMERATE_FILES
+
+
+@pytest.mark.parametrize("flt", sorted(_GOLDEN_ENUMERATE_FILES_6))
+def test_six_element_enumerate_files_match_their_golden_digest(tmp_path,
+                                                               flt):
+    assert _enumerate_files_digest(tmp_path, 6, flt) == \
+        _GOLDEN_ENUMERATE_FILES_6[flt]
 
 
 @pytest.mark.parametrize("target", sorted(_GOLDEN_REPRO))

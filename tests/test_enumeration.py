@@ -7,8 +7,11 @@ from mvmlab import (Poset, canonical_key, chain_algebra, cn_delta, cn_nabla,
                     is_positive_mv, is_simple, is_subdirectly_irreducible,
                     ln_plus, make_algebra, member_of_variety, parse, product,
                     satisfies, si_necessary_condition)
-from mvmlab.algebra import FiniteAlgebra, max_table, min_table
-from mvmlab.enumeration import FILTERS, _monoid_tables, _pairs, _passes
+from mvmlab import enumeration
+from mvmlab.algebra import (FiniteAlgebra, dual_table, max_table, min_table,
+                            order_dual)
+from mvmlab.enumeration import (FILTERS, _dual_tables, _monoid_tables,
+                                _pairs, _passes)
 from mvmlab.errors import CapExceeded
 
 from conftest import shuffled
@@ -254,24 +257,33 @@ def _reference_pairs(join, meet, zero, one, order, flt):
             and (flt == "all" or _truncation_ok(n, join, meet, p, q))]
 
 
+def _judged(args, pairs, flt):
+    # each pair with the filter run on its own algebra
+    join, meet, zero, one, order = args
+    return [(p, q, _passes(FiniteAlgebra(len(order), zero, one, p, q, join,
+                                         meet), flt))
+            for p, q in pairs]
+
+
 def _chain_args(n):
     return max_table(n), min_table(n), 0, n - 1, list(range(n))
 
 
 def _chain_pairs(n, flt):
     # the pair stage as `enumerate_chain` runs it, mirrored through the
-    # order reversal of the chain
+    # order reversal of the chain: (oplus, odot, verdict) triples
     return list(_pairs(*_chain_args(n), flt, delta=list(range(n))[::-1]))
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_joint_search_matches_the_pair_loop_on_chains(n):
     for flt in FILTERS:
-        want = _reference_pairs(*_chain_args(n), flt)
+        want = _judged(_chain_args(n),
+                       _reference_pairs(*_chain_args(n), flt), flt)
         assert _chain_pairs(n, flt) == want, flt
         assert list(_pairs(*_chain_args(n), flt)) == want, flt
-        expected = [(f"chain{n}_{k}", p, q) for k, (p, q) in enumerate(want)
-                    if _passes(chain_algebra(n, p, q), flt)]
+        expected = [(f"chain{n}_{k}", p, q)
+                    for k, (p, q, kept) in enumerate(want) if kept]
         got = [(A.name, A.oplus, A.odot) for A in enumerate_chain(n, flt)]
         assert got == expected, flt
 
@@ -305,12 +317,12 @@ def test_joint_search_matches_the_pair_loop_on_lattices(diamond, which):
     order = sorted(range(L.size), key=L.height)
     args = (L.join, L.meet, L.zero, L.one, order)
     for flt in FILTERS:
-        want = _reference_pairs(*args, flt)
+        want = _judged(args, _reference_pairs(*args, flt), flt)
         assert list(_pairs(*args, flt)) == want, flt
         found = {}
-        for p, q in want:
+        for p, q, kept in want:
             A = FiniteAlgebra(L.size, L.zero, L.one, p, q, L.join, L.meet)
-            if _passes(A, flt):
+            if kept:
                 found.setdefault(canonical_key(A), (p, q))
         got = [(A.oplus, A.odot) for A in enumerate_on_lattice(L, flt)]
         assert got == [found[k] for k in sorted(found)], flt
@@ -344,7 +356,7 @@ def _chain_dual(t):
 def test_order_duality_maps_the_all_output_onto_itself(n):
     # reversing the chain swaps the roles of oplus and odot; every axiom of
     # the "all" filter has its dual among them
-    pairs = set(_chain_pairs(n, "all"))
+    pairs = {(p, q) for p, q, _ in _chain_pairs(n, "all")}
     assert {(_chain_dual(q), _chain_dual(p)) for p, q in pairs} == pairs
 
 
@@ -364,8 +376,71 @@ def test_pair_stage_matches_satisfies_on_every_pair_of_tables(n):
     full = [(p, q) for p, q in relaxed if holds(p, q, TRUNCATION)]
     for flt in FILTERS:
         want = relaxed if flt == "all" else full
-        assert _chain_pairs(n, flt) == want, flt
+        assert [(p, q) for p, q, _ in _chain_pairs(n, flt)] == want, flt
         # sigma(p, q) = (q^delta, p^delta) maps the passing pairs onto
         # themselves: the mirrored walk rests on this
         assert {(_chain_dual(q), _chain_dual(p)) for p, q in want} \
             == set(want), flt
+
+
+# ---------------------------------------------------------------------------
+# the mirrored census: odot tables as order duals, one verdict per mirror pair
+
+@pytest.mark.parametrize(
+    "n", [*range(1, 8), pytest.param(8, marks=pytest.mark.slow)])
+def test_dual_tables_are_the_multiplicative_tables(n):
+    join, meet, zero, one, order = _chain_args(n)
+    adds = _monoid_tables(join, meet, zero, order)
+    delta = order[::-1]
+    muls, rank = _dual_tables(adds, delta)
+    assert muls == _monoid_tables(meet, join, one, order[::-1])
+    assert [dual_table(t, delta) for t in muls] == [adds[k] for k in rank]
+    # equal rows are one object, as in _monoid_tables
+    rows = [r for t in muls for r in t]
+    assert len({id(r) for r in rows}) == len(set(rows))
+
+
+def _mirror(pair):
+    p, q = pair
+    return _chain_dual(q), _chain_dual(p)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_refined_filters_read_the_same_on_a_pair_and_its_mirror(n):
+    # the verdict recorded for a mirror image is its twin's
+    full = _reference_pairs(*_chain_args(n), "si")
+    for p, q in full:
+        A = chain_algebra(n, p, q)
+        D = order_dual(A)
+        assert (D.oplus, D.odot) == _mirror((p, q))
+        for flt in FILTERS[1:]:
+            assert _passes(A, flt) == _passes(D, flt), (flt, p, q)
+
+
+@pytest.mark.parametrize("n, flt, classes", [
+    (6, "si-necessary", 219), (6, "si", 219), (6, "positive", 219),
+    (7, "si", 1192)])
+def test_the_filter_runs_once_per_mirror_class(monkeypatch, n, flt, classes):
+    # and the monoid tables are generated once, the odot ones as duals
+    pairs = [(p, q) for p, q, _ in _chain_pairs(n, flt)]
+    mirror_classes = {frozenset({pq, _mirror(pq)}) for pq in pairs}
+    calls, generated = [], []
+
+    def counted(A, f):
+        calls.append((A.oplus, A.odot))
+        return _passes(A, f)
+
+    def generate(*args):
+        generated.append(args)
+        return _monoid_tables(*args)
+
+    monkeypatch.setattr(enumeration, "_passes", counted)
+    monkeypatch.setattr(enumeration, "_monoid_tables", generate)
+    out = enumerate_chain(n, flt)
+    monkeypatch.undo()
+    assert len(generated) == 1
+    assert len(calls) == len(mirror_classes) == classes
+    assert {frozenset({pq, _mirror(pq)}) for pq in calls} == mirror_classes
+    # and every verdict, run or recorded, is the filter's own
+    assert [(A.oplus, A.odot) for A in out] == \
+        [pq for pq in pairs if _passes(chain_algebra(n, *pq), flt)]
