@@ -81,9 +81,10 @@ class FiniteAlgebra:
     bounded distributive lattice with bottom zero and top one, which
     `is_mv_monoid` and `save` trust.  `make_algebra` proves that of outside
     input.  Constructing one directly vouches for it, as `product`,
-    `order_dual`, subalgebras, quotients and the enumerators do: each of
-    their lattices is a proved one or a product, {0,1}-sublattice, quotient
-    or order dual of such, hence one again (Burris & Sankappanavar, II §9).
+    `order_dual`, `gamma_of_lex`, subalgebras, quotients and the
+    enumerators do: each of their lattices is a proved one or a product,
+    {0,1}-sublattice, quotient, order dual or ordinal sum of sublattices of
+    such, hence one again (Burris & Sankappanavar, II §9).
     """
 
     size: int
@@ -120,6 +121,27 @@ class FiniteAlgebra:
         return f"FiniteAlgebra({tag}, n={self.size})"
 
 
+def _gate(size, tables, constants, join, meet):
+    """Every structure read from outside passes here: its own `tables`
+    (name -> table), then join and meet, are checked for shape and range,
+    then its `constants` (name -> element).  Returns the own tables frozen,
+    in order, then join and meet: max and min when neither is given (a
+    distributive lattice by definition), else the given ones, checked to
+    form a distributive lattice (NotALattice otherwise)."""
+    chain = join is None and meet is None
+    lattice = {} if chain else {"join": join, "meet": meet}
+    for what, t in (*tables.items(), *lattice.items()):
+        _check_table(t, size, what)
+    for what, v in constants.items():
+        _check_element(v, size, what)
+    if chain:
+        join, meet = max_table(size), min_table(size)
+    else:
+        join, meet = _freeze(join), _freeze(meet)
+        _validate_lattice(join, meet, size)
+    return (*map(_freeze, tables.values()), join, meet)
+
+
 def make_algebra(size, zero, one, oplus, odot, join=None, meet=None,
                  name=""):
     """The algebra with these tables.  Without join and meet the lattice is
@@ -130,26 +152,16 @@ def make_algebra(size, zero, one, oplus, odot, join=None, meet=None,
     range.  The monoid and connecting axioms are left to `is_mv_monoid`.
     """
     _check_size(size)
-    chain = join is None and meet is None
-    if chain and (zero != 0 or one != size - 1):
+    if join is None and meet is None and (zero != 0 or one != size - 1):
         raise MalformedDocument("chain algebras need zero=0, one=n-1")
-    for what, t in (("oplus", oplus), ("odot", odot),
-                    *(() if chain else (("join", join), ("meet", meet)))):
-        _check_table(t, size, what)
-    _check_element(zero, size, "zero")
-    _check_element(one, size, "one")
-    if chain:
-        join, meet = max_table(size), min_table(size)
-    else:
-        join, meet = _freeze(join), _freeze(meet)
-        _validate_lattice(join, meet, size)
-        for i in range(size):
-            if join[zero][i] != i:
-                raise NotALattice("zero is not the bottom", (zero, i, i))
-            if meet[one][i] != i:
-                raise NotALattice("one is not the top", (one, i, i))
-    return FiniteAlgebra(size, zero, one, _freeze(oplus), _freeze(odot),
-                         join, meet, name=name)
+    oplus, odot, join, meet = _gate(size, {"oplus": oplus, "odot": odot},
+                                    {"zero": zero, "one": one}, join, meet)
+    for i in range(size):  # a chain passes: zero is 0 and one n-1
+        if join[zero][i] != i:
+            raise NotALattice("zero is not the bottom", (zero, i, i))
+        if meet[one][i] != i:
+            raise NotALattice("one is not the top", (one, i, i))
+    return FiniteAlgebra(size, zero, one, oplus, odot, join, meet, name=name)
 
 
 def chain_algebra(size, oplus, odot, name=""):
@@ -163,21 +175,22 @@ def trivial_algebra():
 # ---------------------------------------------------------------------------
 # documents
 
-def load(doc):
-    """Build a FiniteAlgebra from a parsed JSON document (dict)."""
+def _read(doc, kind, fields):
+    # the arguments of make_algebra or make_lmonoid: the required fields in
+    # order, then join, meet and name
     if not isinstance(doc, dict):
-        raise MalformedDocument("algebra document must be a JSON object")
+        raise MalformedDocument(f"{kind} document must be a JSON object")
     try:
-        size = doc["size"]
-        zero = doc["zero"]
-        one = doc["one"]
-        oplus = doc["oplus"]
-        odot = doc["odot"]
+        required = [doc[f] for f in fields]
     except KeyError as exc:
         raise MalformedDocument(f"missing field {exc}") from None
-    return make_algebra(size, zero, one, oplus, odot,
-                        join=doc.get("join"), meet=doc.get("meet"),
-                        name=doc.get("name", ""))
+    return (*required, doc.get("join"), doc.get("meet"), doc.get("name", ""))
+
+
+def load(doc):
+    """Build a FiniteAlgebra from a parsed JSON document (dict)."""
+    return make_algebra(*_read(doc, "algebra",
+                               ("size", "zero", "one", "oplus", "odot")))
 
 
 def save(A):
@@ -331,17 +344,7 @@ class FiniteLMonoid:
 
 def make_lmonoid(size, zero, plus, join=None, meet=None, name=""):
     _check_size(size)
-    chain = join is None and meet is None
-    for what, t in (("plus", plus),
-                    *(() if chain else (("join", join), ("meet", meet)))):
-        _check_table(t, size, what)
-    _check_element(zero, size, "zero")
-    plus = _freeze(plus)
-    if chain:  # max and min: a distributive lattice by definition
-        join, meet = max_table(size), min_table(size)
-    else:
-        join, meet = _freeze(join), _freeze(meet)
-        _validate_lattice(join, meet, size)
+    plus, join, meet = _gate(size, {"plus": plus}, {"zero": zero}, join, meet)
     n = size
     for i in range(n):
         if plus[zero][i] != i:
@@ -360,11 +363,4 @@ def make_lmonoid(size, zero, plus, join=None, meet=None, name=""):
 
 
 def load_lmonoid(doc):
-    if not isinstance(doc, dict):
-        raise MalformedDocument("l-monoid document must be a JSON object")
-    try:
-        size, zero, plus = doc["size"], doc["zero"], doc["plus"]
-    except KeyError as exc:
-        raise MalformedDocument(f"missing field {exc}") from None
-    return make_lmonoid(size, zero, plus, join=doc.get("join"),
-                        meet=doc.get("meet"), name=doc.get("name", ""))
+    return make_lmonoid(*_read(doc, "l-monoid", ("size", "zero", "plus")))

@@ -1,6 +1,7 @@
 """Named axiom suites: the defining equations of MV-monoids, cancellativity,
 the necessary condition for subdirect irreducibility, and good pairs."""
 
+from .algebra import _check_element
 from .terms import CANCELLATIVITY, _failures, parse, satisfies_quasi
 
 # Fixed ordered list with stable names so failure reports are diff-stable.
@@ -86,4 +87,6 @@ def si_necessary_condition(A):
 
 
 def is_good_pair(A, x0, x1):
+    _check_element(x0, A.size, "x0")
+    _check_element(x1, A.size, "x1")
     return A.oplus[x0][x1] == x0 and A.odot[x0][x1] == x1

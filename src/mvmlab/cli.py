@@ -461,6 +461,9 @@ def run(argv=None, out=None):
         return exc.code if exc.code is not None else 2
     try:
         with warnings.catch_warnings():
+            # Python's own default, whatever the process's filters: each
+            # distinct warning prints its line once
+            warnings.simplefilter("default")
             warnings.showwarning = _warning_line
             args.fn(args, out)
     except (MvmError, OSError) as exc:

@@ -3,6 +3,7 @@ congruence lattice, subdirect irreducibility and simplicity."""
 
 import functools
 
+from .algebra import _check_element
 from .posets import lower_covers
 
 
@@ -130,6 +131,8 @@ def principal_congruence(A, a, b):
     # the partition, and closing them under the translations yields the least
     # congruence relating a and b (Mal'cev).
     n = A.size
+    _check_element(a, n, "a")
+    _check_element(b, n, "b")
     if a == b:
         return identity_congruence(n)
     ids, members = list(range(n)), [[e] for e in range(n)]

@@ -5,8 +5,8 @@ plus Gamma-of-lexicographic-product, products, subalgebras and quotients."""
 import itertools
 import operator
 
-from .algebra import (FiniteAlgebra, canonical_key, chain_algebra,
-                      make_algebra, make_lmonoid, order_dual, trivial_algebra)
+from .algebra import (FiniteAlgebra, _check_element, canonical_key,
+                      chain_algebra, make_lmonoid, order_dual, trivial_algebra)
 from .caps import check
 from .congruences import (_sort_key, congruence_join, is_congruence,
                           principal_congruences, translation_tables)
@@ -173,13 +173,15 @@ def trivial_lmonoid():
 
 def gamma_of_lex(M):
     """Unit interval of the lexicographic product Z x M: universe
-    {(0,x): x >= 0_M} u {(1,x): x <= 0_M} with lex order, truncated +."""
+    {(0,x): x >= 0_M} u {(1,x): x <= 0_M} with lex order, truncated +.
+    Its lattice is the ordinal sum of the up-set and the down-set of 0_M,
+    sublattices of M's proved lattice, so it is distributive and bounded
+    by (0,z) and (1,z)."""
     z = M.zero
     lower = sorted(x for x in range(M.size) if M.leq(z, x))
     upper = sorted(x for x in range(M.size) if M.leq(x, z))
     universe = [(0, x) for x in lower] + [(1, x) for x in upper]
     index = {p: i for i, p in enumerate(universe)}
-    n = len(universe)
 
     def add(p, q):
         c = p[0] + q[0]
@@ -207,14 +209,13 @@ def gamma_of_lex(M):
         return (p[0], t[p[1]][q[1]])
 
     def table(f):
-        return [[index[f(universe[i], universe[j])] for j in range(n)]
-                for i in range(n)]
+        return tuple(tuple(index[f(p, q)] for q in universe)
+                     for p in universe)
 
-    return make_algebra(
-        n, index[(0, z)], index[(1, z)],
-        table(add), table(mul),
-        join=table(lambda p, q: lat(p, q, True)),
-        meet=table(lambda p, q: lat(p, q, False)),
+    return FiniteAlgebra(
+        len(universe), index[(0, z)], index[(1, z)], table(add), table(mul),
+        table(lambda p, q: lat(p, q, True)),
+        table(lambda p, q: lat(p, q, False)),
         name=f"Gamma(Z x {M.name})" if M.name else "Gamma(Z x M)")
 
 
@@ -257,6 +258,9 @@ def _extend(A, closed, gens):
 
 def subuniverse_closure(A, gens):
     """Least subuniverse (containing 0 and 1) that contains gens."""
+    gens = tuple(gens)
+    for g in gens:
+        _check_element(g, A.size, "generator")
     return _extend(A, (), {A.zero, A.one, *gens})
 
 
@@ -283,8 +287,9 @@ def subalgebras(A):
     (size, sorted elements).  Every subuniverse is reached from the least
     one by adding one element at a time and closing.  Many subuniverses
     induce the very tables of a smaller one in that order (on L1+^4, 355
-    subuniverses give 71 distinct tables): such a subalgebra is neither
-    built nor keyed, since its class already has its least subuniverse."""
+    subuniverses give 71 distinct tables): such a subalgebra equals one
+    seen before and is not keyed, since its class already has its least
+    subuniverse."""
     least = subuniverse_closure(A, ())
     universes, stack = {least}, [least]
     while stack:
@@ -294,10 +299,10 @@ def subalgebras(A):
         universes |= grown
     found, seen = {}, set()
     for U in sorted(map(sorted, universes), key=lambda U: (len(U), U)):
-        tables = _induced_tables(A, U, {e: i for i, e in enumerate(U)})
-        if tables not in seen:
-            seen.add(tables)
-            sub = FiniteAlgebra(*tables)
+        sub = FiniteAlgebra(*_induced_tables(A, U,
+                                             {e: i for i, e in enumerate(U)}))
+        if sub not in seen:
+            seen.add(sub)
             found.setdefault(canonical_key(sub), (sub, tuple(U)))
     return [found[k] for k in sorted(found)]
 
@@ -309,21 +314,13 @@ def quotient(A, theta):
     return _quotient(A, theta)
 
 
-def _quotient_tables(A, theta):
-    # `_induced_tables` of A/theta: block i stands for its least element,
-    # the first with block id i
+def _quotient(A, theta):
+    # `quotient` without the check, for a theta taken from Con(A): block i
+    # stands for its least element, the first with block id i
     ids = theta.ids
     reps = [ids.index(b) for b in range(theta.num_blocks())]
-    return _induced_tables(A, reps, ids)
-
-
-def _quotient_name(A):
-    return f"{A.name}/theta" if A.name else ""
-
-
-def _quotient(A, theta):
-    # `quotient` without the check, for a theta taken from Con(A)
-    return FiniteAlgebra(*_quotient_tables(A, theta), name=_quotient_name(A))
+    return FiniteAlgebra(*_induced_tables(A, reps, ids),
+                         name=f"{A.name}/theta" if A.name else "")
 
 
 def si_quotients(A):

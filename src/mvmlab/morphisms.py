@@ -4,9 +4,9 @@ irreducible algebras ordered by HSU membership."""
 
 import warnings
 
-from .algebra import FiniteAlgebra, canonical_key
+from .algebra import canonical_key
 from .congruences import congruence_lattice, is_subdirectly_irreducible
-from .constructions import _quotient_name, _quotient_tables, subalgebras
+from .constructions import _quotient, subalgebras
 from .posets import Poset
 
 
@@ -19,9 +19,9 @@ def hs_closure(S):
 
     Most quotients repeat the very tables of an earlier subalgebra or
     quotient (every subalgebra has the trivial quotient, for one).  Equal
-    tables give equal keys, so such a quotient is neither built nor keyed:
-    its class is in `found` already, and its representative stays the
-    first."""
+    tables give equal algebras and equal keys, so such a quotient is not
+    keyed: its class is in `found` already, and its representative stays
+    the first."""
     found, seen = {}, set()
     for A in S:
         found.setdefault(canonical_key(A), A)
@@ -29,13 +29,11 @@ def hs_closure(S):
         for B, _ in subalgebras(A):
             # B is its own quotient by the identity, the first congruence
             found.setdefault(canonical_key(B), B)
-            seen.add((B.size, B.zero, B.one, B.oplus, B.odot, B.join,
-                      B.meet))
+            seen.add(B)
             for theta in congruence_lattice(B).congruences[1:]:
-                tables = _quotient_tables(B, theta)
-                if tables not in seen:
-                    seen.add(tables)
-                    Q = FiniteAlgebra(*tables, name=_quotient_name(B))
+                Q = _quotient(B, theta)
+                if Q not in seen:
+                    seen.add(Q)
                     found.setdefault(canonical_key(Q), Q)
     return found
 

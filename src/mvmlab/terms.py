@@ -16,6 +16,7 @@ import re
 import weakref
 from operator import and_, eq, getitem, ne
 
+from .algebra import _check_element
 from .caps import check
 from .errors import BadArgument, MissingAssignment, TermSyntaxError
 
@@ -430,9 +431,11 @@ def evaluate(t, A, env=None):
 
     def var_column(i):
         try:
-            return [env[i]]
+            v = env[i]
         except KeyError:
             raise MissingAssignment(f"no value for {var_name(i)}") from None
+        _check_element(v, A.size, var_name(i))
+        return [v]
 
     return _evaluator(A, 1, var_column)(t)[0]
 

@@ -19,50 +19,38 @@ def _divisors(m):
     return low + [m // d for d in reversed(low) if d * d != m]
 
 
-class DivisorClosedSet:
-    """Finite set of positive integers closed under divisors."""
+class DivisorClosedSet(frozenset):
+    """Finite set of positive integers closed under divisors; iterates in
+    increasing order."""
 
-    __slots__ = ("members",)
+    __slots__ = ("_members",)
 
-    def __init__(self, members):
+    def __new__(cls, members):
         members = list(members)
         # bool is an int subclass, so True would pass for 1
         if any(type(m) is not int or m < 1 for m in members):
             raise NotDivisorClosed("members must be positive integers")
-        ms = sorted(set(members))
-        present = set(ms)
-        for m in ms:
+        self = super().__new__(cls, members)
+        self._members = tuple(sorted(set(members)))
+        for m in self._members:
             for d in _divisors(m):
-                if d not in present:
+                if d not in self:
                     raise NotDivisorClosed(f"{m} is in the set but its "
                                            f"divisor {d} is not")
-        self.members = tuple(ms)
+        return self
+
+    @property
+    def members(self):
+        return self._members
 
     def __iter__(self):
-        return iter(self.members)
-
-    def __len__(self):
-        return len(self.members)
-
-    def __contains__(self, n):
-        return n in self.members
-
-    def __eq__(self, other):
-        # sets only: a tuple or list of the members hashes differently
-        if isinstance(other, DivisorClosedSet):
-            return self.members == other.members
-        if isinstance(other, (set, frozenset)):
-            return set(self.members) == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self.members))
+        return iter(self._members)
 
     def __repr__(self):
-        return f"DivisorClosedSet({set(self.members) or '{}'})"
+        return f"DivisorClosedSet({set(self) or '{}'})"
 
     def max(self):
-        return self.members[-1] if self.members else 0
+        return self._members[-1] if self._members else 0
 
 
 def divisor_closed_sets(bound):

@@ -1,4 +1,8 @@
+import copy
+import hashlib
 import itertools
+import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -15,8 +19,9 @@ from mvmlab.algebra import (_validate_lattice, canonical_form, load_lmonoid,
                             make_lmonoid)
 from mvmlab.axioms import MV_MONOID_AXIOMS
 from mvmlab.constructions import _induced_tables
-from mvmlab.errors import (MalformedDocument, NotALattice, NotAnLMonoid,
-                           TableOutOfRange)
+from mvmlab.congruences import identity_congruence
+from mvmlab.errors import (MalformedDocument, NotACongruence, NotALattice,
+                           NotAnLMonoid, TableOutOfRange)
 
 from conftest import (height_key, relabel, shuffled, si_chain_pairs,
                       si_product_family)
@@ -405,3 +410,175 @@ def test_chain_documents_and_order_duals_skip_the_lattice_check(
     make_lmonoid(3, 0, [[0, 1, 2], [1, 2, 2], [2, 2, 2]])
     for A in (diamond, product(ln_plus(1), ln_plus(2)), ln_plus(4)):
         assert order_dual(order_dual(A)) == A
+
+
+# ---------------------------------------------------------------------------
+# the gate for outside tables: each failure's type, message and witness, and
+# which of two faults wins, as they were before algebras and l-monoids shared
+# one gate
+
+_MAX2, _MIN2 = [[0, 1], [1, 1]], [[0, 0], [0, 1]]
+_DIAMOND_JOIN = [[0, 1, 2, 3], [1, 1, 3, 3], [2, 3, 2, 3], [3, 3, 3, 3]]
+_DIAMOND_MEET = [[0, 0, 0, 0], [0, 1, 0, 1], [0, 0, 2, 2], [0, 1, 2, 3]]
+
+
+@pytest.mark.parametrize("join, meet, message, witness", [
+    # join = meet = max: 0 v (0 ^ 1) = 1
+    (_MAX2, _MAX2, "absorption fails", (0, 1, 1)),
+    ([[0, 0, 1], [0, 1, 0], [1, 0, 2]], [[0, 0, 1], [0, 1, 1], [1, 1, 2]],
+     "join associativity fails", (0, 0, 2)),
+    ([[0, 1, 2], [1, 1, 2], [2, 2, 2]], [[0, 2, 0], [2, 1, 2], [0, 2, 2]],
+     "meet associativity fails", (0, 0, 1)),
+])
+def test_lattice_validation_messages_and_witnesses(join, meet, message,
+                                                   witness):
+    n = len(join)
+    with pytest.raises(NotALattice) as exc:
+        _validate_lattice(join, meet, n)
+    assert (str(exc.value), exc.value.witness) == (message, witness)
+    for build in (lambda: make_lmonoid(n, 0, join, join=join, meet=meet),
+                  lambda: make_algebra(n, 0, n - 1, join, meet, join=join,
+                                       meet=meet)):
+        with pytest.raises(NotALattice) as exc:
+            build()
+        assert (str(exc.value), exc.value.witness) == (message, witness)
+
+
+@pytest.mark.parametrize("zero, one, message, witness", [
+    (1, 1, "zero is not the bottom", (1, 0, 0)),
+    (0, 0, "one is not the top", (0, 1, 1)),
+])
+def test_explicit_lattice_bounds_are_checked(zero, one, message, witness):
+    with pytest.raises(NotALattice) as exc:
+        make_algebra(2, zero, one, _MAX2, _MIN2, join=_MAX2, meet=_MIN2)
+    assert (str(exc.value), exc.value.witness) == (message, witness)
+
+
+@pytest.mark.parametrize("plus, lattice, message, witness", [
+    ([[0, 1, 2, 3], [1, 1, 2, 2], [2, 2, 2, 0], [3, 2, 0, 3]], {},
+     "+ associativity fails", (1, 2, 3)),
+    ([[0, 1, 2], [1, 1, 0], [2, 0, 2]], {}, "+ over join fails", (1, 0, 2)),
+    # on a chain + over meet fails where + over join does, so the diamond
+    ([[0, 1, 2, 3], [1, 3, 3, 3], [2, 3, 2, 3], [3, 3, 3, 1]],
+     {"join": _DIAMOND_JOIN, "meet": _DIAMOND_MEET},
+     "+ over meet fails", (1, 1, 2)),
+])
+def test_lmonoid_law_messages_and_witnesses(plus, lattice, message, witness):
+    n = len(plus)
+    with pytest.raises(NotAnLMonoid) as exc:
+        make_lmonoid(n, 0, plus, **lattice)
+    assert (str(exc.value), exc.value.witness) == (message, witness)
+    with pytest.raises(NotAnLMonoid) as exc:
+        load_lmonoid({"size": n, "zero": 0, "plus": plus, **lattice})
+    assert (str(exc.value), exc.value.witness) == (message, witness)
+
+
+@pytest.mark.parametrize("doc", [[1, 2], "x", None, 3])
+def test_load_lmonoid_rejects_a_document_that_is_not_an_object(doc):
+    with pytest.raises(MalformedDocument,
+                       match="^l-monoid document must be a JSON object$"):
+        load_lmonoid(doc)
+
+
+def test_quotient_rejects_a_partition_of_another_size():
+    with pytest.raises(NotACongruence, match="^partition is not compatible "
+                                             "with the tables$"):
+        quotient(ln_plus(2), identity_congruence(2))
+
+
+def _with_chain_lattice(doc):
+    n = doc["size"]
+    return {**doc, "join": [[max(i, j) for j in range(n)] for i in range(n)],
+            "meet": [[min(i, j) for j in range(n)] for i in range(n)]}
+
+
+def _sound_documents():
+    # (kind, documents, own tables, constants), chains with and without
+    # their lattice tables, and the diamond
+    algebras = [save(ln_plus(2)), save(catalog("C2d")),
+                save(product(ln_plus(1), ln_plus(1))),
+                save(product(ln_plus(1), cn_delta(2)))]
+    algebras.append(_with_chain_lattice(algebras[0]))
+    lmonoids = [{"size": 3, "zero": 0,
+                 "plus": [[min(i + j, 2) for j in range(3)]
+                          for i in range(3)]},
+                {"size": 3, "zero": 2,
+                 "plus": [[min(i, j) for j in range(3)] for i in range(3)]},
+                {"size": 4, "zero": 0, "plus": _DIAMOND_JOIN,
+                 "join": _DIAMOND_JOIN, "meet": _DIAMOND_MEET}]
+    lmonoids.append(_with_chain_lattice(lmonoids[0]))
+    return (("algebra", algebras, ("oplus", "odot"), ("zero", "one")),
+            ("l-monoid", lmonoids, ("plus",), ("zero",)))
+
+
+def _fault(doc, n, rng, own, constants):
+    """Put one random fault into doc, an n-element document, in place, and
+    name its kind.  An in-range "law" entry may leave doc sound."""
+    tables = [k for k in (*own, "join", "meet")
+              if isinstance(doc.get(k), list)] or ["join"]
+    kind = rng.choice(["size", "drop", "constant", "entry", "shape",
+                       "lattice", "law"])
+    if kind == "size":
+        doc["size"] = rng.choice(["3", 0, -2, True, 2.5, None, n + 1, n - 1])
+    elif kind == "drop":
+        doc.pop(rng.choice([*constants, *tables, "size"]), None)
+    elif kind == "constant":
+        doc[rng.choice(constants)] = rng.choice(
+            [-1, n, True, False, None, "0", rng.randrange(n)])
+    elif kind in ("entry", "law"):
+        t = doc.get(rng.choice(own if kind == "law" else tables))
+        v = rng.randrange(n) if kind == "law" else rng.choice(
+            [-1, n, True, "1", 0.0, None])
+        i, j = rng.randrange(n), rng.randrange(n)
+        if isinstance(t, list) and i < len(t) and isinstance(t[i], list) \
+                and j < len(t[i]):
+            t[i][j] = v
+    elif kind == "shape":
+        what = rng.choice(tables)
+        t = doc.get(what) or [[0]]
+        doc[what] = [t[:-1], [*t[:-1], t[-1][:-1]], [*t, t[0]], "x",
+                     None][rng.randrange(5)]
+    else:
+        how = rng.randrange(4)
+        if how == 0:
+            doc.pop(rng.choice(["join", "meet"]), None)
+        elif how == 1 and "join" in doc and "meet" in doc:
+            doc["join"], doc["meet"] = doc["meet"], doc["join"]
+        elif how == 2:
+            doc["join"] = [[max(i, j) for j in range(n)] for i in range(n)]
+            doc["meet"] = copy.deepcopy(doc["join"])
+        else:
+            doc.update(_with_chain_lattice({"size": n}))
+            doc["meet"][rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+    return kind
+
+
+def _outcome(loader, doc):
+    try:
+        M = loader(doc)
+    except Exception as exc:  # any type, so that a change of type shows
+        return [type(exc).__name__, str(exc), getattr(exc, "witness", None)]
+    return ["ok", M.size, M.zero, *(getattr(M, k) for k in (
+        "one", "oplus", "odot", "plus", "join", "meet") if hasattr(M, k))]
+
+
+def test_two_fault_documents_fail_as_they_always_did():
+    # 300 documents of each kind with two random faults: which fault is
+    # reported (type, message, witness), or the structure built, hashed;
+    # the digest was computed before the two loaders shared one gate
+    rng = random.Random(20)
+    records = []
+    for kind, docs, own, constants in _sound_documents():
+        loader = load if kind == "algebra" else load_lmonoid
+        assert all(_outcome(loader, doc)[0] == "ok" for doc in docs)
+        for _ in range(300):
+            doc = copy.deepcopy(rng.choice(docs))
+            n = doc["size"]
+            faults = [_fault(doc, n, rng, own, constants) for _ in range(2)]
+            records.append([kind, faults, _outcome(loader, doc)])
+    assert {r[2][0] for r in records} == {
+        "ok", "MalformedDocument", "TableOutOfRange", "NotALattice",
+        "NotAnLMonoid"}
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    assert digest == ("04455a0a56825bb9c547b6695dfbd1a7"
+                      "13c65fd6eb5ad75931f9602c300b62cb")

@@ -14,6 +14,7 @@ from mvmlab import (catalog, catalog_names, chain_algebra, cn_delta,
                     si_necessary_condition, trivial_algebra)
 from mvmlab import axioms
 from mvmlab.axioms import MV_MONOID_AXIOMS
+from mvmlab.errors import TableOutOfRange
 from mvmlab.terms import _product_evaluator
 
 
@@ -206,3 +207,14 @@ def test_good_pairs():
     B = ln_plus(2)
     assert is_good_pair(B, B.one, B.zero)
     assert not is_good_pair(B, 1, 1)  # 1/2 + 1/2 = 1 != 1/2
+
+
+@pytest.mark.parametrize("x0, x1, message", [
+    # -1 used to read the last row and column: the answer was False
+    (-1, 0, "x0 = -1 outside 0..2"),
+    (2, 3, "x1 = 3 outside 0..2"),
+    (True, 0, "x0 = True outside 0..2"),
+])
+def test_good_pairs_reject_non_elements(x0, x1, message):
+    with pytest.raises(TableOutOfRange, match=f"^{message}$"):
+        is_good_pair(ln_plus(2), x0, x1)

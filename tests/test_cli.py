@@ -8,11 +8,12 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import pytest
 
-from mvmlab import (catalog_names, cli, cn_delta, ln_plus, load, product,
-                    save, trivial_algebra)
+from mvmlab import (catalog_names, cli, cn_delta, lm_delta, ln_plus, load,
+                    product, save, trivial_algebra)
 from mvmlab.constructions import cn_delta_star
 
 from conftest import shuffled
@@ -253,6 +254,16 @@ def test_python_dash_m_runs_the_command_line(algebra_file):
     assert done.stderr.startswith("error: ")
 
 
+def test_python_dash_m_construct_exits_zero():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+    done = subprocess.run([sys.executable, "-m", "mvmlab", "construct", "L1+"],
+                          capture_output=True, text=True, env=env)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == run("construct", "L1+")[1]
+    assert json.loads(done.stdout) == save(ln_plus(1))
+
+
 def test_malformed_cap_value_is_an_error(monkeypatch, capsys):
     monkeypatch.setenv("MVMLAB_CAP_ENUM_CHAIN", "abc")
     code, out = run("enumerate", "--size", "3", "--count-only")
@@ -319,6 +330,19 @@ def test_poset_warns_in_one_line_without_the_source_location(
     assert json.loads(out) == {"nodes": ["trivial"], "covers": []}
     assert capsys.readouterr().err == (
         "warning: si_poset input FiniteAlgebra(trivial, n=1) is not "
+        "subdirectly irreducible\n")
+
+
+def test_poset_warning_line_ignores_the_process_warning_filters(
+        algebra_file, capsys):
+    # under an "error" filter the warning used to escape as a traceback
+    path = algebra_file(lm_delta(3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run("poset", path)
+    assert code == 0 and json.loads(out)["nodes"] == ["LM3d"]
+    assert capsys.readouterr().err == (
+        "warning: si_poset input FiniteAlgebra(LM3d, n=4) is not "
         "subdirectly irreducible\n")
 
 
@@ -589,7 +613,8 @@ def test_repro_recomputes_instead_of_hardcoding():
     # the figure pipelines must derive their posets, not embed the answers:
     # no list/set/dict literal of edge pairs or node names inside the repro
     # and poset-construction helpers
-    src = open(cli.__file__).read()
+    with open(cli.__file__) as fh:
+        src = fh.read()
     tree = ast.parse(src)
     repro_funcs = [n for n in ast.walk(tree)
                    if isinstance(n, ast.FunctionDef)

@@ -20,7 +20,7 @@ from mvmlab import (Congruence, catalog, chain_algebra, cn_delta, cn_nabla,
 from mvmlab import congruences
 from mvmlab.congruences import congruence_join, is_congruence
 from mvmlab.constructions import _quotient
-from mvmlab.errors import NotACongruence
+from mvmlab.errors import NotACongruence, TableOutOfRange
 from mvmlab.posets import cover_pairs
 
 
@@ -107,6 +107,18 @@ def test_principal_congruence_on_pure_chain_collapses_the_interval():
 
 def test_principal_congruence_trivial_pair():
     assert principal_congruence(ln_plus(2), 1, 1) == identity_congruence(3)
+
+
+@pytest.mark.parametrize("a, b, message", [
+    # -1 used to stand for 2, giving the blocks (0, 2), (1,): 0 ~ 2 forces
+    # 1 + 0 ~ 1 + 2, that is 1 ~ 2, so that was no congruence
+    (-1, 0, "a = -1 outside 0..2"),
+    (0, 3, "b = 3 outside 0..2"),
+    (True, 0, "a = True outside 0..2"),
+])
+def test_principal_congruence_rejects_non_elements(a, b, message):
+    with pytest.raises(TableOutOfRange, match=f"^{message}$"):
+        principal_congruence(ln_plus(2), a, b)
 
 
 def test_principal_congruence_on_simple_chain_is_total():

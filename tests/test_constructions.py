@@ -15,7 +15,7 @@ from mvmlab import (are_isomorphic, canonical_key, catalog, catalog_names,
 from mvmlab.congruences import total_congruence
 from mvmlab.constructions import subuniverse_closure, trivial_lmonoid
 from mvmlab.errors import (CapExceeded, MalformedDocument, NotACongruence,
-                           UnknownName)
+                           TableOutOfRange, UnknownName)
 
 
 def test_ln_plus_matches_unit_interval_arithmetic():
@@ -125,6 +125,16 @@ def test_subuniverse_closure():
     assert subuniverse_closure(A, [2]) == {0, 2, 4, 6}
     assert subuniverse_closure(A, []) == {0, 6}
     assert subuniverse_closure(A, [1]) == set(range(7))
+
+
+@pytest.mark.parametrize("gens, message", [
+    ([-1], "generator = -1 outside 0..2"),  # used to give {-1, 0, 2}
+    ([1, 3], "generator = 3 outside 0..2"),
+    ((g for g in [True]), "generator = True outside 0..2"),
+])
+def test_subuniverse_closure_rejects_non_elements(gens, message):
+    with pytest.raises(TableOutOfRange, match=f"^{message}$"):
+        subuniverse_closure(ln_plus(2), gens)
 
 
 def test_subalgebras_of_truncated_chain():

@@ -1,6 +1,7 @@
 import gc
 import inspect
 import itertools
+import re
 import sys
 import time
 
@@ -14,7 +15,7 @@ from mvmlab import (CANCELLATIVITY, Equation, QuasiEquation, catalog,
                     satisfies_quasi, to_text)
 from mvmlab.axioms import MV_MONOID_AXIOMS
 from mvmlab.errors import (BadArgument, CapExceeded, MissingAssignment,
-                           TermSyntaxError)
+                           TableOutOfRange, TermSyntaxError)
 from mvmlab.terms import (Const, Var, _assignment, _interned,
                           _product_evaluator, _tokenize, _widths, const,
                           join, meet, odot, oplus, power, scalar, var,
@@ -435,6 +436,26 @@ def test_evaluate_missing_assignment():
         evaluate(parse("x + y"), ln_plus(2), {"x": 1})
     with pytest.raises(MissingAssignment):
         evaluate(parse("x"), ln_plus(2), {"q": 1})
+
+
+@pytest.mark.parametrize("text, env, message", [
+    # -1 used to read the last row: x + 0 gave 2
+    ("x + 0", {"x": -1}, "x = -1 outside 0..2"),
+    # 7 used to come back as the value of x
+    ("x", {"x": 7}, "x = 7 outside 0..2"),
+    ("x + x", {"x": 7}, "x = 7 outside 0..2"),
+    ("x * y", {"x": 1, "y": True}, "y = True outside 0..2"),
+    ("x3 v x", {"x": 0, "x3": 3}, "x3 = 3 outside 0..2"),
+    ("x3", {3: "1"}, "x3 = '1' outside 0..2"),
+])
+def test_evaluate_rejects_values_that_are_not_elements(text, env, message):
+    with pytest.raises(TableOutOfRange, match=f"^{re.escape(message)}$"):
+        evaluate(parse(text), ln_plus(2), env)
+
+
+def test_evaluate_reads_x_digit_names():
+    assert evaluate(parse("x3 + x"), ln_plus(2), {"x3": 1, "x": 1}) == 2
+    assert evaluate(parse("x3"), ln_plus(2), {"x3": 0}) == 0
 
 
 def test_variables_and_dag_sharing():
