@@ -127,8 +127,12 @@ def _gate(size, tables, constants, join, meet):
     then its `constants` (name -> element).  Returns the own tables frozen,
     in order, then join and meet: max and min when neither is given (a
     distributive lattice by definition), else the given ones, checked to
-    form a distributive lattice (NotALattice otherwise)."""
-    chain = join is None and meet is None
+    form a distributive lattice (NotALattice otherwise).  The two come
+    together: one without the other is a missing field."""
+    if (join is None) != (meet is None):
+        raise MalformedDocument(
+            f"missing field {'join' if join is None else 'meet'!r}")
+    chain = join is None
     lattice = {} if chain else {"join": join, "meet": meet}
     for what, t in (*tables.items(), *lattice.items()):
         _check_table(t, size, what)

@@ -61,11 +61,14 @@ def hs_poset(S):
 
 def si_poset(S):
     """`hs_poset` of a set of subdirectly irreducible algebras; warns about
-    every input class that is not SI."""
+    every input class that is not SI, naming the position in S (from 0) of
+    its first member, since unnamed algebras share their repr."""
+    S = list(S)
     P = hs_poset(S)
     for A in P.algebras.values():
         si, _ = is_subdirectly_irreducible(A)
         if not si:
-            warnings.warn(f"si_poset input {A!r} is not subdirectly "
-                          "irreducible")
+            # the first member equal to A is A: later ones share its class
+            warnings.warn(f"si_poset input {S.index(A)} ({A!r}) is not "
+                          "subdirectly irreducible")
     return P

@@ -411,9 +411,22 @@ def _product_column(n, nv, i):
     return [v for v in range(n) for _ in range(n ** (nv - 1 - i))] * n ** i
 
 
-def _product_evaluator(A, nv, cols=None):
-    return _evaluator(A, A.size ** nv,
-                      lambda i: _product_column(A.size, nv, i), cols)
+def _blocks(A, nv, first):
+    """The assignments to nv variables in product order as blocks, each a
+    (tuple of the values it fixes, column cache, column evaluator): one
+    block, or with `first` and nv > 0 one per value of the first variable."""
+    n = A.size
+    if not (first and nv):
+        cols = {}
+        yield (), cols, _evaluator(A, n ** nv,
+                                   lambda i: _product_column(n, nv, i), cols)
+        return
+    size = n ** (nv - 1)
+    rest = [_product_column(n, nv - 1, i) for i in range(nv - 1)]
+    for v in range(n):
+        cols = {}
+        yield (v,), cols, _evaluator(A, size, lambda i, v=v: (
+            rest[i - 1] if i else [v] * size), cols)
 
 
 def _assignment(mask, n, nv):
@@ -466,18 +479,24 @@ class CheckResult:
         return {var_name(i): v for i, v in enumerate(self.witness)}
 
 
-def _failures(A, equations):
-    """Each failing equation of an iterable (or of a single equation), in
-    order, as a failed CheckResult with its least failing assignment.
-    Equations with the same variable count share one column per node, a
-    column is dropped once the last equation over its node is checked, and
-    evaluation goes only as far as the caller reads."""
-    equations = (list(equations) if hasattr(equations, "__iter__")
-                 else [equations])
-    for e in equations:
+def _failures(A, checks):
+    """Each failing equation of an equation, an iterable of equations or a
+    quasi-equation (whose premises' equalities are ANDed into the failure
+    mask), in order, as a failed CheckResult with its least failing
+    assignment.  Equations with the same variable count share one block,
+    and a column is dropped once the last equation over its node is checked.
+    With premises, the check goes one first-variable block at a time, up to
+    the first that fails.  Evaluation goes only as far as the caller reads."""
+    if isinstance(checks, QuasiEquation):
+        premises, equations = checks.premises, [checks.conclusion]
+    else:
+        premises = ()
+        equations = list(checks) if hasattr(checks, "__iter__") else [checks]
+    for e in (*premises, *equations):
         if not isinstance(e, Equation):
             raise BadArgument("expected an equation, a quasi-equation or a "
                               f"list of equations, got {type(e).__name__}")
+    roots = [t for p in premises for t in (p.lhs, p.rhs)]
     # walked backwards, the list meets each node first under the last
     # equation over it, which is the last to read the node's column
     width, last_met = {}, []
@@ -488,30 +507,36 @@ def _failures(A, equations):
 
     for e in reversed(equations):
         last_met.append([])
-        _postorder((e.lhs, e.rhs), width, visit)
-    evaluators = {}
+        _postorder((e.lhs, e.rhs, *roots), width, visit)
+    premise_nv = max((width[t] for t in roots), default=0)
+    shared = {}  # variable count -> the one block that equations share
     for e, done in zip(equations, reversed(last_met)):
-        nv = max(width[e.lhs], width[e.rhs])
-        if nv not in evaluators:
-            cols = {}
-            evaluators[nv] = cols, _product_evaluator(A, nv, cols)
-        column = evaluators[nv][1]
-        lhs, rhs = column(e.lhs), column(e.rhs)
-        for cols, _ in evaluators.values():
+        nv = max(width[e.lhs], width[e.rhs], premise_nv)
+        if not premises and nv not in shared:
+            shared[nv] = next(_blocks(A, nv, False))
+        blocks = _blocks(A, nv, True) if premises else (shared[nv],)
+        for first, _, column in blocks:
+            lhs, rhs = column(e.lhs), column(e.rhs)
+            if lhs == rhs:
+                continue
+            bad = map(ne, lhs, rhs)
+            for p in premises:
+                bad = map(and_, bad, map(eq, column(p.lhs), column(p.rhs)))
+            bad = list(bad)
+            if True in bad:
+                rest = _assignment(bad, A.size, nv - len(first))
+                yield CheckResult(False, witness=first + rest, equation=e)
+                break
+        for _, cols, _ in shared.values():
             for t in done:
                 cols.pop(t, None)
-        if lhs != rhs:
-            witness = _assignment(list(map(ne, lhs, rhs)), A.size, nv)
-            yield CheckResult(False, witness=witness, equation=e)
 
 
 def satisfies(A, e):
     """Check an Equation, a QuasiEquation, or any iterable of equations (an
     axiom set, a list, a tuple); assignments are scanned in lexicographic
     order.  Anything else raises BadArgument."""
-    if isinstance(e, QuasiEquation):
-        return satisfies_quasi(A, e)
-    return satisfies_all(A, e)
+    return next(_failures(A, e), CheckResult(True))
 
 
 def satisfies_all(A, equations):
@@ -520,40 +545,10 @@ def satisfies_all(A, equations):
     return next(_failures(A, equations), CheckResult(True))
 
 
-def _first_value_blocks(A, nv):
-    """The assignments to nv variables in product order, split into one
-    block per value of the first variable: (that value as a 1-tuple, the
-    block's column evaluator, the block's size).  No variables: one block."""
-    n = A.size
-    if nv == 0:
-        yield (), _product_evaluator(A, 0), 1
-        return
-    size = n ** (nv - 1)
-    rest = [_product_column(n, nv - 1, i) for i in range(nv - 1)]
-    for v in range(n):
-        yield (v,), _evaluator(A, size, lambda i, v=v: (
-            rest[i - 1] if i else [v] * size)), size
-
-
 def satisfies_quasi(A, q):
-    """The premises' equalities are ANDed into a mask; the witness is the
-    least assignment where the mask holds and the conclusion fails.  The
-    blocks of `_first_value_blocks` are checked in order, so the check stops
-    at the first block with a failing assignment."""
-    roots = [t for e in (*q.premises, q.conclusion) for t in (e.lhs, e.rhs)]
-    width = _widths(roots)
-    nv = max(width[t] for t in roots)
-    c = q.conclusion
-    for first, column, size in _first_value_blocks(A, nv):
-        mask = [True] * size
-        for e in q.premises:
-            mask = list(map(and_, mask, map(eq, column(e.lhs),
-                                            column(e.rhs))))
-        bad = list(map(and_, mask, map(ne, column(c.lhs), column(c.rhs))))
-        if True in bad:
-            rest = _assignment(bad, A.size, nv - len(first))
-            return CheckResult(False, witness=first + rest, equation=c)
-    return CheckResult(True)
+    """The least assignment where every premise holds and the conclusion
+    fails; the check stops at the first block that has one."""
+    return next(_failures(A, q), CheckResult(True))
 
 
 CANCELLATIVITY = parse("x + z ≈ y + z & x * z ≈ y * z => x ≈ y")

@@ -15,7 +15,7 @@ from mvmlab import (catalog, catalog_names, chain_algebra, cn_delta,
 from mvmlab import axioms
 from mvmlab.axioms import MV_MONOID_AXIOMS
 from mvmlab.errors import TableOutOfRange
-from mvmlab.terms import _product_evaluator
+from mvmlab.terms import _blocks
 
 
 def test_axiom_list_is_complete_and_named():
@@ -150,7 +150,7 @@ def test_one_pass_report_drops_columns_it_no_longer_reads():
     A = functools.reduce(product, [ln_plus(1)] * 5)  # 32^3 assignments
 
     def keep_every_column():
-        column = _product_evaluator(A, 3)
+        _, _, column = next(_blocks(A, 3, False))
         for _, e in MV_MONOID_AXIOMS:
             column(e.lhs), column(e.rhs)
 

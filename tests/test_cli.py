@@ -329,7 +329,22 @@ def test_poset_warns_in_one_line_without_the_source_location(
     assert code == 0
     assert json.loads(out) == {"nodes": ["trivial"], "covers": []}
     assert capsys.readouterr().err == (
-        "warning: si_poset input FiniteAlgebra(trivial, n=1) is not "
+        "warning: si_poset input 0 (FiniteAlgebra(trivial, n=1)) is not "
+        "subdirectly irreducible\n")
+
+
+def test_poset_warns_once_per_unnamed_non_si_input(algebra_file, capsys):
+    # unnamed algebras share a repr; the position tells the lines apart
+    a = product(ln_plus(1), ln_plus(2)).rename("")
+    b = product(ln_plus(1), cn_delta(2)).rename("")
+    files = [algebra_file(a, "a.json"), algebra_file(ln_plus(2), "l2.json"),
+             algebra_file(b, "b.json")]
+    code, _ = run("poset", *files)
+    assert code == 0
+    assert capsys.readouterr().err == (
+        "warning: si_poset input 0 (FiniteAlgebra(?, n=6)) is not "
+        "subdirectly irreducible\n"
+        "warning: si_poset input 2 (FiniteAlgebra(?, n=6)) is not "
         "subdirectly irreducible\n")
 
 
@@ -342,7 +357,7 @@ def test_poset_warning_line_ignores_the_process_warning_filters(
         code, out = run("poset", path)
     assert code == 0 and json.loads(out)["nodes"] == ["LM3d"]
     assert capsys.readouterr().err == (
-        "warning: si_poset input FiniteAlgebra(LM3d, n=4) is not "
+        "warning: si_poset input 0 (FiniteAlgebra(LM3d, n=4)) is not "
         "subdirectly irreducible\n")
 
 

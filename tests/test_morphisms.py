@@ -244,5 +244,9 @@ def test_si_poset_deduplicates_iso_classes():
 
 
 def test_si_poset_warns_on_non_si_input():
-    with pytest.warns(UserWarning):
-        si_poset([lm_delta(3)])
+    # one warning per class, at the position of its first member
+    with pytest.warns(UserWarning) as caught:
+        si_poset([ln_plus(2), lm_delta(3), lm_delta(3).rename("again")])
+    assert [str(w.message) for w in caught] == [
+        "si_poset input 1 (FiniteAlgebra(LM3d, n=4)) is not subdirectly "
+        "irreducible"]

@@ -12,14 +12,13 @@ from hypothesis import strategies as st
 from mvmlab import (CANCELLATIVITY, Equation, QuasiEquation, catalog,
                     catalog_names, cn_delta, cn_nabla, enumerate_chain,
                     evaluate, ln_plus, parse, phi, satisfies, satisfies_all,
-                    satisfies_quasi, to_text)
+                    satisfies_quasi, terms, to_text)
 from mvmlab.axioms import MV_MONOID_AXIOMS
 from mvmlab.errors import (BadArgument, CapExceeded, MissingAssignment,
                            TableOutOfRange, TermSyntaxError)
-from mvmlab.terms import (Const, Var, _assignment, _interned,
-                          _product_evaluator, _tokenize, _widths, const,
-                          join, meet, odot, oplus, power, scalar, var,
-                          variables)
+from mvmlab.terms import (BinOp, Const, Var, _assignment, _blocks, _interned,
+                          _tokenize, _widths, const, join, meet, odot, oplus,
+                          power, scalar, var, variables)
 
 
 # ---------------------------------------------------------------------------
@@ -510,12 +509,12 @@ def test_satisfies_takes_any_iterable_of_equations():
 
 @pytest.mark.parametrize("bad", [
     parse("x + y"), [parse("x + y")], [CANCELLATIVITY],
-    [parse("x ≈ x"), CANCELLATIVITY], "x ≈ x", 3, None])
+    [parse("x ≈ x"), CANCELLATIVITY], "x ≈ x", 3, None,
+    QuasiEquation([CANCELLATIVITY], parse("x ≈ x"))])
 def test_satisfies_rejects_what_is_not_an_equation(bad):
-    with pytest.raises(BadArgument):
-        satisfies(ln_plus(2), bad)
-    with pytest.raises(BadArgument):
-        satisfies_all(ln_plus(2), bad)
+    for check in (satisfies, satisfies_all, satisfies_quasi):
+        with pytest.raises(BadArgument):
+            check(ln_plus(2), bad)
 
 
 def test_cancellativity_quasi_equation():
@@ -524,6 +523,69 @@ def test_cancellativity_quasi_equation():
     assert not res
     # epsilon + epsilon = epsilon and 0 * epsilon = epsilon * epsilon = 0
     assert res.witness == (0, 1, 1)
+
+
+def test_quasi_equation_without_variables():
+    zero, one = const("zero"), const("one")
+    false = QuasiEquation([Equation(zero, zero)], Equation(zero, one))
+    vacuous = QuasiEquation([Equation(zero, one)], Equation(zero, one))
+    res = satisfies_quasi(ln_plus(2), false)
+    assert not res and res.witness == () and res.equation is false.conclusion
+    assert satisfies_quasi(ln_plus(2), vacuous)
+    assert satisfies_quasi(catalog("trivial"), false)
+
+
+def test_quasi_equation_with_premise_only_variables():
+    # z and x3 occur only in the premises, yet belong to the witness
+    q = parse("x * y ≈ z & x3 ≈ 1 => x ≈ x * x")
+    for name in ("L2+", "C2d", "C3n", "L2"):
+        A = catalog(name)
+        assert _outcome(satisfies_quasi(A, q)) == \
+            _ref_outcome(A, q.premises, q.conclusion)
+    res = satisfies_quasi(catalog("L2+"), q)
+    assert not res and res.witness == (1, 0, 0, 2)
+
+
+def test_quasi_check_stops_at_the_first_failing_block(monkeypatch):
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return evaluator(*args)
+
+    evaluator = terms._evaluator
+    monkeypatch.setattr(terms, "_evaluator", counting)
+    assert not satisfies_quasi(cn_delta(2), CANCELLATIVITY)
+    assert len(built) == 1  # the witness (0, 1, 1) lies in the block x = 0
+    built.clear()
+    assert satisfies_quasi(ln_plus(4), CANCELLATIVITY)
+    assert len(built) == 5  # a passing check reads every block
+
+
+class _TableReads:
+    """An algebra that counts the operation-table reads made on it: one per
+    binary node a check evaluates."""
+
+    def __init__(self, A):
+        self.A, self.reads = A, 0
+
+    def __getattr__(self, name):
+        self.reads += name in ("oplus", "odot", "join", "meet")
+        return getattr(self.A, name)
+
+
+def _binary_nodes(equations):
+    roots = [t for e in equations for t in (e.lhs, e.rhs)]
+    return sum(isinstance(t, BinOp) for t in _widths(roots))
+
+
+def test_satisfies_all_evaluates_only_up_to_the_first_failure():
+    P = phi(4)
+    first = P.equations[0]
+    A = _TableReads(ln_plus(5))
+    res = satisfies_all(A, P)
+    assert not res and res.equation is first
+    assert A.reads == _binary_nodes([first]) < _binary_nodes(P)
 
 
 def test_deep_terms_need_no_recursion():
@@ -624,7 +686,7 @@ def test_satisfies_quasi_agrees_with_exhaustive_evaluation(name, premises,
                                                            conclusion):
     A = catalog(name)
     q = QuasiEquation(premises, conclusion)
-    assert _outcome(satisfies_quasi(A, q)) == \
+    assert _outcome(satisfies_quasi(A, q)) == _outcome(satisfies(A, q)) == \
         _ref_outcome(A, premises, conclusion)
 
 
@@ -633,7 +695,7 @@ def _full_column_outcome(A, q):
     roots = [t for e in (*q.premises, q.conclusion) for t in (e.lhs, e.rhs)]
     width = _widths(roots)
     nv = max(width[t] for t in roots)
-    column = _product_evaluator(A, nv)
+    _, _, column = next(_blocks(A, nv, False))
     ok = [all(column(e.lhs)[i] == column(e.rhs)[i] for e in q.premises)
           for i in range(A.size ** nv)]
     c = q.conclusion
