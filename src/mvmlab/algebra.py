@@ -181,14 +181,19 @@ def trivial_algebra():
 
 def _read(doc, kind, fields):
     # the arguments of make_algebra or make_lmonoid: the required fields in
-    # order, then join, meet and name
+    # order, then join, meet and name (absent or null reads as "")
     if not isinstance(doc, dict):
         raise MalformedDocument(f"{kind} document must be a JSON object")
     try:
         required = [doc[f] for f in fields]
     except KeyError as exc:
         raise MalformedDocument(f"missing field {exc}") from None
-    return (*required, doc.get("join"), doc.get("meet"), doc.get("name", ""))
+    name = doc.get("name")
+    if name is None:
+        name = ""
+    elif not isinstance(name, str):
+        raise MalformedDocument("name must be a string")
+    return (*required, doc.get("join"), doc.get("meet"), name)
 
 
 def load(doc):

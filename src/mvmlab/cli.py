@@ -70,25 +70,24 @@ def _cmd_axioms(args, out):
     out.write(_dump(report.as_dict()) + "\n")
 
 
-def _congruence_poset(lat):
-    labels = [str(list(c.blocks())) for c in lat.congruences]
-    return posets.Poset(labels, [(labels[i], labels[j])
-                                 for i, j in lat.covers])
+def _blocks_label(c):
+    return str(list(c.blocks()))
 
 
 def _cmd_congruences(args, out):
-    A = algebra.load_file(args.file)
-    lat = congruences.congruence_lattice(A)
-    P = _congruence_poset(lat)
+    P = congruences.congruence_lattice(algebra.load_file(args.file))
     if args.dot:
-        out.write(P.to_dot(name="congruences"))
+        out.write(P.to_dot(name="congruences", label_of=_blocks_label))
         return
+    index = {c: i for i, c in enumerate(P.labels)}
+    covers = [[index[c], index[d]] for c, d in P.covers()]
     out.write(_dump({
-        "size": len(lat),
-        "is_chain": lat.is_chain(),
-        "congruences": [[list(b) for b in c.blocks()]
-                        for c in lat.congruences],
-        "covers": list(lat.covers),
+        "size": len(P),
+        # a finite lattice's Hasse diagram is connected, and it is a path
+        # exactly when the lattice is a chain
+        "is_chain": len(covers) == len(P) - 1,
+        "congruences": [[list(b) for b in c.blocks()] for c in P.labels],
+        "covers": covers,
     }) + "\n")
 
 
@@ -188,16 +187,7 @@ def _cmd_hsu(args, out):
     out.write(_dump({"classes": names}) + "\n")
 
 
-def _named_poset(P):
-    """A poset of iso classes (from `morphisms.hs_poset` or `si_poset`) with
-    each canonical key replaced by the display name of its class."""
-    names = {k: identify(P.algebras[k]) for k in P.labels}
-    return posets.Poset([names[k] for k in P.labels],
-                        [(names[a], names[b]) for a in P.labels
-                         for b in P.labels if P.leq(a, b)])
-
-
-def _poset_out(P, args, out, dot_name, label_of=str):
+def _poset_out(P, args, out, dot_name, label_of):
     if args.dot:
         out.write(P.to_dot(name=dot_name, label_of=label_of))
     else:
@@ -206,7 +196,7 @@ def _poset_out(P, args, out, dot_name, label_of=str):
 
 def _cmd_poset(args, out):
     gens = [algebra.load_file(f) for f in args.files]
-    _poset_out(_named_poset(morphisms.si_poset(gens)), args, out, "si_poset")
+    _poset_out(morphisms.si_poset(gens), args, out, "si_poset", identify)
 
 
 # a backslash before each of these inside a node name keeps the labels of
@@ -216,6 +206,11 @@ _NAME_ESCAPES = str.maketrans({c: "\\" + c for c in "\\,{}"})
 
 def _downset_label(s):
     return "{" + ",".join(x.translate(_NAME_ESCAPES) for x in sorted(s)) + "}"
+
+
+def _named_downset_label(s):
+    # a downset of algebras, by the display names of its members
+    return _downset_label(map(identify, s))
 
 
 def _load_poset(path):
@@ -257,12 +252,13 @@ def _primes_up_to(n):
             if all(p % d for d in range(2, p))]
 
 
-def _continued_poset_out(P, args, out, dot_name, note):
+def _continued_poset_out(P, args, out, dot_name, label_of, note):
     # a finite part of an infinite figure, marked as continuing
     if args.dot:
-        out.write(P.to_dot(name=dot_name) + f"// {note}\n")
+        out.write(P.to_dot(name=dot_name, label_of=label_of) + f"// {note}\n")
     else:
-        out.write(_dump({**P.as_dict(), "continues": True}) + "\n")
+        out.write(_dump({**P.as_dict(label_of=label_of), "continues": True})
+                  + "\n")
 
 
 def _depth(args, default):
@@ -279,8 +275,8 @@ def _repro_fig1(args, out):
     gens += [constructions.ln_plus(p) for p in _primes_up_to(depth)]
     # the varieties generated by single SI or hereditarily small algebras
     # are ordered as the generators are by HS membership
-    _continued_poset_out(_named_poset(morphisms.hs_poset(gens)), args, out,
-                         "fig1", "chain continues: one atom V(Lp+) per prime p")
+    _continued_poset_out(morphisms.hs_poset(gens), args, out, "fig1", identify,
+                         "chain continues: one atom V(Lp+) per prime p")
 
 
 def _repro_fig2(args, out):
@@ -290,8 +286,8 @@ def _repro_fig2(args, out):
         gens.append(constructions.cn_delta(n))
         gens.append(constructions.cn_nabla(n))
         gens.append(constructions.ln_plus(n))
-    _continued_poset_out(_named_poset(morphisms.hs_poset(gens)), args, out,
-                         "fig2", "chains continue upward for every n")
+    _continued_poset_out(morphisms.hs_poset(gens), args, out, "fig2", identify,
+                         "chains continue upward for every n")
 
 
 def _algebra_summary(A):
@@ -315,26 +311,25 @@ def _repro_fig6(args, out):
     pure = algebra.chain_algebra(
         n, [[max(i, j) for j in range(n)] for i in range(n)],
         [[min(i, j) for j in range(n)] for i in range(n)], name="L3")
-    P = _congruence_poset(congruences.congruence_lattice(pure))
-    _poset_out(P, args, out, "fig6")
+    _poset_out(congruences.congruence_lattice(pure), args, out, "fig6",
+               _blocks_label)
 
 
 def _repro_fig7(args, out):
-    P = _named_poset(morphisms.si_poset(_si_algebras_up_to(4)))
-    _poset_out(P, args, out, "fig7")
+    _poset_out(morphisms.si_poset(_si_algebras_up_to(4)), args, out, "fig7",
+               identify)
 
 
 def _repro_fig8(args, out):
     seeds = [constructions.catalog("A3n"), constructions.catalog("B3d")]
     sis = morphisms.si_members(seeds).values()
-    D = posets.downset_lattice(_named_poset(morphisms.si_poset(sis)))
-    _poset_out(D, args, out, "fig8", _downset_label)
+    D = posets.downset_lattice(morphisms.si_poset(sis))
+    _poset_out(D, args, out, "fig8", _named_downset_label)
 
 
 def _repro_fig9(args, out):
-    D = posets.downset_lattice(
-        _named_poset(morphisms.si_poset(_si_algebras_up_to(3))))
-    _poset_out(D, args, out, "fig9", _downset_label)
+    D = posets.downset_lattice(morphisms.si_poset(_si_algebras_up_to(3)))
+    _poset_out(D, args, out, "fig9", _named_downset_label)
 
 
 def _repro_counts(args, out):

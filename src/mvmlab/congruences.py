@@ -4,7 +4,7 @@ congruence lattice, subdirect irreducibility and simplicity."""
 import functools
 
 from .algebra import _check_element
-from .posets import lower_covers
+from .posets import Poset, lower_covers
 
 
 class Congruence:
@@ -163,34 +163,6 @@ def _sort_key(c):
     return -c.num_blocks(), c.ids
 
 
-class CongruenceLattice:
-    """All congruences, sorted by (number of blocks desc, ids), with the
-    covering relation built on first access.  Con(A) is a finite distributive
-    lattice, held as the down-sets of its join-irreducibles: bit i of a
-    congruence's bitset is set iff the i-th join-irreducible lies below it,
-    and down[i] is the bitset of the i-th (Birkhoff; Davey & Priestley,
-    Introduction to Lattices and Order)."""
-
-    def __init__(self, by_bits, down):
-        self._down = down
-        self._bits = sorted(by_bits, key=lambda m: _sort_key(by_bits[m]))
-        self.congruences = [by_bits[m] for m in self._bits]
-
-    @functools.cached_property
-    def covers(self):
-        # m is covered by m | 1 << j for each j minimal outside m
-        index = {m: i for i, m in enumerate(self._bits)}
-        return sorted((i, index[m | 1 << j]) for i, m in enumerate(self._bits)
-                      for j, d in enumerate(self._down) if d & ~m == 1 << j)
-
-    def __len__(self):
-        return len(self.congruences)
-
-    def is_chain(self):
-        # a distributive lattice with k join-irreducibles has length k
-        return len(self) == len(self._down) + 1
-
-
 def principal_congruences(A):
     """The join-irreducibles of Con(A): the distinct theta(j-, j) over the
     elements j of the lattice reduct with exactly one lower cover j-.
@@ -214,6 +186,13 @@ def principal_congruences(A):
 
 
 def congruence_lattice(A):
+    """Con(A) as a Poset of its congruences, sorted by (number of blocks
+    desc, ids): the identity first and the total congruence last.  Con(A) is
+    a finite distributive lattice, held as the down-sets of its
+    join-irreducibles: bit i of a congruence's bitset is set iff the i-th
+    join-irreducible lies below it, and c <= d iff the bitset of c is a
+    subset of that of d (Birkhoff; Davey & Priestley, Introduction to
+    Lattices and Order)."""
     # each join-irreducible p is join-prime, so the join-irreducibles below
     # c v p are those below c or p: after folding in k of them, known holds
     # every join of a subset of those k by its bitset, and only a new bitset
@@ -225,7 +204,10 @@ def congruence_lattice(A):
         for m, c in list(known.items()):
             if m | d not in known:
                 known[m | d] = c.join(p)
-    return CongruenceLattice(known, down)
+    # c <= c v p for every join-irreducible p: the subset order on the
+    # bitsets is the transitive closure of these pairs
+    return Poset(sorted(known.values(), key=_sort_key),
+                 ((c, known[m | d]) for m, c in known.items() for d in down))
 
 
 def monolith(A):

@@ -301,8 +301,9 @@ def subalgebras(A):
     for U in sorted(map(sorted, universes), key=lambda U: (len(U), U)):
         sub = FiniteAlgebra(*_induced_tables(A, U,
                                              {e: i for i, e in enumerate(U)}))
-        if sub not in seen:
-            seen.add(sub)
+        n = len(seen)
+        seen.add(sub)
+        if len(seen) > n:
             found.setdefault(canonical_key(sub), (sub, tuple(U)))
     return [found[k] for k in sorted(found)]
 

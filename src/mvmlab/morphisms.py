@@ -30,10 +30,11 @@ def hs_closure(S):
             # B is its own quotient by the identity, the first congruence
             found.setdefault(canonical_key(B), B)
             seen.add(B)
-            for theta in congruence_lattice(B).congruences[1:]:
+            for theta in congruence_lattice(B).labels[1:]:
                 Q = _quotient(B, theta)
-                if Q not in seen:
-                    seen.add(Q)
+                n = len(seen)
+                seen.add(Q)
+                if len(seen) > n:
                     found.setdefault(canonical_key(Q), Q)
     return found
 
@@ -47,16 +48,14 @@ def si_members(K):
 
 
 def hs_poset(S):
-    """Iso classes of S, labelled by canonical key, ordered by: A <= B iff A
-    lies in the HS closure of {B}."""
+    """Iso classes of S, each labelled by its first member in S, ordered by:
+    A <= B iff A lies in the HS closure of {B}."""
     reps = {}
     for A in S:
         reps.setdefault(canonical_key(A), A)
     closures = {k: set(hs_closure([A])) for k, A in reps.items()}
-    pairs = [(a, b) for a in reps for b in reps if a in closures[b]]
-    P = Poset(list(reps), pairs)
-    P.algebras = reps  # key -> representative, for labeling
-    return P
+    return Poset(list(reps.values()), [(reps[a], reps[b]) for a in reps
+                                       for b in reps if a in closures[b]])
 
 
 def si_poset(S):
@@ -65,9 +64,8 @@ def si_poset(S):
     its first member, since unnamed algebras share their repr."""
     S = list(S)
     P = hs_poset(S)
-    for A in P.algebras.values():
-        si, _ = is_subdirectly_irreducible(A)
-        if not si:
+    for A in P.labels:
+        if not is_subdirectly_irreducible(A)[0]:
             # the first member equal to A is A: later ones share its class
             warnings.warn(f"si_poset input {S.index(A)} ({A!r}) is not "
                           "subdirectly irreducible")

@@ -54,17 +54,25 @@ def lower_covers(join):
 
 
 class Poset:
-    """Finite poset over hashable labels; `leq` is a set of ordered pairs
-    containing at least the reflexive pairs (transitively closed on build)."""
+    """Finite poset over hashable labels, ordered by the reflexive and
+    transitive closure of `leq_pairs`.  The pairs, which may be a generator,
+    are read once, when the order is first used."""
 
     def __init__(self, labels, leq_pairs):
         self.labels = list(labels)
-        idx = {l: i for i, l in enumerate(self.labels)}
+        self._pairs = leq_pairs
+
+    @functools.cached_property
+    def _idx(self):
+        return {l: i for i, l in enumerate(self.labels)}
+
+    @functools.cached_property
+    def _up(self):
+        idx = self._idx
         up = [1 << i for i in range(len(self.labels))]
-        for a, b in leq_pairs:
+        for a, b in self._pairs:
             up[idx[a]] |= 1 << idx[b]
-        self._up = transitive_closure(up)
-        self._idx = idx
+        return transitive_closure(up)
 
     def __len__(self):
         return len(self.labels)
@@ -97,27 +105,30 @@ class Poset:
                 if not any(up[i] & m for i in _bits(~m & (1 << n) - 1))]
 
     def to_dot(self, name="poset", label_of=str):
+        labels = [label_of(l) for l in self.labels]
+        height = [0] * len(labels)  # the number of elements strictly below
+        for i, row in enumerate(self._up):
+            for j in _bits(row & ~(1 << i)):
+                height[j] += 1
+        order = sorted(range(len(labels)),
+                       key=lambda i: (height[i], labels[i]))
+        node_id = {i: f"n{k}" for k, i in enumerate(order)}
         lines = [f"digraph {name} {{", "  rankdir=BT;"]
-        order = sorted(range(len(self.labels)),
-                       key=lambda i: (self.height(self.labels[i]),
-                                      label_of(self.labels[i])))
-        node_id = {}
         for i in order:
-            node_id[i] = f"n{len(node_id)}"
-            label = label_of(self.labels[i])
-            label = label.replace("\\", "\\\\").replace('"', '\\"')
+            label = labels[i].replace("\\", "\\\\").replace('"', '\\"')
             lines.append(f'  {node_id[i]} [label="{label}"];')
-        for a, b in sorted(self.covers(),
-                           key=lambda e: (label_of(e[0]), label_of(e[1]))):
-            lines.append(f"  {node_id[self._idx[a]]} -> {node_id[self._idx[b]]};")
+        for i, j in sorted(cover_pairs(self._up),
+                           key=lambda e: (labels[e[0]], labels[e[1]])):
+            lines.append(f"  {node_id[i]} -> {node_id[j]};")
         lines.append("}")
         return "\n".join(lines) + "\n"
 
     def as_dict(self, label_of=str):
+        labels = [label_of(l) for l in self.labels]
         return {
-            "nodes": sorted(label_of(l) for l in self.labels),
-            "covers": sorted([label_of(a), label_of(b)]
-                             for a, b in self.covers()),
+            "nodes": sorted(labels),
+            "covers": sorted([labels[i], labels[j]]
+                             for i, j in cover_pairs(self._up)),
         }
 
 

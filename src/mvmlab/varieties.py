@@ -109,15 +109,10 @@ def _fold_odot(l, r):
     return odot(l, r)
 
 
-def _tau_step(left, below):
-    # tau(m+1, k) from left = tau(m, k-1) and below = tau(m, k)
-    return _fold_odot(left, _fold_oplus(var(0), below))
-
-
-def _ladder(step, n, lo, hi):
-    """Row n of a tau ladder at the columns lo..hi, built row by row.  Row m
-    is needed at the columns lo-(n-m) .. hi only, and its cells left of
-    column 0 are one and those right of column m-1 are zero (both steps fold
+def _ladder(n, lo, hi):
+    """Row n of the tau ladder at the columns lo..hi, built row by row.  Row
+    m is needed at the columns lo-(n-m) .. hi only, and its cells left of
+    column 0 are one and those right of column m-1 are zero (the step folds
     to these constants), so only the cells in between are built."""
     one, zero = const("one"), const("zero")
     start, row = 0, []  # row m holds the columns start .. start+len(row)-1
@@ -127,7 +122,9 @@ def _ladder(step, n, lo, hi):
 
     for m in range(1, n + 1):
         lo_m, hi_m = max(lo - (n - m), 0), min(hi, m - 1)
-        new = [step(cell(m - 1, j - 1), cell(m - 1, j))
+        # tau(m, j) = tau(m-1, j-1) * (x + tau(m-1, j))
+        new = [_fold_odot(cell(m - 1, j - 1),
+                          _fold_oplus(var(0), cell(m - 1, j)))
                for j in range(lo_m, hi_m + 1)]
         start, row = lo_m, new
     return [cell(n, k) for k in range(lo, hi + 1)]
@@ -137,7 +134,7 @@ def tau(n, k):
     """One-variable term computing ((n x - k) v 0) ^^ 1 in the unit interval:
     base tau(0,k) = 1 for k <= -1 and 0 for k >= 0, then
     tau(n+1,k) = tau(n,k-1) * (x + tau(n,k))."""
-    return _ladder(_tau_step, n, k, k)[0]
+    return _ladder(n, k, k)[0]
 
 
 def phi(n):
@@ -147,7 +144,7 @@ def phi(n):
     if n < 1:
         raise BadArgument(f"phi needs n >= 1, got {n}")
     eqs, texts = [], []
-    for k, t in enumerate(_ladder(_tau_step, n, 0, n - 1)):
+    for k, t in enumerate(_ladder(n, 0, n - 1)):
         eqs += [Equation(_fold_oplus(t, t), t), Equation(_fold_odot(t, t), t)]
         name = f"tau({n},{k})"
         texts += [f"{name} + {name} ≈ {name}", f"{name} * {name} ≈ {name}"]

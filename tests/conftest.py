@@ -55,6 +55,12 @@ def posets_isomorphic(P, Q):
     return len(P) == len(Q) and _poset_form(P) == _poset_form(Q)
 
 
+def poset_is_chain(P):
+    """Whether every two elements of P are comparable."""
+    return all(P.leq(a, b) or P.leq(b, a)
+               for a, b in itertools.combinations(P.labels, 2))
+
+
 def _poset_form(P):
     n, a = len(P), P.labels
     leq = [[P.leq(a[i], a[j]) for j in range(n)] for i in range(n)]
@@ -169,7 +175,7 @@ def unskipped_hs_closure(S):
     for A in list(found.values()):
         for B, _ in unskipped_subalgebras(A):
             found.setdefault(height_key(B), B)
-            for theta in congruence_lattice(B).congruences[1:]:
+            for theta in congruence_lattice(B).labels[1:]:
                 Q = _induced(B, [b[0] for b in theta.blocks()], theta.ids,
                              name=f"{B.name}/theta" if B.name else "")
                 found.setdefault(height_key(Q), Q)

@@ -20,7 +20,7 @@ from mvmlab.constructions import (cn_delta_star, cn_nabla_star, lm_delta_star,
                                   lm_nabla_star, trivial_lmonoid)
 from mvmlab.cli import identify
 
-from conftest import posets_isomorphic
+from conftest import poset_is_chain, posets_isomorphic
 
 
 def _report(n, label):
@@ -76,17 +76,17 @@ def test_criterion_2_figure_reproduction():
 
 def test_criterion_3_congruence_structure():
     for n in range(1, 6):
-        assert congruence_lattice(cn_delta(n)).is_chain()
+        assert poset_is_chain(congruence_lattice(cn_delta(n)))
         assert len(congruence_lattice(cn_delta(n))) == n + 1
-        assert congruence_lattice(cn_nabla(n)).is_chain()
+        assert poset_is_chain(congruence_lattice(cn_nabla(n)))
         assert len(congruence_lattice(cn_nabla(n))) == n + 1
     A = catalog("A3n")
     lat = congruence_lattice(A)
-    assert len(lat) == 4 and lat.is_chain()
+    assert len(lat) == 4 and poset_is_chain(lat)
     si, m = is_subdirectly_irreducible(A)
     assert si and m.blocks() == [(0, 1), (2,), (3,)]  # collapses {0, b}
     latB = congruence_lattice(catalog("B3d"))
-    assert len(latB) == 3 and latB.is_chain()
+    assert len(latB) == 3 and poset_is_chain(latB)
     for n in range(3, 6):
         assert not is_subdirectly_irreducible(lm_delta(n))[0]
         assert not is_subdirectly_irreducible(lm_nabla(n))[0]

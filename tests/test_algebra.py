@@ -100,7 +100,7 @@ _CHAINS = [A for n in range(1, 6) for A in enumerate_chain(n, "si")] + [
 def test_quotients_of_chains_round_trip_through_save(C, shuffle, seed):
     if shuffle:
         C = shuffled(C, seed)
-    for theta in congruence_lattice(C).congruences:
+    for theta in congruence_lattice(C).labels:
         _assert_round_trip(quotient(C, theta))
 
 
@@ -493,6 +493,23 @@ def test_load_lmonoid_rejects_a_document_that_is_not_an_object(doc):
     with pytest.raises(MalformedDocument,
                        match="^l-monoid document must be a JSON object$"):
         load_lmonoid(doc)
+
+
+_L2 = {"size": 2, "zero": 0, "one": 1, "oplus": [[0, 1], [1, 1]],
+       "odot": [[0, 0], [0, 1]]}
+_M2 = {"size": 2, "zero": 0, "plus": [[0, 1], [1, 1]]}
+
+
+@pytest.mark.parametrize("loader, doc", [(load, _L2), (load_lmonoid, _M2)],
+                         ids=["algebra", "l-monoid"])
+def test_a_document_name_is_a_string_or_null(loader, doc):
+    assert loader(doc).name == ""
+    assert loader({**doc, "name": None}).name == ""
+    assert loader({**doc, "name": "x"}).name == "x"
+    for name in (0, ["x"], {"x": 1}, True, 1.5):
+        with pytest.raises(MalformedDocument,
+                           match="^name must be a string$"):
+            loader({**doc, "name": name})
 
 
 def test_quotient_rejects_a_partition_of_another_size():

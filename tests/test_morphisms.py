@@ -12,6 +12,7 @@ from mvmlab import (are_isomorphic, canonical_key, catalog, catalog_names,
                     is_subdirectly_irreducible, ln_plus, lm_delta, order_dual,
                     product, quotient, si_members, si_poset, subalgebras,
                     trivial_algebra)
+from mvmlab import posets
 from mvmlab.cli import identify
 
 
@@ -120,7 +121,7 @@ def _reference_hs_closure(S):
         for A in frontier:
             produced = [sub for sub, _ in reference_subalgebras(A)]
             produced += [quotient(A, th)
-                         for th in congruence_lattice(A).congruences]
+                         for th in congruence_lattice(A).labels]
             for B in produced:
                 k = canonical_key(B)
                 if k not in found:
@@ -197,6 +198,16 @@ def test_hs_closure_of_the_fifth_boolean_power():
     _same_closure(closure, unskipped_hs_closure([P]))
 
 
+def test_hs_closure_builds_no_order(monkeypatch):
+    # it reads the congruences of each subalgebra, never their order
+    def refuse(rows):
+        raise AssertionError("an order was built")
+
+    monkeypatch.setattr(posets, "transitive_closure", refuse)
+    closure = hs_closure([product(ln_plus(1), ln_plus(2)), catalog("A3n")])
+    assert canonical_key(ln_plus(2)) in closure
+
+
 def test_hs_closure_of_a_product_contains_both_factors():
     P = product(ln_plus(1), ln_plus(2))
     closure = hs_closure([P])
@@ -230,12 +241,20 @@ def test_si_members_are_the_si_classes_of_the_hs_closure():
 
 
 def test_si_poset_of_small_chains():
-    P = si_poset([ln_plus(1), ln_plus(2), ln_plus(3)])
-    k = {n: canonical_key(ln_plus(n)) for n in (1, 2, 3)}
+    L = {n: ln_plus(n) for n in (1, 2, 3)}
+    P = si_poset([L[1], L[2], L[3]])
     assert len(P) == 3
-    assert P.leq(k[1], k[2]) and P.leq(k[1], k[3])
-    assert not P.leq(k[2], k[3]) and not P.leq(k[3], k[2])
-    assert P.minimal() == [k[1]]
+    assert P.leq(L[1], L[2]) and P.leq(L[1], L[3])
+    assert not P.leq(L[2], L[3]) and not P.leq(L[3], L[2])
+    assert P.minimal() == [L[1]]
+
+
+def test_si_poset_labels_each_class_by_its_first_input():
+    gens = [shuffled(ln_plus(2), 1), ln_plus(1), ln_plus(2),
+            catalog("C2d"), shuffled(catalog("C2d"), 3), ln_plus(1)]
+    P = si_poset(gens)
+    assert len(P) == 3
+    assert all(a is b for a, b in zip(P.labels, (gens[0], gens[1], gens[3])))
 
 
 def test_si_poset_deduplicates_iso_classes():

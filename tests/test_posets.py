@@ -28,6 +28,22 @@ def test_transitive_closure_and_leq():
     assert not P.leq("c", "a")
 
 
+def test_a_generator_of_pairs_is_read_once_when_the_order_is_first_read():
+    read = []
+
+    def pairs():
+        for p in [("a", "b"), ("b", "c")]:
+            read.append(p)
+            yield p
+
+    P = Poset("abc", pairs())
+    assert len(P) == 3 and P.labels == ["a", "b", "c"] and read == []
+    assert P.leq("a", "c") and not P.leq("c", "a")
+    assert P.covers() == [("a", "b"), ("b", "c")]
+    assert P.to_dot() == Poset("abc", [("a", "b"), ("b", "c")]).to_dot()
+    assert read == [("a", "b"), ("b", "c")]
+
+
 def test_covers_skip_transitive_edges():
     P = Poset("abc", [("a", "b"), ("b", "c"), ("a", "c")])
     assert sorted(P.covers()) == [("a", "b"), ("b", "c")]
