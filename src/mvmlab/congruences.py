@@ -9,9 +9,10 @@ from .posets import Poset, lower_covers
 
 class Congruence:
     """Partition of 0..n-1 as a block-id array, block ids in first-occurrence
-    order (canonical and hashable)."""
+    order (canonical and hashable).  The hash of `ids` is taken on first use
+    and kept: a `Poset` of congruences finds its labels by hash."""
 
-    __slots__ = ("ids", "size")
+    __slots__ = ("ids", "size", "_hash")
 
     def __init__(self, ids):
         self.ids = _normalize(tuple(ids))
@@ -21,7 +22,11 @@ class Congruence:
         return isinstance(other, Congruence) and self.ids == other.ids
 
     def __hash__(self):
-        return hash(self.ids)
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash(self.ids)
+            return self._hash
 
     def __repr__(self):
         return f"Congruence{self.blocks()}"
@@ -185,6 +190,22 @@ def principal_congruences(A):
                 yield p
 
 
+def _joins(size, J):
+    """The join of every subset of the join-prime congruences J on `size`
+    elements, as {bitset: join} with bit i set iff J[i] lies below the
+    join; and the bitset of each J[i]."""
+    # each p in J is join-prime, so the members of J below c v p are those
+    # below c or p: after folding in k of them, known holds every join of a
+    # subset of those k by its bitset, and only a new bitset costs a join
+    down = [sum(1 << i for i, q in enumerate(J) if q.refines(p)) for p in J]
+    known = {0: identity_congruence(size)}
+    for p, d in zip(J, down):
+        for m, c in list(known.items()):
+            if m | d not in known:
+                known[m | d] = c.join(p)
+    return known, down
+
+
 def congruence_lattice(A):
     """Con(A) as a Poset of its congruences, sorted by (number of blocks
     desc, ids): the identity first and the total congruence last.  Con(A) is
@@ -193,17 +214,7 @@ def congruence_lattice(A):
     join-irreducible lies below it, and c <= d iff the bitset of c is a
     subset of that of d (Birkhoff; Davey & Priestley, Introduction to
     Lattices and Order)."""
-    # each join-irreducible p is join-prime, so the join-irreducibles below
-    # c v p are those below c or p: after folding in k of them, known holds
-    # every join of a subset of those k by its bitset, and only a new bitset
-    # costs a join
-    J = list(principal_congruences(A))
-    down = [sum(1 << i for i, q in enumerate(J) if q.refines(p)) for p in J]
-    known = {0: identity_congruence(A.size)}
-    for p, d in zip(J, down):
-        for m, c in list(known.items()):
-            if m | d not in known:
-                known[m | d] = c.join(p)
+    known, down = _joins(A.size, list(principal_congruences(A)))
     # c <= c v p for every join-irreducible p: the subset order on the
     # bitsets is the transitive closure of these pairs
     return Poset(sorted(known.values(), key=_sort_key),

@@ -4,6 +4,7 @@ plus Gamma-of-lexicographic-product, products, subalgebras and quotients."""
 
 import itertools
 import operator
+from collections import Counter
 
 from .algebra import (FiniteAlgebra, _check_element, canonical_key,
                       chain_algebra, make_lmonoid, order_dual, trivial_algebra)
@@ -281,6 +282,41 @@ def _induced_tables(A, reps, index):
             table(A.odot), table(A.join), table(A.meet))
 
 
+def _subalgebra_classes(A):
+    """`subalgebras(A)` as (algebra, embedding, covers) triples, covers
+    holding each lower cover of the embedding's subuniverse U in the lattice
+    of subuniverses, as the tuple of its positions in the embedding.
+
+    Every subuniverse is reached from the least one by adding one element
+    at a time and closing, and each step from S counts the elements e that
+    take S to each U.  S is a lower cover of U exactly when every e in
+    U - S takes S to U (if S < S' < U, an e in S' - S takes S only into
+    S'), so the walk records the covers as it goes."""
+    least = subuniverse_closure(A, ())
+    covers, stack = {least: []}, [least]
+    while stack:
+        S = stack.pop()
+        grown = Counter(_extend(A, S, (e,)) for e in range(A.size)
+                        if e not in S)
+        for U, k in grown.items():
+            if U not in covers:
+                covers[U] = []
+                stack.append(U)
+            if k == len(U) - len(S):
+                covers[U].append(S)
+    found, seen = {}, set()
+    for U in sorted(covers, key=lambda U: (len(U), sorted(U))):
+        elems = sorted(U)
+        index = {e: i for i, e in enumerate(elems)}
+        sub = FiniteAlgebra(*_induced_tables(A, elems, index))
+        n = len(seen)
+        seen.add(sub)
+        if len(seen) > n:
+            found.setdefault(canonical_key(sub), (sub, tuple(elems), [
+                tuple(sorted(map(index.__getitem__, S))) for S in covers[U]]))
+    return [found[k] for k in sorted(found)]
+
+
 def subalgebras(A):
     """All subuniverses up to isomorphism, as (algebra, embedding) pairs
     sorted by canonical key, each class embedded as its least subuniverse by
@@ -290,22 +326,7 @@ def subalgebras(A):
     subuniverses give 71 distinct tables): such a subalgebra equals one
     seen before and is not keyed, since its class already has its least
     subuniverse."""
-    least = subuniverse_closure(A, ())
-    universes, stack = {least}, [least]
-    while stack:
-        S = stack.pop()
-        grown = {_extend(A, S, (e,)) for e in range(A.size) if e not in S}
-        stack += grown - universes
-        universes |= grown
-    found, seen = {}, set()
-    for U in sorted(map(sorted, universes), key=lambda U: (len(U), U)):
-        sub = FiniteAlgebra(*_induced_tables(A, U,
-                                             {e: i for i, e in enumerate(U)}))
-        n = len(seen)
-        seen.add(sub)
-        if len(seen) > n:
-            found.setdefault(canonical_key(sub), (sub, tuple(U)))
-    return [found[k] for k in sorted(found)]
+    return [(sub, U) for sub, U, _ in _subalgebra_classes(A)]
 
 
 def quotient(A, theta):

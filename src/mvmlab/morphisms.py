@@ -5,9 +5,28 @@ irreducible algebras ordered by HSU membership."""
 import warnings
 
 from .algebra import canonical_key
-from .congruences import congruence_lattice, is_subdirectly_irreducible
-from .constructions import _quotient, subalgebras
+from .congruences import (_joins, _sort_key, is_subdirectly_irreducible,
+                          principal_congruences)
+from .constructions import _quotient, _subalgebra_classes
 from .posets import Poset
+
+
+def _meets_every_block(M, theta):
+    return len(set(map(theta.ids.__getitem__, M))) == theta.num_blocks()
+
+
+def _congruences_to_take(B, covers):
+    """The nontrivial congruences theta of B, in the order of
+    `congruence_lattice(B)`, such that no subuniverse in `covers` meets
+    every theta-block.  A set that meets every block of theta meets every
+    block of a coarser one too, so these theta form a down-set of Con(B):
+    each is a join of join-irreducibles that no cover meets, and only those
+    joins are formed."""
+    J = [p for p in principal_congruences(B)
+         if not any(_meets_every_block(M, p) for M in covers)]
+    known, _ = _joins(B.size, J)  # with J empty, just the identity
+    return [c for c in sorted(known.values(), key=_sort_key)[1:]
+            if not any(_meets_every_block(M, c) for M in covers)]
 
 
 def hs_closure(S):
@@ -17,20 +36,33 @@ def hs_closure(S):
     contained in HS(K), so HS(K) is closed under H and S (Burris &
     Sankappanavar, II §9).
 
-    Most quotients repeat the very tables of an earlier subalgebra or
-    quotient (every subalgebra has the trivial quotient, for one).  Equal
-    tables give equal algebras and equal keys, so such a quotient is not
-    keyed: its class is in `found` already, and its representative stays
+    B/theta is not formed when a proper subuniverse M of B meets every
+    theta-block.  Then M -> B/theta is onto with kernel theta restricted to
+    M, so B/theta is isomorphic to that quotient of M (the first
+    isomorphism theorem; Burris & Sankappanavar, II §6).  M is a subalgebra
+    of A with fewer elements than B, and `subalgebras` sorts by canonical
+    key, whose first byte is the size, so M's class comes before B's and,
+    by induction on size, its quotient's class is in `found` already.  The
+    keys, their order and the representatives are therefore those of
+    taking every quotient.  (From 256 elements on a key starts with two
+    bytes of size, so for an A whose subalgebras straddle 256 elements only
+    the keys are sure to agree.)  If some proper subuniverse meets every
+    block then so does a maximal one, so only the lower covers of B in its
+    lattice of subuniverses are tried.
+
+    A quotient that repeats the very tables of an earlier subalgebra or
+    quotient is not keyed either: equal tables give equal algebras and equal
+    keys, so its class is in `found` already, and its representative stays
     the first."""
     found, seen = {}, set()
     for A in S:
         found.setdefault(canonical_key(A), A)
     for A in list(found.values()):
-        for B, _ in subalgebras(A):
+        for B, _, covers in _subalgebra_classes(A):
             # B is its own quotient by the identity, the first congruence
             found.setdefault(canonical_key(B), B)
             seen.add(B)
-            for theta in congruence_lattice(B).labels[1:]:
+            for theta in _congruences_to_take(B, covers):
                 Q = _quotient(B, theta)
                 n = len(seen)
                 seen.add(Q)

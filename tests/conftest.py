@@ -6,8 +6,8 @@ import pytest
 from hypothesis import strategies as st
 
 from mvmlab import (canonical_key, catalog, catalog_names, chain_algebra,
-                    congruence_lattice, enumerate_chain, make_algebra,
-                    order_dual, product)
+                    congruence_lattice, enumerate_chain, ln_plus,
+                    make_algebra, order_dual, product)
 from mvmlab.algebra import FiniteAlgebra, canonical_form
 from mvmlab.constructions import _extend, subuniverse_closure
 
@@ -88,6 +88,38 @@ def seeded_chain_tables(count, seed):
                                   for _ in range(n)] for _ in range(2)))
 
 
+def seeded_lattice_tables(count, seed):
+    """`count` algebras over each of the L1+xL2+ and 2x2 lattices with
+    arbitrary oplus and odot tables, drawn from random.Random(seed), taking
+    turns: products of two chains with arbitrary tables, which keep the
+    product's subuniverses and factor congruences, and tables drawn cell by
+    cell.  In every other algebra of each kind, the tables map {0, 1} into
+    itself (on each factor), so that it is a proper subuniverse.  Nearly
+    all of them break the monoid laws."""
+    rng = random.Random(seed)
+
+    def table(n, ends):
+        return [[rng.choice(ends) if a in ends and b in ends
+                 else rng.randrange(n) for b in range(n)] for a in range(n)]
+
+    for i in range(count):
+        closed = i % 4 >= 2
+        for sizes in ((2, 3), (2, 2)):
+            if i % 2 == 0:
+                factors = []
+                for k in sizes:
+                    ends = (0, k - 1) if closed else ()
+                    factors.append(chain_algebra(k, table(k, ends),
+                                                 table(k, ends)))
+                yield product(*factors)
+            else:
+                L = product(*(ln_plus(k - 1) for k in sizes))
+                ends = (L.zero, L.one) if closed else ()
+                yield make_algebra(L.size, L.zero, L.one, table(L.size, ends),
+                                   table(L.size, ends), join=L.join,
+                                   meet=L.meet)
+
+
 @functools.cache
 def si_chain_pairs():
     """Every pair of SI chains of sizes 2..6 whose product has at most 12
@@ -98,30 +130,36 @@ def si_chain_pairs():
             if A.size * B.size <= 12]
 
 
-def reference_subalgebras(A):
-    """Subalgebras by scanning every subset that contains 0 and 1 and keeping
-    the closed ones: (algebra, embedding) pairs sorted by (size, key), each
-    class embedded as its first subuniverse in scan order."""
+def reference_subuniverses(A):
+    """Every subuniverse of A, as a sorted list of its elements, by scanning
+    every subset that contains 0 and 1 and keeping the closed ones, in
+    order of size, then of the elements added to 0 and 1."""
     base = {A.zero, A.one}
     rest = [e for e in range(A.size) if e not in base]
-    found = {}
     for r in range(len(rest) + 1):
         for extra in itertools.combinations(rest, r):
             subset = base | set(extra)
-            if not all(t[a][b] in subset
-                       for t in (A.join, A.meet, A.oplus, A.odot)
-                       for a in subset for b in subset):
-                continue
-            elems = sorted(subset)
-            index = {e: i for i, e in enumerate(elems)}
+            if all(t[a][b] in subset
+                   for t in (A.join, A.meet, A.oplus, A.odot)
+                   for a in subset for b in subset):
+                yield sorted(subset)
 
-            def table(t):
-                return [[index[t[a][b]] for b in elems] for a in elems]
 
-            sub = make_algebra(len(elems), index[A.zero], index[A.one],
-                               table(A.oplus), table(A.odot),
-                               join=table(A.join), meet=table(A.meet))
-            found.setdefault(canonical_key(sub), (sub, tuple(elems)))
+def reference_subalgebras(A):
+    """Subalgebras from the subset scan: (algebra, embedding) pairs sorted
+    by (size, key), each class embedded as its first subuniverse in scan
+    order."""
+    found = {}
+    for elems in reference_subuniverses(A):
+        index = {e: i for i, e in enumerate(elems)}
+
+        def table(t):
+            return [[index[t[a][b]] for b in elems] for a in elems]
+
+        sub = make_algebra(len(elems), index[A.zero], index[A.one],
+                           table(A.oplus), table(A.odot),
+                           join=table(A.join), meet=table(A.meet))
+        found.setdefault(canonical_key(sub), (sub, tuple(elems)))
     return [found[k] for k in sorted(found, key=lambda k: (k[0], k))]
 
 

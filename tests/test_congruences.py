@@ -41,6 +41,13 @@ def test_partition_normal_form():
     assert Congruence([7, 7, 7]) == total_congruence(3)
 
 
+def test_partition_hash_is_that_of_its_block_ids():
+    # kept after the first call, and the same for equal partitions
+    a, b = Congruence([5, 5, 2, 5]), Congruence([1, 1, 0, 1])
+    assert hash(a) == hash((0, 0, 1, 0)) == hash(a) == hash(b)
+    assert len({a, b, Congruence([0, 1, 1, 1])}) == 2
+
+
 def test_partition_predicates():
     c = Congruence([0, 0, 1, 2])
     assert c.related(0, 1) and not c.related(1, 2)

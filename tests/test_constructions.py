@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (algebra_tables, random_chain_tables,
-                      reference_subalgebras, shuffled, si_chain_pairs,
+                      reference_subalgebras, reference_subuniverses,
+                      seeded_lattice_tables, shuffled, si_chain_pairs,
                       si_product_family, unskipped_subalgebras)
 from mvmlab import (are_isomorphic, canonical_key, catalog, catalog_names,
                     cn_delta, cn_delta_star, cn_nabla, cn_nabla_star,
@@ -13,7 +14,8 @@ from mvmlab import (are_isomorphic, canonical_key, catalog, catalog_names,
                     lm_nabla, lm_nabla_star, ln_plus, monolith, product,
                     quotient, subalgebras, trivial_algebra)
 from mvmlab.congruences import total_congruence
-from mvmlab.constructions import subuniverse_closure, trivial_lmonoid
+from mvmlab.constructions import (_subalgebra_classes, subuniverse_closure,
+                                  trivial_lmonoid)
 from mvmlab.errors import (CapExceeded, MalformedDocument, NotACongruence,
                            TableOutOfRange, UnknownName)
 
@@ -179,6 +181,18 @@ def test_subalgebras_skip_only_repeated_tables(catalog_algebras):
     # subuniverse
     for A in [*catalog_algebras.values(), *si_product_family()]:
         assert _listing(subalgebras(A)) == _listing(unskipped_subalgebras(A))
+
+
+def test_subalgebra_covers_are_the_maximal_proper_subuniverses(
+        catalog_algebras):
+    for A in [*catalog_algebras.values(), *si_product_family()[::2],
+              *seeded_lattice_tables(20, 31)]:
+        for B, _, covers in _subalgebra_classes(A):
+            proper = [set(M) for M in reference_subuniverses(B)
+                      if len(M) < B.size]
+            assert sorted(covers) == sorted(
+                tuple(sorted(M)) for M in proper
+                if not any(M < N for N in proper)), (A, B)
 
 
 def test_subalgebras_of_infinitesimal_chain():

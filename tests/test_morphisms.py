@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (algebra_tables, reference_subalgebras, shuffled,
+from conftest import (algebra_tables, reference_subalgebras,
+                      reference_subuniverses, seeded_lattice_tables, shuffled,
                       si_chain_pairs, si_product_family, unskipped_hs_closure)
 from mvmlab import (are_isomorphic, canonical_key, catalog, catalog_names,
                     cn_delta, congruence_lattice, enumerate_chain, hs_closure,
                     is_subdirectly_irreducible, ln_plus, lm_delta, order_dual,
                     product, quotient, si_members, si_poset, subalgebras,
                     trivial_algebra)
-from mvmlab import posets
+from mvmlab import morphisms, posets
 from mvmlab.cli import identify
 
 
@@ -196,6 +197,59 @@ def test_hs_closure_of_the_fifth_boolean_power():
     closure = hs_closure([P])
     assert len(closure) == 88
     _same_closure(closure, unskipped_hs_closure([P]))
+
+
+# the quotients hs_closure skips: B/theta when a proper subuniverse M of B
+# meets every theta-block, for then B/theta is isomorphic to a quotient of M
+
+def _lemma_corpus():
+    return ([catalog(name) for name in catalog_names()]
+            + si_product_family()[::3] + list(seeded_lattice_tables(20, 23)))
+
+
+def _taken_quotients(monkeypatch):
+    """The (B, theta) of every quotient `hs_closure` forms, in order."""
+    taken, real = [], morphisms._quotient
+
+    def record(B, theta):
+        taken.append((B, theta))
+        return real(B, theta)
+
+    monkeypatch.setattr(morphisms, "_quotient", record)
+    return taken
+
+
+def test_hs_closure_skips_exactly_what_a_proper_subuniverse_gives(
+        monkeypatch):
+    taken = _taken_quotients(monkeypatch)
+    for A in _lemma_corpus():
+        taken.clear()
+        hs_closure([A])
+        by_sub = {}
+        for B, theta in taken:
+            by_sub.setdefault(B, []).append(theta)
+        for B, _ in subalgebras(A):
+            proper = [M for M in reference_subuniverses(B)
+                      if len(M) < B.size]
+            assert by_sub.pop(B, []) == [
+                theta for theta in congruence_lattice(B).labels[1:]
+                if not any(len({theta.ids[m] for m in M})
+                           == theta.num_blocks() for M in proper)], (A, B)
+        assert not by_sub
+
+
+def test_hs_closure_of_non_mv_tables_matches_the_fixpoint():
+    # the lemma is pure universal algebra: no monoid law is used
+    for A in seeded_lattice_tables(12, 29):
+        assert set(hs_closure([A])) == set(_reference_hs_closure([A]))
+
+
+def test_hs_closure_forms_few_quotients(monkeypatch):
+    # every nontrivial quotient of every subalgebra class would be 16,655
+    taken = _taken_quotients(monkeypatch)
+    for P in si_product_family():
+        hs_closure([P])
+    assert len(taken) <= 1104
 
 
 def test_hs_closure_builds_no_order(monkeypatch):
