@@ -12,6 +12,7 @@ from dataclasses import dataclass, field, replace
 
 from .errors import (MalformedDocument, NotALattice, NotAnLMonoid,
                      TableOutOfRange)
+from .posets import _bits, _up_rows
 
 Table = tuple  # tuple of tuples of ints, row-major: t[i][j] = op(i, j)
 
@@ -73,6 +74,45 @@ def _validate_lattice(join, meet, n):
                     raise NotALattice("meet associativity fails", (i, j, k))
                 if meet[i][join[j][k]] != join[meet[i][j]][meet[i][k]]:
                     raise NotALattice("distributivity fails", (i, j, k))
+
+
+def _is_distributive_lattice(join, meet):
+    """Whether join and meet form a distributive lattice: exactly when
+    `_validate_lattice` passes, in O(n^2) operations on bitset rows.
+
+    Read a <= c as a v c = c, with rows up[a] = {c : a <= c} and columns
+    down[c] = {a : a <= c}.  No two rows may be equal, join[a][b] must be
+    the least upper bound, up[a v b] = up[a] & up[b], and meet[a][b] the
+    greatest lower bound, down[a ^ b] = down[a] & down[b].  Then <= is a
+    partial order: a v a has a's row, so it is a (reflexive); c in up[a]
+    makes a v c = c, so up[c] = up[a] & up[c] (transitive); a <= c <= a
+    gives equal rows (antisymmetric).  A finite lattice is distributive
+    iff every join-irreducible j (not the join of the elements strictly
+    below it, the empty join being the bottom) is join-prime (the join of
+    the elements not above j is not above j; Davey & Priestley,
+    Introduction to Lattices and Order, ch. 5)."""
+    n = len(join)
+    up = _up_rows(join)
+    down = [sum(1 << a for a, v in enumerate(col) if v == c)
+            for c, col in enumerate(zip(*join))]
+    if (len(set(up)) < n
+            or [up[c] for row in join for c in row]
+            != [a & b for a in up for b in up]
+            or [down[c] for row in meet for c in row]
+            != [a & b for a in down for b in down]):
+        return False
+    everything = (1 << n) - 1
+    bottom = up.index(everything)
+
+    def join_of(mask):
+        x = bottom
+        for c in _bits(mask):
+            x = join[x][c]
+        return x
+
+    return not any(join_of(down[j] ^ 1 << j) != j
+                   and up[j] >> join_of(everything & ~up[j]) & 1
+                   for j in range(n))
 
 
 @dataclass(frozen=True)
@@ -142,7 +182,8 @@ def _gate(size, tables, constants, join, meet):
         join, meet = max_table(size), min_table(size)
     else:
         join, meet = _freeze(join), _freeze(meet)
-        _validate_lattice(join, meet, size)
+        if not _is_distributive_lattice(join, meet):
+            _validate_lattice(join, meet, size)  # names the least witness
     return (*map(_freeze, tables.values()), join, meet)
 
 

@@ -314,18 +314,20 @@ def _subalgebra_classes(A):
         if len(seen) > n:
             found.setdefault(canonical_key(sub), (sub, tuple(elems), [
                 tuple(sorted(map(index.__getitem__, S))) for S in covers[U]]))
-    return [found[k] for k in sorted(found)]
+    # by size first: from 256 elements on a key starts with two bytes
+    return [found[k] for k in sorted(found,
+                                     key=lambda k: (found[k][0].size, k))]
 
 
 def subalgebras(A):
     """All subuniverses up to isomorphism, as (algebra, embedding) pairs
-    sorted by canonical key, each class embedded as its least subuniverse by
-    (size, sorted elements).  Every subuniverse is reached from the least
-    one by adding one element at a time and closing.  Many subuniverses
-    induce the very tables of a smaller one in that order (on L1+^4, 355
-    subuniverses give 71 distinct tables): such a subalgebra equals one
-    seen before and is not keyed, since its class already has its least
-    subuniverse."""
+    sorted by (size, canonical key), each class embedded as its least
+    subuniverse by (size, sorted elements).  Every subuniverse is reached
+    from the least one by adding one element at a time and closing.  Many
+    subuniverses induce the very tables of a smaller one in that order (on
+    L1+^4, 355 subuniverses give 71 distinct tables): such a subalgebra
+    equals one seen before and is not keyed, since its class already has
+    its least subuniverse."""
     return [(sub, U) for sub, U, _ in _subalgebra_classes(A)]
 
 

@@ -40,15 +40,12 @@ def hs_closure(S):
     theta-block.  Then M -> B/theta is onto with kernel theta restricted to
     M, so B/theta is isomorphic to that quotient of M (the first
     isomorphism theorem; Burris & Sankappanavar, II §6).  M is a subalgebra
-    of A with fewer elements than B, and `subalgebras` sorts by canonical
-    key, whose first byte is the size, so M's class comes before B's and,
-    by induction on size, its quotient's class is in `found` already.  The
-    keys, their order and the representatives are therefore those of
-    taking every quotient.  (From 256 elements on a key starts with two
-    bytes of size, so for an A whose subalgebras straddle 256 elements only
-    the keys are sure to agree.)  If some proper subuniverse meets every
-    block then so does a maximal one, so only the lower covers of B in its
-    lattice of subuniverses are tried.
+    of A with fewer elements than B, and `subalgebras` sorts by size first,
+    so M's class comes before B's and, by induction on size, its quotient's
+    class is in `found` already.  The keys, their order and the
+    representatives are therefore those of taking every quotient.  If some
+    proper subuniverse meets every block then so does a maximal one, so
+    only the lower covers of B in its lattice of subuniverses are tried.
 
     A quotient that repeats the very tables of an earlier subalgebra or
     quotient is not keyed either: equal tables give equal algebras and equal

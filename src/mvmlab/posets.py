@@ -38,6 +38,12 @@ def cover_pairs(up):
     return out
 
 
+def _up_rows(join):
+    """Bitset rows of the order a join table defines (a <= c iff
+    a v c = c): bit c of row a set iff join[a][c] == c."""
+    return [sum(1 << c for c, v in enumerate(row) if v == c) for row in join]
+
+
 @functools.lru_cache(maxsize=8)
 def lower_covers(join):
     """Each element's lower covers, increasing, as a tuple of tuples, in the
@@ -45,10 +51,8 @@ def lower_covers(join):
     the join table, a tuple of tuples: the algebras a loop meets often share
     one lattice, such as `max_table(n)` in a chain enumeration, and a few
     entries serve such a loop."""
-    n = len(join)
-    below = [[] for _ in range(n)]
-    for b, a in cover_pairs([sum(1 << c for c in range(n) if join[a][c] == c)
-                             for a in range(n)]):
+    below = [[] for _ in join]
+    for b, a in cover_pairs(_up_rows(join)):
         below[a].append(b)
     return tuple(map(tuple, below))
 

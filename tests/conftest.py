@@ -160,7 +160,8 @@ def reference_subalgebras(A):
                            table(A.oplus), table(A.odot),
                            join=table(A.join), meet=table(A.meet))
         found.setdefault(canonical_key(sub), (sub, tuple(elems)))
-    return [found[k] for k in sorted(found, key=lambda k: (k[0], k))]
+    return [found[k] for k in sorted(found,
+                                     key=lambda k: (found[k][0].size, k))]
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +202,8 @@ def unskipped_subalgebras(A):
     for U in sorted(map(sorted, universes), key=lambda U: (len(U), U)):
         sub = _induced(A, U, {e: i for i, e in enumerate(U)})
         found.setdefault(height_key(sub), (sub, tuple(U)))
-    return [found[k] for k in sorted(found, key=lambda k: (k[0], k))]
+    return [found[k] for k in sorted(found,
+                                     key=lambda k: (found[k][0].size, k))]
 
 
 def unskipped_hs_closure(S):

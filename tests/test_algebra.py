@@ -469,6 +469,149 @@ def test_explicit_lattice_bounds_are_checked(zero, one, message, witness):
     assert (str(exc.value), exc.value.witness) == (message, witness)
 
 
+# the gate proves a lattice reduct with bitset rows in O(n^2) steps; the
+# cubic law scan, `_validate_lattice`, is its oracle and names the witness
+
+def _lattice_product(*lattices):
+    """Join and meet tables of the product of (join, meet) pairs, element
+    (a, b) numbered a * len(b's lattice) + b."""
+    join, meet = lattices[0]
+    for j2, m2 in lattices[1:]:
+        k = len(j2)
+        pairs = [(a, b) for a in range(len(join)) for b in range(k)]
+
+        def table(t, t2):
+            return [[t[a][c] * k + t2[b][d] for c, d in pairs]
+                    for a, b in pairs]
+
+        join, meet = table(join, j2), table(meet, m2)
+    return join, meet
+
+
+def _chain(k):
+    return ([[max(a, b) for b in range(k)] for a in range(k)],
+            [[min(a, b) for b in range(k)] for a in range(k)])
+
+
+_M3, _N5 = non_distributive.args[1]
+_GATE_LATTICES = [
+    _chain(1), _chain(2), _chain(3), _chain(5), (_DIAMOND_JOIN, _DIAMOND_MEET),
+    _lattice_product(_chain(2), _chain(3)),
+    _lattice_product(_chain(2), _chain(2), _chain(2)),
+    _M3, _N5,
+    _lattice_product(_M3, _chain(2)),  # M3 x L1+
+    _lattice_product(_N5, _chain(2)),  # N5 x L1+
+]
+
+
+def _cubic_verdict(join, meet):
+    """None when `_validate_lattice` passes, else its (message, witness)."""
+    try:
+        _validate_lattice(join, meet, len(join))
+    except NotALattice as exc:
+        return str(exc), exc.witness
+    return None
+
+
+def _assert_the_gate_agrees_with_the_cubic_scan(join, meet):
+    n, verdict = len(join), _cubic_verdict(join, meet)
+    frozen = tuple(map(tuple, join)), tuple(map(tuple, meet))
+    assert algebra._is_distributive_lattice(*frozen) == (verdict is None)
+    doc = {"size": n, "oplus": join, "odot": meet, "join": join,
+           "meet": meet}
+    if verdict is None:
+        bottom = next(a for a in range(n) if join[a] == list(range(n)))
+        top = next(a for a in range(n) if meet[a] == list(range(n)))
+        A = load({**doc, "zero": bottom, "one": top})
+        assert (A.join, A.meet) == frozen
+    else:
+        with pytest.raises(NotALattice) as exc:
+            load({**doc, "zero": 0, "one": n - 1})
+        assert (str(exc.value), exc.value.witness) == verdict
+
+
+@st.composite
+def _gate_inputs(draw):
+    """Random tables of 1-5 elements (half of them idempotent and
+    commutative), or a relabelled lattice of `_GATE_LATTICES` with up to
+    three entries changed (each perhaps mirrored to keep commutativity)."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 5))
+        cell = st.integers(0, n - 1)
+        join, meet = ([[draw(cell) for _ in range(n)] for _ in range(n)]
+                      for _ in range(2))
+        if draw(st.booleans()):
+            for t in (join, meet):
+                for a in range(n):
+                    t[a][a] = a
+                    for b in range(a):
+                        t[b][a] = t[a][b]
+        return join, meet
+    join, meet = draw(st.sampled_from(_GATE_LATTICES))
+    n = len(join)
+    perm = draw(st.permutations(range(n)))
+    inv = sorted(range(n), key=perm.__getitem__)
+
+    def table(t):
+        return [[perm[t[inv[a]][inv[b]]] for b in range(n)] for a in range(n)]
+
+    join, meet = table(join), table(meet)
+    for t, a, b, v, mirror in draw(st.lists(st.tuples(
+            st.sampled_from((join, meet)), st.integers(0, n - 1),
+            st.integers(0, n - 1), st.integers(0, n - 1), st.booleans()),
+            max_size=3)):
+        t[a][b] = v
+        if mirror:
+            t[b][a] = v
+    return join, meet
+
+
+@settings(max_examples=400, deadline=None)
+@given(_gate_inputs())
+def test_the_bitset_gate_accepts_exactly_what_the_cubic_scan_accepts(tables):
+    _assert_the_gate_agrees_with_the_cubic_scan(*tables)
+
+
+@pytest.mark.parametrize("join, meet", _GATE_LATTICES)
+def test_the_bitset_gate_on_the_lattices_as_they_are(join, meet):
+    _assert_the_gate_agrees_with_the_cubic_scan(join, meet)
+
+
+@pytest.mark.parametrize("join, meet, witness", [
+    ([[0, 1], [0, 1]], [[0, 1], [0, 1]], (0, 1, 1)),
+    # 0 below 1 and 2, and 1 <= 2 <= 1: every other check passes
+    ([[0, 1, 2], [1, 1, 2], [2, 1, 2]], [[0, 0, 0], [0, 1, 1], [0, 2, 2]],
+     (1, 2, 2)),
+])
+def test_tables_whose_order_is_not_antisymmetric_are_rejected(join, meet,
+                                                              witness):
+    assert not algebra._is_distributive_lattice(join, meet)
+    with pytest.raises(NotALattice) as exc:
+        load({"size": len(join), "zero": 0, "one": 1, "oplus": join,
+              "odot": meet, "join": join, "meet": meet})
+    assert (str(exc.value), exc.value.witness) == (
+        "commutativity fails", witness)
+
+
+def test_relabelled_distributive_products_load_without_the_cubic_scan(
+        monkeypatch):
+    monkeypatch.setenv("MVMLAB_CAP_PRODUCT", "256")
+    L = ln_plus(1)
+    power = L
+    for _ in range(7):
+        power = product(power, L)
+    assert power.size == 256
+
+    def refuse(*args):
+        raise AssertionError("_validate_lattice called")
+
+    monkeypatch.setattr(algebra, "_validate_lattice", refuse)
+    for i, P in enumerate([*si_product_family()[::4], power]):
+        Q = shuffled(P, i)  # made through the gate as well
+        assert load(save(Q)) == Q
+        assert load(save(order_dual(Q))) == order_dual(Q)
+
+
 @pytest.mark.parametrize("plus, lattice, message, witness", [
     ([[0, 1, 2, 3], [1, 1, 2, 2], [2, 2, 2, 0], [3, 2, 0, 3]], {},
      "+ associativity fails", (1, 2, 3)),

@@ -13,7 +13,7 @@ from mvmlab import (are_isomorphic, canonical_key, catalog, catalog_names,
                     is_subdirectly_irreducible, ln_plus, lm_delta, order_dual,
                     product, quotient, si_members, si_poset, subalgebras,
                     trivial_algebra)
-from mvmlab import morphisms, posets
+from mvmlab import constructions, morphisms, posets
 from mvmlab.cli import identify
 
 
@@ -250,6 +250,23 @@ def test_hs_closure_forms_few_quotients(monkeypatch):
     for P in si_product_family():
         hs_closure([P])
     assert len(taken) <= 1104
+
+
+def test_subalgebras_stay_in_size_order_when_keys_do_not_start_with_it(
+        monkeypatch):
+    # from 256 elements on a key starts with two bytes of size, so raw key
+    # order is not size order there; a key prefix that sorts larger
+    # algebras first imitates that on small ones
+    real = constructions.canonical_key
+
+    def larger_first(A):
+        return bytes([255 - A.size]) + real(A)
+
+    monkeypatch.setattr(constructions, "canonical_key", larger_first)
+    for P in [catalog("A3n"), *si_product_family()[::5]]:
+        sizes = [B.size for B, _ in subalgebras(P)]
+        assert sizes == sorted(sizes) and len(set(sizes)) > 1, P
+        _same_closure(hs_closure([P]), unskipped_hs_closure([P]))
 
 
 def test_hs_closure_builds_no_order(monkeypatch):
