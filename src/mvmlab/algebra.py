@@ -17,10 +17,6 @@ from .posets import _bits, _up_rows
 Table = tuple  # tuple of tuples of ints, row-major: t[i][j] = op(i, j)
 
 
-def _freeze(table):
-    return tuple(tuple(row) for row in table)
-
-
 # Sizes, constants and entries must be of type int exactly: JSON true and
 # false load as bool, a subclass of int, and are not elements.
 
@@ -34,15 +30,20 @@ def _check_element(v, n, what):
         raise TableOutOfRange(f"{what} = {v!r} outside 0..{n - 1}")
 
 
-def _check_table(t, n, what):
+def _frozen_table(t, n, what):
+    """t as a tuple of tuples, checked n x n with int entries in 0..n-1 in one
+    pass over the frozen rows; a failing row is rescanned to name the entry."""
     if (not isinstance(t, (list, tuple)) or len(t) != n
             or any(not isinstance(row, (list, tuple)) or len(row) != n
                    for row in t)):
         raise MalformedDocument(f"{what} table is not {n}x{n}")
-    for i, row in enumerate(t):
-        for j, v in enumerate(row):
-            if type(v) is not int or not 0 <= v < n:  # no call per entry
-                _check_element(v, n, f"{what}[{i}][{j}]")
+    frozen = tuple(map(tuple, t))
+    for i, row in enumerate(frozen):
+        for v in row:
+            if type(v) is not int or not 0 <= v < n:
+                for j, v in enumerate(row):
+                    _check_element(v, n, f"{what}[{i}][{j}]")
+    return frozen
 
 
 # cached: every chain algebra of a size shares its join and meet tables
@@ -145,8 +146,8 @@ class FiniteAlgebra:
                    for i in range(self.size) for j in range(self.size))
 
     def height(self, a):
-        # number of elements strictly below a
-        return sum(1 for x in range(self.size) if x != a and self.leq(x, a))
+        """The number of elements strictly below a, as in `heights`."""
+        return [row[a] for row in self.join].count(a) - 1
 
     def heights(self):
         """Every element's height in one pass over the columns of join:
@@ -157,8 +158,7 @@ class FiniteAlgebra:
         return replace(self, name=name, _cache={})
 
     def __repr__(self):
-        tag = self.name or "?"
-        return f"FiniteAlgebra({tag}, n={self.size})"
+        return f"FiniteAlgebra({self.name or '?'}, n={self.size})"
 
 
 def _gate(size, tables, constants, join, meet):
@@ -174,17 +174,15 @@ def _gate(size, tables, constants, join, meet):
             f"missing field {'join' if join is None else 'meet'!r}")
     chain = join is None
     lattice = {} if chain else {"join": join, "meet": meet}
-    for what, t in (*tables.items(), *lattice.items()):
-        _check_table(t, size, what)
+    frozen = [_frozen_table(t, size, what)
+              for what, t in (*tables.items(), *lattice.items())]
     for what, v in constants.items():
         _check_element(v, size, what)
     if chain:
-        join, meet = max_table(size), min_table(size)
-    else:
-        join, meet = _freeze(join), _freeze(meet)
-        if not _is_distributive_lattice(join, meet):
-            _validate_lattice(join, meet, size)  # names the least witness
-    return (*map(_freeze, tables.values()), join, meet)
+        frozen += [max_table(size), min_table(size)]
+    elif not _is_distributive_lattice(*frozen[-2:]):
+        _validate_lattice(*frozen[-2:], size)  # names the least witness
+    return frozen
 
 
 def make_algebra(size, zero, one, oplus, odot, join=None, meet=None,

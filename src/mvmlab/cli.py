@@ -79,8 +79,7 @@ def _cmd_congruences(args, out):
     if args.dot:
         out.write(P.to_dot(name="congruences", label_of=_blocks_label))
         return
-    index = {c: i for i, c in enumerate(P.labels)}
-    covers = [[index[c], index[d]] for c, d in P.covers()]
+    covers = list(map(list, P._covers))
     out.write(_dump({
         "size": len(P),
         # a finite lattice's Hasse diagram is connected, and it is a path
@@ -241,10 +240,8 @@ def _cmd_downsets(args, out):
 # figure reproduction
 
 def _si_algebras_up_to(max_size):
-    out = []
-    for n in range(2, max_size + 1):
-        out.extend(enumeration.enumerate_chain(n, "si"))
-    return out
+    return [A for n in range(2, max_size + 1)
+            for A in enumeration.enumerate_chain(n, "si")]
 
 
 def _primes_up_to(n):

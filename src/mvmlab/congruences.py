@@ -72,10 +72,7 @@ class Congruence:
 
 def _normalize(ids):
     relabel = {}
-    out = []
-    for b in ids:
-        out.append(relabel.setdefault(b, len(relabel)))
-    return tuple(out)
+    return tuple([relabel.setdefault(b, len(relabel)) for b in ids])
 
 
 def identity_congruence(n):

@@ -2,6 +2,7 @@
 Chang-type chains, the degenerate LM chains, the 3- and 4-element catalog),
 plus Gamma-of-lexicographic-product, products, subalgebras and quotients."""
 
+import functools
 import itertools
 import operator
 from collections import Counter
@@ -10,7 +11,8 @@ from .algebra import (FiniteAlgebra, _check_element, canonical_key,
                       chain_algebra, make_lmonoid, order_dual, trivial_algebra)
 from .caps import check
 from .congruences import (_sort_key, congruence_join, is_congruence,
-                          principal_congruences, translation_tables)
+                          is_subdirectly_irreducible, principal_congruences,
+                          translation_tables)
 from .errors import MalformedDocument, NotACongruence, UnknownName
 
 
@@ -358,3 +360,25 @@ def si_quotients(A):
     kappas = [congruence_join(A, [q for q in J if not p.refines(q)])
               for p in J]
     return [_quotient(A, c) for c in sorted(kappas, key=_sort_key)]
+
+
+def _si_classes(A):
+    """A's SI quotients up to isomorphism, {key: quotient}, kept in A's
+    cache.  An SI A stands alone, as its other SI quotients lie in HS(A)."""
+    if "si_classes" not in A._cache:
+        quotients = ([A] if is_subdirectly_irreducible(A)[0]
+                     else si_quotients(A))
+        A._cache["si_classes"] = {canonical_key(Q): Q for Q in quotients}
+    return A._cache["si_classes"]
+
+
+@functools.cache
+def _ln_plus_key(e):
+    return canonical_key(ln_plus(e))
+
+
+def _si_indices(A):
+    """The e with L_e+ among A's SI classes; None if some class is no L_e+."""
+    found = {k: Q.size - 1 for k, Q in _si_classes(A).items()}
+    if all(k == _ln_plus_key(e) for k, e in found.items()):
+        return set(found.values())

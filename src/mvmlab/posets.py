@@ -78,6 +78,18 @@ class Poset:
             up[idx[a]] |= 1 << idx[b]
         return transitive_closure(up)
 
+    @functools.cached_property
+    def _covers(self):
+        return cover_pairs(self._up)
+
+    @functools.cached_property
+    def _heights(self):
+        heights = [-1] * len(self.labels)  # every row holds its own element
+        for row in self._up:
+            for j in _bits(row):
+                heights[j] += 1
+        return heights
+
     def __len__(self):
         return len(self.labels)
 
@@ -86,19 +98,16 @@ class Poset:
 
     def covers(self):
         """Covering pairs (a, b) with a < b and nothing strictly between."""
-        return [(self.labels[i], self.labels[j])
-                for i, j in cover_pairs(self._up)]
+        return [(self.labels[i], self.labels[j]) for i, j in self._covers]
 
     def minimal(self):
-        return [b for b in self.labels
-                if not any(a != b and self.leq(a, b) for a in self.labels)]
+        return [a for a, h in zip(self.labels, self._heights) if h == 0]
 
     def maximal(self):
-        return [a for a in self.labels
-                if not any(b != a and self.leq(a, b) for b in self.labels)]
+        return [a for i, a in enumerate(self.labels) if self._up[i] == 1 << i]
 
     def height(self, a):
-        return sum(1 for b in self.labels if b != a and self.leq(b, a))
+        return self._heights[self._idx[a]]
 
     def downsets(self):
         n, up = len(self.labels), self._up
@@ -109,11 +118,7 @@ class Poset:
                 if not any(up[i] & m for i in _bits(~m & (1 << n) - 1))]
 
     def to_dot(self, name="poset", label_of=str):
-        labels = [label_of(l) for l in self.labels]
-        height = [0] * len(labels)  # the number of elements strictly below
-        for i, row in enumerate(self._up):
-            for j in _bits(row & ~(1 << i)):
-                height[j] += 1
+        labels, height = [label_of(l) for l in self.labels], self._heights
         order = sorted(range(len(labels)),
                        key=lambda i: (height[i], labels[i]))
         node_id = {i: f"n{k}" for k, i in enumerate(order)}
@@ -121,7 +126,7 @@ class Poset:
         for i in order:
             label = labels[i].replace("\\", "\\\\").replace('"', '\\"')
             lines.append(f'  {node_id[i]} [label="{label}"];')
-        for i, j in sorted(cover_pairs(self._up),
+        for i, j in sorted(self._covers,
                            key=lambda e: (labels[e[0]], labels[e[1]])):
             lines.append(f"  {node_id[i]} -> {node_id[j]};")
         lines.append("}")
@@ -131,8 +136,7 @@ class Poset:
         labels = [label_of(l) for l in self.labels]
         return {
             "nodes": sorted(labels),
-            "covers": sorted([labels[i], labels[j]]
-                             for i, j in cover_pairs(self._up)),
+            "covers": sorted([labels[i], labels[j]] for i, j in self._covers),
         }
 
 

@@ -1,15 +1,13 @@
 """The tau term ladder, the Phi_n / Sigma_I axiom sets, and the divisor-set
 classification of varieties of positive MV-algebras."""
 
-import functools
 import math
 
-from .algebra import FiniteAlgebra, canonical_key
+from .algebra import FiniteAlgebra
 from .axioms import is_mv_monoid
-from .congruences import is_subdirectly_irreducible
-from .constructions import ln_plus, si_quotients
+from .constructions import _si_classes, _si_indices
 from .errors import BadArgument, NotDivisorClosed, NotPositiveMV
-from .morphisms import si_members
+from .morphisms import hs_closure
 from .terms import Equation, const, oplus, odot, parse, power, scalar, var
 
 
@@ -179,53 +177,28 @@ def almost_minimal_axioms(tag):
 
 def member_of_variety(A, K):
     """Whether A lies in V(K), K a list of finite algebras or an index set I
-    standing for the L_d+ with d in I.  The SI members of V(K) are those of
-    HS(K) (`si_members`; Jónsson's lemma needs only the lattice reduct, no
-    MV-monoid axiom); for I, the L_e+ with e in I, since the subalgebras of
-    L_d+ are the L_e+ with e | d, all simple.  A finite A is a subdirect
-    product of its SI quotients, hence A is in V(K) iff its SI classes all
-    are SI members of V(K).  The index route also asks that A be an
-    MV-monoid, which that implies, as every L_e+ is one."""
+    standing for the L_d+ with d in I: A is a subdirect product of its SI
+    quotients (Birkhoff), so whether each is an SI member of V(K), by
+    Jónsson's lemma (see `si_members`) one of HS(K); for I, some L_e+ with
+    e in I, as the subalgebras of L_d+ are the L_e+ with e | d.  The index
+    route keeps an implied `is_mv_monoid` scan: without it `membership`
+    runs 3x the passes, and `benchmarks/run.py` reads +45% peak RSS."""
     K = list(K)
     if K and all(isinstance(B, FiniteAlgebra) for B in K):
-        return _si_classes(A).keys() <= si_members(K).keys()
-    # an L_e+ with more elements than A is no quotient of A
-    targets = {_ln_plus_key(e) for e in DivisorClosedSet(K) if e < A.size}
-    return bool(is_mv_monoid(A)) and _si_classes(A).keys() <= targets
-
-
-@functools.cache
-def _ln_plus_key(e):
-    return canonical_key(ln_plus(e))
-
-
-def _si_classes(A):
-    """A's SI quotients up to isomorphism, {key: quotient}, kept in A's
-    cache.  An SI A stands alone, as its other SI quotients lie in HS(A)."""
-    if "si_classes" not in A._cache:
-        quotients = ([A] if is_subdirectly_irreducible(A)[0]
-                     else si_quotients(A))
-        A._cache["si_classes"] = {canonical_key(Q): Q for Q in quotients}
-    return A._cache["si_classes"]
-
-
-def _si_indices(A):
-    """The e with L_e+ among A's SI classes; None if some class is no L_e+."""
-    found = {k: Q.size - 1 for k, Q in _si_classes(A).items()}
-    if all(k == _ln_plus_key(e) for k, e in found.items()):
-        return set(found.values())
+        return _si_classes(A).keys() <= hs_closure(K).keys()
+    I = DivisorClosedSet(K)
+    # redundant, kept until benchmarks/run.py stops keeping every record
+    return (bool(is_mv_monoid(A)) and (found := _si_indices(A)) is not None
+            and found <= I)
 
 
 def classify_variety(generators):
     """The divisor-closed index set of the variety generated by positive
     MV-algebras: the divisors of the e with L_e+ an SI quotient of a
-    generator.  The SI indices decide positivity too.  A finite positive
-    MV-algebra lies in V(L_d+ : d in D) for some finite D, so by Jónsson's
-    lemma (see `si_members`) its SI quotients are L_e+.  Conversely,
-    a finite algebra embeds in the product of its SI quotients (Birkhoff),
-    so if they are all L_e+ it is a positive MV-algebra.  The variety
-    generated is V(L_e+ : e in the union), whose index set is the divisor
-    closure, since the subalgebras of L_e+ are the L_d+ with d | e."""
+    generator.  The SI indices decide positivity too (see
+    `is_positive_mv`).  The variety generated is V(L_e+ : e in the union),
+    whose index set is the divisor closure, since the subalgebras of L_e+
+    are the L_d+ with d | e."""
     indices = set()
     for i, A in enumerate(generators):
         found = _si_indices(A)

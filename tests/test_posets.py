@@ -55,6 +55,25 @@ def test_minimal_maximal_height():
     assert P.height("a") == 0 and P.height("b") == 1 and P.height("d") == 3
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 9), st.randoms(use_true_random=False))
+def test_heights_minimal_maximal_match_the_order(n, rng):
+    # a random order: i <= j only for i < j, so it is antisymmetric
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
+             if rng.random() < 0.3]
+    P = Poset(range(n), pairs)
+    below = {a: [b for b in P.labels if b != a and P.leq(b, a)]
+             for a in P.labels}
+    assert [P.height(a) for a in P.labels] == [len(below[a])
+                                               for a in P.labels]
+    assert P.minimal() == [a for a in P.labels if not below[a]]
+    assert P.maximal() == [a for a in P.labels if not any(
+        a != b and P.leq(a, b) for b in P.labels)]
+    assert P.covers() == P.covers() == [
+        (a, b) for a in P.labels for b in P.labels if a in below[b]
+        and not any(c in below[b] for c in P.labels if a in below[c])]
+
+
 def test_chain_downsets():
     # downsets of an n-chain: the n+1 initial segments
     for n in range(5):

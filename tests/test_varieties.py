@@ -8,19 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvmlab import (DivisorClosedSet, almost_minimal_axioms, are_isomorphic,
-                    canonical_key, catalog, catalog_names, classify_variety,
-                    cn_delta, cn_nabla, congruence_lattice,
+from mvmlab import (CANCELLATIVITY, DivisorClosedSet, almost_minimal_axioms,
+                    are_isomorphic, canonical_key, catalog, catalog_names,
+                    classify_variety, cn_delta, cn_nabla, congruence_lattice,
                     divisor_closed_sets, enumerate_chain, evaluate,
                     hs_closure, is_mv_monoid, is_positive_mv, ln_plus,
                     member_of_variety, order_dual, parse, phi, product,
-                    quotient, satisfies, si_quotients, sigma, subalgebras,
-                    tau, trivial_algebra)
+                    quotient, satisfies, satisfies_quasi, si_members,
+                    si_quotients, sigma, subalgebras, tau, trivial_algebra)
 from mvmlab.errors import NotDivisorClosed, NotPositiveMV
 from mvmlab.terms import const, var, variables
-from mvmlab.varieties import _fold_odot, _fold_oplus
+from mvmlab.varieties import _fold_odot, _fold_oplus, _si_classes
 
-from conftest import seeded_chain_tables, shuffled
+from conftest import (random_chain_tables, seeded_chain_tables,
+                      seeded_lattice_tables, shuffled)
 
 
 # ---------------------------------------------------------------------------
@@ -318,14 +319,14 @@ def test_membership_agrees_with_the_equational_route(A, I):
 
 
 def test_member_of_variety_computes_the_si_quotients_once(monkeypatch):
-    from mvmlab import varieties
+    from mvmlab import constructions
     calls = []
 
     def counted(A):
         calls.append(A)
         return si_quotients(A)
 
-    monkeypatch.setattr(varieties, "si_quotients", counted)
+    monkeypatch.setattr(constructions, "si_quotients", counted)
     P = product(ln_plus(2), ln_plus(3))
     for I in divisor_closed_sets(6):
         assert member_of_variety(P, I) == (2 in I and 3 in I)
@@ -360,13 +361,19 @@ def test_a_non_mv_monoid_generator_excludes_what_fails_its_equations():
     assert member_of_variety(B, [B])
 
 
+@functools.cache
+def _membership_inputs():
+    # relabeled SI chains of 2..7 elements and products of two L_e+
+    inputs = [shuffled(A, i) for n in range(2, 8)
+              for i, A in enumerate(enumerate_chain(n, "si"))]
+    return inputs + [shuffled(product(ln_plus(a), ln_plus(b)), a + b)
+                     for a, b in ((1, 2), (2, 2), (2, 3))]
+
+
 def test_membership_by_index_set_matches_membership_by_generators():
     # the closed form (the L_e+ with e in I) against the SI members of
     # HS(L_d+ : d in I), on relabeled SI chains and products
-    inputs = [shuffled(A, i) for n in range(2, 8)
-              for i, A in enumerate(enumerate_chain(n, "si"))]
-    inputs += [shuffled(product(ln_plus(a), ln_plus(b)), a + b)
-               for a, b in ((1, 2), (2, 2), (2, 3))]
+    inputs = _membership_inputs()
     sets = divisor_closed_sets(6)
     assert len(sets) == 17
     members = 0
@@ -380,6 +387,38 @@ def test_membership_by_index_set_matches_membership_by_generators():
     # holding both factors
     assert members == sum(e in I for e in range(1, 7) for I in sets) + sum(
         a in I and b in I for a, b in ((1, 2), (2, 2), (2, 3)) for I in sets)
+
+
+def _member_by_si_members(A, K):
+    # the generator route as it was: A's SI classes among the SI members
+    return _si_classes(A).keys() <= si_members(K).keys()
+
+
+def _member_by_target_keys(A, I):
+    # the index route as it was: A's SI classes among the keys of the L_e+
+    # with e in I and fewer elements than A, and A an MV-monoid
+    targets = {canonical_key(ln_plus(e)) for e in I if e < A.size}
+    return bool(is_mv_monoid(A)) and _si_classes(A).keys() <= targets
+
+
+def test_membership_routes_match_their_former_formulations():
+    non_mv = _non_mv_chains()
+    corpus = (_membership_inputs()[::2] + _NON_SI[::2] + non_mv
+              + list(seeded_lattice_tables(10, 26)))
+    for I in divisor_closed_sets(6):
+        for A in corpus:
+            assert member_of_variety(A, I) == _member_by_target_keys(A, I)
+    generator_lists = [[ln_plus(d) for d in I]
+                       for I in divisor_closed_sets(6)[::5]]
+    generator_lists += [[cn_delta(2)], [catalog("A3n"), catalog("B3d")]]
+    generator_lists += [[B] for B in non_mv[::9]]
+    members = 0
+    for K in generator_lists:
+        for A in corpus[::3]:
+            verdict = member_of_variety(A, K)
+            assert verdict == _member_by_si_members(A, K), (A, K)
+            members += verdict
+    assert 0 < members < len(generator_lists) * len(corpus[::3])
 
 
 def test_member_of_variety_rejects_mixed_or_non_integer_sets():
@@ -495,10 +534,42 @@ def test_classify_rejects_non_positive_generators():
             classify_variety([A])
         except NotPositiveMV:
             rejected += 1
-            assert not is_positive_mv(A), A
+            assert not _positive_by_definition(A), A
         else:
-            assert is_positive_mv(A), A
+            assert _positive_by_definition(A), A
     assert 0 < rejected < len(corpus) - 200
+
+
+def _positive_by_definition(A):
+    # the definition, which shares nothing with the SI quotients
+    return bool(is_mv_monoid(A)) and bool(satisfies_quasi(A, CANCELLATIVITY))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.builds(shuffled, st.deferred(lambda: st.sampled_from(
+        _positive_corpus())), st.integers(0, 10**6)),
+    st.builds(shuffled, st.deferred(lambda: st.sampled_from(
+        _non_mv_chains())), st.integers(0, 10**6)),
+    st.sampled_from(list(seeded_lattice_tables(60, 25))),
+    random_chain_tables()))
+def test_is_positive_mv_is_the_definition(A):
+    # shuffled products and subalgebras of positive chains, non-MV chains,
+    # and arbitrary tables over chains and product lattices
+    assert is_positive_mv(A) == _positive_by_definition(A)
+
+
+def test_is_positive_mv_answers_fast_on_a_large_product(monkeypatch):
+    monkeypatch.setenv("MVMLAB_CAP_PRODUCT", "256")
+    P = functools.reduce(product, [ln_plus(1)] * 7)
+    A = shuffled(P, 7)
+    start = time.perf_counter()
+    assert is_positive_mv(A)
+    # the axiom and cancellation scans took over 8 s here
+    assert time.perf_counter() - start < 0.1
+    Q = shuffled(product(functools.reduce(product, [ln_plus(1)] * 5),
+                         cn_delta(2)), 5)
+    assert not is_positive_mv(Q)
 
 
 def test_almost_minimal_axioms():
