@@ -1,6 +1,10 @@
 """Command-line front end: verdicts as JSON, posets/lattices as JSON or DOT,
 and `repro` pipelines that recompute the survey figures from first
-principles."""
+principles.
+
+Each command returns its stdout document, DOT text as a string or a JSON
+value, and `run` is the one place that writes it; a command that wrote its
+document to a file (`construct --out`) returns None."""
 
 import argparse
 import functools
@@ -14,6 +18,7 @@ import warnings
 from . import algebra, congruences, constructions, enumeration, morphisms
 from . import posets, terms, varieties
 from .axioms import is_mv_monoid
+from .caps import check
 from .errors import (BadArgument, MalformedDocument, MvmError, UnknownName,
                      UnknownTarget)
 
@@ -63,31 +68,29 @@ def _parse_set(text):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its stdout document, DOT text or a JSON value
 
-def _cmd_axioms(args, out):
-    report = is_mv_monoid(algebra.load_file(args.file))
-    out.write(_dump(report.as_dict()) + "\n")
+def _cmd_axioms(args):
+    return is_mv_monoid(algebra.load_file(args.file)).as_dict()
 
 
 def _blocks_label(c):
     return str(list(c.blocks()))
 
 
-def _cmd_congruences(args, out):
+def _cmd_congruences(args):
     P = congruences.congruence_lattice(algebra.load_file(args.file))
     if args.dot:
-        out.write(P.to_dot(name="congruences", label_of=_blocks_label))
-        return
+        return P.to_dot(name="congruences", label_of=_blocks_label)
     covers = list(map(list, P._covers))
-    out.write(_dump({
+    return {
         "size": len(P),
         # a finite lattice's Hasse diagram is connected, and it is a path
         # exactly when the lattice is a chain
         "is_chain": len(covers) == len(P) - 1,
         "congruences": [[list(b) for b in c.blocks()] for c in P.labels],
         "covers": covers,
-    }) + "\n")
+    }
 
 
 _PARAMETRIC = {
@@ -99,7 +102,12 @@ _PARAMETRIC = {
 }
 
 
-def _cmd_construct(args, out):
+def _write_json(path, obj):
+    with open(path, "w") as fh:
+        fh.write(_dump(obj) + "\n")
+
+
+def _cmd_construct(args):
     if args.name == "gamma-lex":
         if not args.lmonoid:
             raise UnknownName("construct gamma-lex needs an l-monoid file")
@@ -111,37 +119,31 @@ def _cmd_construct(args, out):
         A = _PARAMETRIC[args.name](args.n)
     else:
         A = constructions.catalog(args.name)
-    doc = _dump(algebra.save(A)) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(doc)
-    else:
-        out.write(doc)
+    if not args.out:
+        return algebra.save(A)
+    _write_json(args.out, algebra.save(A))
 
 
-def _cmd_enumerate(args, out):
+def _cmd_enumerate(args):
     algebras = enumeration.enumerate_chain(args.size, args.filter)
     if args.count_only:
-        out.write(_dump({"size": args.size, "filter": args.filter,
-                         "count": len(algebras)}) + "\n")
-        return
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        for A in algebras:
-            with open(os.path.join(args.out, f"{A.name}.json"), "w") as fh:
-                fh.write(_dump(algebra.save(A)) + "\n")
-        out.write(_dump({"written": len(algebras), "dir": args.out}) + "\n")
-        return
-    out.write(_dump([algebra.save(A) for A in algebras]) + "\n")
+        return {"size": args.size, "filter": args.filter,
+                "count": len(algebras)}
+    if not args.out:
+        return [algebra.save(A) for A in algebras]
+    os.makedirs(args.out, exist_ok=True)
+    for A in algebras:
+        _write_json(os.path.join(args.out, f"{A.name}.json"), algebra.save(A))
+    return {"written": len(algebras), "dir": args.out}
 
 
 def _witness(res):
     return None if res.passed else res.witness_named()
 
 
-def _cmd_check_eq(args, out):
+def _cmd_check_eq(args):
     res = terms.satisfies(algebra.load_file(args.file), terms.parse(args.eq))
-    out.write(_dump({"holds": res.passed, "witness": _witness(res)}) + "\n")
+    return {"holds": res.passed, "witness": _witness(res)}
 
 
 def _axiomset_verdict(A, aset):
@@ -155,47 +157,45 @@ def _axiomset_verdict(A, aset):
             else texts[aset.equations.index(res.equation)]}
 
 
-def _cmd_phi(args, out):
-    out.write(_dump(_axiomset_verdict(algebra.load_file(args.file),
-                                      varieties.phi(args.n))) + "\n")
+def _cmd_phi(args):
+    return _axiomset_verdict(algebra.load_file(args.file),
+                             varieties.phi(args.n))
 
 
-def _cmd_sigma(args, out):
-    out.write(_dump(_axiomset_verdict(algebra.load_file(args.file),
-                                      varieties.sigma(_parse_set(args.set))))
-              + "\n")
+def _cmd_sigma(args):
+    return _axiomset_verdict(algebra.load_file(args.file),
+                             varieties.sigma(_parse_set(args.set)))
 
 
-def _cmd_member(args, out):
+def _cmd_member(args):
     A = algebra.load_file(args.file)
     I = _parse_set(args.set)
-    out.write(_dump({"set": list(I), "member": varieties.member_of_variety(A, I)})
-              + "\n")
+    return {"set": list(I), "member": varieties.member_of_variety(A, I)}
 
 
-def _cmd_classify(args, out):
+def _cmd_classify(args):
     gens = [algebra.load_file(f) for f in args.files]
-    I = varieties.classify_variety(gens)
-    out.write(_dump({"set": list(I)}) + "\n")
+    return {"set": list(varieties.classify_variety(gens))}
 
 
-def _cmd_hsu(args, out):
+def _cmd_hsu(args):
     gens = [algebra.load_file(f) for f in args.files]
     closure = morphisms.hs_closure(gens)
-    names = sorted(identify(A) for A in closure.values())
-    out.write(_dump({"classes": names}) + "\n")
+    return {"classes": sorted(identify(A) for A in closure.values())}
 
 
-def _poset_out(P, args, out, dot_name, label_of):
+def _poset_out(P, args, dot_name, label_of, note=None):
+    # a note marks a finite part of an infinite figure as continuing
     if args.dot:
-        out.write(P.to_dot(name=dot_name, label_of=label_of))
-    else:
-        out.write(_dump(P.as_dict(label_of=label_of)) + "\n")
+        dot = P.to_dot(name=dot_name, label_of=label_of)
+        return dot + f"// {note}\n" if note else dot
+    doc = P.as_dict(label_of=label_of)
+    return {**doc, "continues": True} if note else doc
 
 
-def _cmd_poset(args, out):
+def _cmd_poset(args):
     gens = [algebra.load_file(f) for f in args.files]
-    _poset_out(morphisms.si_poset(gens), args, out, "si_poset", identify)
+    return _poset_out(morphisms.si_poset(gens), args, "si_poset", identify)
 
 
 # a backslash before each of these inside a node name keeps the labels of
@@ -213,17 +213,22 @@ def _named_downset_label(s):
 
 
 def _load_poset(path):
+    # shape first, then the cap, then the order: an over-cap document is
+    # turned away before any work that grows with the square of its size
     doc = algebra.read_json(path)
     nodes = doc.get("nodes") if isinstance(doc, dict) else None
     if (not isinstance(nodes, list)
             or not all(isinstance(x, str) for x in nodes)
             or len(set(nodes)) != len(nodes)):
         raise MalformedDocument("poset document needs distinct string nodes")
+    names = set(nodes)
     leq = doc.get("leq", [])
     if not isinstance(leq, list) or not all(
-            isinstance(p, list) and len(p) == 2 and all(x in nodes for x in p)
+            isinstance(p, list) and len(p) == 2
+            and all(isinstance(x, str) and x in names for x in p)
             for p in leq):
         raise MalformedDocument("leq must list pairs of nodes")
+    check("DOWNSET", len(nodes), "poset size")
     P = posets.Poset(nodes, [tuple(p) for p in leq])
     for a, b in itertools.combinations(nodes, 2):
         if P.leq(a, b) and P.leq(b, a):
@@ -231,9 +236,9 @@ def _load_poset(path):
     return P
 
 
-def _cmd_downsets(args, out):
+def _cmd_downsets(args):
     D = posets.downset_lattice(_load_poset(args.file))
-    _poset_out(D, args, out, "downsets", _downset_label)
+    return _poset_out(D, args, "downsets", _downset_label)
 
 
 # ---------------------------------------------------------------------------
@@ -249,15 +254,6 @@ def _primes_up_to(n):
             if all(p % d for d in range(2, p))]
 
 
-def _continued_poset_out(P, args, out, dot_name, label_of, note):
-    # a finite part of an infinite figure, marked as continuing
-    if args.dot:
-        out.write(P.to_dot(name=dot_name, label_of=label_of) + f"// {note}\n")
-    else:
-        out.write(_dump({**P.as_dict(label_of=label_of), "continues": True})
-                  + "\n")
-
-
 def _depth(args, default):
     # how far fig1 and fig2 draw their infinite figures
     if args.depth is not None and args.depth < 1:
@@ -265,26 +261,26 @@ def _depth(args, default):
     return args.depth or default
 
 
-def _repro_fig1(args, out):
+def _repro_fig1(args):
     depth = _depth(args, 5)
     gens = [algebra.trivial_algebra(), constructions.ln_plus(1),
             constructions.cn_delta(2), constructions.cn_nabla(2)]
     gens += [constructions.ln_plus(p) for p in _primes_up_to(depth)]
     # the varieties generated by single SI or hereditarily small algebras
     # are ordered as the generators are by HS membership
-    _continued_poset_out(morphisms.hs_poset(gens), args, out, "fig1", identify,
-                         "chain continues: one atom V(Lp+) per prime p")
+    return _poset_out(morphisms.hs_poset(gens), args, "fig1", identify,
+                      "chain continues: one atom V(Lp+) per prime p")
 
 
-def _repro_fig2(args, out):
+def _repro_fig2(args):
     depth = _depth(args, 4)
     gens = [algebra.trivial_algebra(), constructions.ln_plus(1)]
     for n in range(2, depth + 1):
         gens.append(constructions.cn_delta(n))
         gens.append(constructions.cn_nabla(n))
         gens.append(constructions.ln_plus(n))
-    _continued_poset_out(morphisms.hs_poset(gens), args, out, "fig2", identify,
-                         "chains continue upward for every n")
+    return _poset_out(morphisms.hs_poset(gens), args, "fig2", identify,
+                      "chains continue upward for every n")
 
 
 def _algebra_summary(A):
@@ -293,49 +289,49 @@ def _algebra_summary(A):
             "odot": [list(r) for r in A.odot]}
 
 
-def _repro_fig3(args, out):
+def _repro_fig3(args):
     algebras = enumeration.enumerate_chain(3, "all")
-    out.write(_dump([_algebra_summary(A) for A in algebras]) + "\n")
+    return [_algebra_summary(A) for A in algebras]
 
 
-def _repro_fig4(args, out):
+def _repro_fig4(args):
     algebras = enumeration.enumerate_chain(4, "si-necessary")
-    out.write(_dump([_algebra_summary(A) for A in algebras]) + "\n")
+    return [_algebra_summary(A) for A in algebras]
 
 
-def _repro_fig6(args, out):
+def _repro_fig6(args):
     n = 4
     pure = algebra.chain_algebra(
         n, [[max(i, j) for j in range(n)] for i in range(n)],
         [[min(i, j) for j in range(n)] for i in range(n)], name="L3")
-    _poset_out(congruences.congruence_lattice(pure), args, out, "fig6",
-               _blocks_label)
+    return _poset_out(congruences.congruence_lattice(pure), args, "fig6",
+                      _blocks_label)
 
 
-def _repro_fig7(args, out):
-    _poset_out(morphisms.si_poset(_si_algebras_up_to(4)), args, out, "fig7",
-               identify)
+def _repro_fig7(args):
+    return _poset_out(morphisms.si_poset(_si_algebras_up_to(4)), args, "fig7",
+                      identify)
 
 
-def _repro_fig8(args, out):
+def _repro_fig8(args):
     seeds = [constructions.catalog("A3n"), constructions.catalog("B3d")]
     sis = morphisms.si_members(seeds).values()
     D = posets.downset_lattice(morphisms.si_poset(sis))
-    _poset_out(D, args, out, "fig8", _named_downset_label)
+    return _poset_out(D, args, "fig8", _named_downset_label)
 
 
-def _repro_fig9(args, out):
+def _repro_fig9(args):
     D = posets.downset_lattice(morphisms.si_poset(_si_algebras_up_to(3)))
-    _poset_out(D, args, out, "fig9", _named_downset_label)
+    return _poset_out(D, args, "fig9", _named_downset_label)
 
 
-def _repro_counts(args, out):
-    out.write(_dump({
+def _repro_counts(args):
+    return {
         "size3": len(enumeration.enumerate_chain(3, "all")),
         "size4_total": len(enumeration.enumerate_chain(4, "all")),
         "size4_siNecessary": len(enumeration.enumerate_chain(4, "si-necessary")),
         "size5_siNecessary": len(enumeration.enumerate_chain(5, "si-necessary")),
-    }) + "\n")
+    }
 
 
 _REPRO = {
@@ -351,11 +347,11 @@ _REPRO = {
 }
 
 
-def _cmd_repro(args, out):
+def _cmd_repro(args):
     if args.target not in _REPRO:
         raise UnknownTarget(f"unknown repro target {args.target!r}; "
                             f"valid: {', '.join(sorted(_REPRO))}")
-    _REPRO[args.target](args, out)
+    return _REPRO[args.target](args)
 
 
 # ---------------------------------------------------------------------------
@@ -367,73 +363,66 @@ def _build_parser():
                     "MV-algebras")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("axioms", help="check the MV-monoid axioms")
-    p.add_argument("file")
-    p.set_defaults(fn=_cmd_axioms)
+    def command(name, fn, help, dot=False):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(fn=fn)
+        if dot:
+            p.add_argument("--dot", action="store_true")
+        return p
 
-    p = sub.add_parser("congruences", help="congruence lattice")
+    p = command("axioms", _cmd_axioms, "check the MV-monoid axioms")
     p.add_argument("file")
-    p.add_argument("--dot", action="store_true")
-    p.set_defaults(fn=_cmd_congruences)
 
-    p = sub.add_parser("construct", help="build a named algebra")
+    p = command("congruences", _cmd_congruences, "congruence lattice",
+                dot=True)
+    p.add_argument("file")
+
+    p = command("construct", _cmd_construct, "build a named algebra")
     p.add_argument("name")
     p.add_argument("lmonoid", nargs="?",
                    help="l-monoid file (for gamma-lex)")
     p.add_argument("--n", type=int)
     p.add_argument("--out")
-    p.set_defaults(fn=_cmd_construct)
 
-    p = sub.add_parser("enumerate", help="enumerate chain MV-monoids")
+    p = command("enumerate", _cmd_enumerate, "enumerate chain MV-monoids")
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--filter", choices=enumeration.FILTERS, default="all")
     p.add_argument("--count-only", action="store_true")
     p.add_argument("--out")
-    p.set_defaults(fn=_cmd_enumerate)
 
-    p = sub.add_parser("check-eq", help="check an equation on an algebra")
+    p = command("check-eq", _cmd_check_eq, "check an equation on an algebra")
     p.add_argument("file")
     p.add_argument("--eq", required=True)
-    p.set_defaults(fn=_cmd_check_eq)
 
-    p = sub.add_parser("phi", help="check the Phi_n axiom set")
+    p = command("phi", _cmd_phi, "check the Phi_n axiom set")
     p.add_argument("file")
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(fn=_cmd_phi)
 
-    p = sub.add_parser("sigma", help="check the Sigma_I axiom set")
+    p = command("sigma", _cmd_sigma, "check the Sigma_I axiom set")
     p.add_argument("file")
     p.add_argument("--set", required=True)
-    p.set_defaults(fn=_cmd_sigma)
 
-    p = sub.add_parser("member", help="variety membership for a divisor set")
+    p = command("member", _cmd_member, "variety membership for a divisor set")
     p.add_argument("file")
     p.add_argument("--set", required=True)
-    p.set_defaults(fn=_cmd_member)
 
-    p = sub.add_parser("classify", help="divisor set of generated variety")
+    p = command("classify", _cmd_classify, "divisor set of generated variety")
     p.add_argument("files", nargs="+")
-    p.set_defaults(fn=_cmd_classify)
 
-    p = sub.add_parser("hsu", help="HSU closure as iso classes")
+    p = command("hsu", _cmd_hsu, "HSU closure as iso classes")
     p.add_argument("files", nargs="+")
-    p.set_defaults(fn=_cmd_hsu)
 
-    p = sub.add_parser("poset", help="SI poset of the given algebras")
+    p = command("poset", _cmd_poset, "SI poset of the given algebras",
+                dot=True)
     p.add_argument("files", nargs="+")
-    p.add_argument("--dot", action="store_true")
-    p.set_defaults(fn=_cmd_poset)
 
-    p = sub.add_parser("downsets", help="downset lattice of a poset file")
+    p = command("downsets", _cmd_downsets, "downset lattice of a poset file",
+                dot=True)
     p.add_argument("file")
-    p.add_argument("--dot", action="store_true")
-    p.set_defaults(fn=_cmd_downsets)
 
-    p = sub.add_parser("repro", help="recompute a survey figure")
+    p = command("repro", _cmd_repro, "recompute a survey figure", dot=True)
     p.add_argument("target")
-    p.add_argument("--dot", action="store_true")
     p.add_argument("--depth", type=int)
-    p.set_defaults(fn=_cmd_repro)
 
     return ap
 
@@ -457,7 +446,11 @@ def run(argv=None, out=None):
             # distinct warning prints its line once
             warnings.simplefilter("default")
             warnings.showwarning = _warning_line
-            args.fn(args, out)
+            doc = args.fn(args)
+        # DOT text as it is, any other document as JSON; nothing when the
+        # command wrote its document to a file
+        if doc is not None:
+            out.write(doc if isinstance(doc, str) else _dump(doc) + "\n")
     except (MvmError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -8,12 +8,13 @@ import os
 import re
 import subprocess
 import sys
+import time
 import warnings
 
 import pytest
 
-from mvmlab import (catalog_names, cli, cn_delta, lm_delta, ln_plus, load,
-                    product, save, trivial_algebra)
+from mvmlab import (catalog, catalog_names, cli, cn_delta, lm_delta, ln_plus,
+                    load, product, save, trivial_algebra)
 from mvmlab.constructions import cn_delta_star
 
 from conftest import shuffled
@@ -158,6 +159,7 @@ _ROW = {"size": 2, "zero": 0, "one": 1, "oplus": [1, 2],
     ("downsets", File("{not json")),
     ("downsets", doc({"nodes": 5})),
     ("downsets", doc({"nodes": ["a", "b"], "leq": [["a", "c"]]})),
+    ("downsets", doc({"nodes": ["a"], "leq": [[["a"], "a"]]})),
     ("construct", "gamma-lex", File("{not json")),
     ("member", None, "--set", "abc"),
     ("sigma", None, "--set", "abc"),
@@ -382,6 +384,36 @@ def test_downset_labels_are_distinct(tmp_path):
     assert covered == set(doc["nodes"]) - {"{}"}
 
 
+def _chain_document(path, n, cycle=False):
+    nodes = [f"n{i}" for i in range(n)]
+    leq = [list(p) for p in zip(nodes, nodes[1:])]
+    if cycle:
+        leq.append([nodes[-1], nodes[0]])
+    path.write_text(json.dumps({"nodes": nodes, "leq": leq}))
+    return str(path)
+
+
+def test_downsets_checks_the_cap_before_closing_the_order(tmp_path, capsys,
+                                                         monkeypatch):
+    # closing the order and testing every pair both ways used to take
+    # seconds before a 2,000-node document met the cap
+    monkeypatch.delenv("MVMLAB_CAP_DOWNSET", raising=False)
+    path = _chain_document(tmp_path / "p.json", 2000)
+    start = time.perf_counter()
+    code, out = run("downsets", path)
+    elapsed = time.perf_counter() - start
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == "error: poset size is 2000, above " \
+        "the cap 12 (MVMLAB_CAP_DOWNSET)\n"
+    assert elapsed < 0.1
+    # over the cap and cyclic: the cap is reported; under it, the cycle
+    run("downsets", _chain_document(tmp_path / "c.json", 13, cycle=True))
+    assert capsys.readouterr().err.startswith("error: poset size is 13, ")
+    run("downsets", _chain_document(tmp_path / "c.json", 3, cycle=True))
+    assert capsys.readouterr().err == \
+        "error: leq relates 'n0' and 'n1' both ways\n"
+
+
 def test_dot_labels_are_escaped(tmp_path):
     p = tmp_path / "p.json"
     p.write_text(json.dumps({"nodes": ['a"b', "c\\d"],
@@ -575,6 +607,82 @@ _GOLDEN_ENUMERATE_FILES_6 = {
 }
 
 
+# the same for every other subcommand's stdout: an "@" argument names one of
+# the documents below, written to a file first; stderr is empty except where
+# _GOLDEN_STDERR says otherwise
+_GOLDEN_INPUTS = {
+    "LM3d": save(lm_delta(3)),
+    "bad": {"size": 2, "zero": 0, "one": 1,
+            "oplus": [[1, 1], [1, 1]], "odot": [[0, 0], [0, 1]]},
+    "C2d": save(cn_delta(2)),
+    "C2n": save(catalog("C2n")),
+    "L2+": save(ln_plus(2)),
+    "L3+": save(ln_plus(3)),
+    "L4+": save(ln_plus(4)),
+    "L6+": save(ln_plus(6)),
+    "L1xL2": save(product(ln_plus(1), ln_plus(2))),
+    "poset": {"nodes": ["a", "b", "c", "d"],
+              "leq": [["a", "b"], ["a", "c"], ["c", "d"]]},
+}
+
+_GOLDEN_STDOUT = {
+    "axioms": (
+        ("axioms", "@LM3d"),
+        "c0ac47fc7e3c18dd4d322d1af9ed42b84a24b963cf350db3af4d3aaa574175c3"),
+    "axioms-failing": (
+        ("axioms", "@bad"),
+        "cd47f8e31aa0c586b7928fcee248066a903f078291f6bbfc0df40b2c164539ea"),
+    "check-eq-holds": (
+        ("check-eq", "@C2d", "--eq", "x + x ≈ x"),
+        "90d4b1b72ab444eb85b1a9ef85176b7eb416eac2d552022a99eb8465d1b41d75"),
+    "check-eq-fails": (
+        ("check-eq", "@C2d", "--eq",
+         "x + z ≈ y + z & x * z ≈ y * z => x ≈ y"),
+        "35ff91b470a0fb75f0cf422c0eea41c43743921b577615ed47be0cd67379f4fa"),
+    "phi": (
+        ("phi", "@L3+", "--n", "2"),
+        "f139a0636683e5a693b08f3edc1e5c85891ba1348222b2fab8d00cae8439c012"),
+    "sigma": (
+        ("sigma", "@L6+", "--set", "1,2,3,6"),
+        "603c1ffc283a89eab18c053b7b5cce3e8a28fea8c0a321c7f64f6f35c9160f92"),
+    "member": (
+        ("member", "@L6+", "--set", "1,2,3"),
+        "176104a10e5bfacb42a0b701e942b582e7e639082ec5fcd25a90df3804b539d4"),
+    "classify": (
+        ("classify", "@L2+", "@L3+"),
+        "c4f37bda7e3c95ba5ba1f51b1d61b42f1e4c261099971cc4d63413703fa6dc52"),
+    "hsu": (
+        ("hsu", "@L4+", "@C2d"),
+        "8b83a380788157d8f05ecd3df638abf3254c62b48c2f52719f4c85c88fe5b334"),
+    "poset": (
+        ("poset", "@L2+", "@L4+", "@C2d", "@C2n"),
+        "184963a89227c832364420a2953794de0176cbd1f8ac76df90ef55f652cd1ee7"),
+    "poset-dot": (
+        ("poset", "@L2+", "@L4+", "@C2d", "@C2n", "--dot"),
+        "3c60db7a4d91a969773236914c9367dedeef1f1ddaccc00d1db06faf8270176f"),
+    "poset-non-si": (
+        ("poset", "@L1xL2", "@L2+"),
+        "45562f70489868d9557b470154ed56556b75581051fd827296ea91c21bba2f5c"),
+    "downsets": (
+        ("downsets", "@poset"),
+        "e5f935d8541ad5debd3a8deb342cf8eba43758d289014fa56412e3d08eb95836"),
+    "downsets-dot": (
+        ("downsets", "@poset", "--dot"),
+        "5508044ce1be74cf6bf585a566372c34bd4741957aae8305353c94bf55a5cc99"),
+    "enumerate": (
+        ("enumerate", "--size", "4", "--filter", "si"),
+        "59406bbd521b0949626f849664f42a2c71ee6e316a74affb5403d73c88b5b3aa"),
+    "enumerate-count-only": (
+        ("enumerate", "--size", "5", "--count-only"),
+        "08477c8f204bcd6364b09afc78eab9e7731dcef47489bb7bebdbde87ccc470ff"),
+}
+
+_GOLDEN_STDERR = {
+    "poset-non-si": "warning: si_poset input 0 (FiniteAlgebra(L1+xL2+, n=6)) "
+                    "is not subdirectly irreducible\n",
+}
+
+
 def _sha(*argv):
     code, text = run(*argv)
     assert code == 0, text
@@ -612,6 +720,17 @@ def test_six_element_enumerate_files_match_their_golden_digest(tmp_path,
 def test_repro_output_matches_its_golden_digest(target):
     assert (_sha("repro", target), _sha("repro", target, "--dot")) == \
         _GOLDEN_REPRO[target]
+
+
+@pytest.mark.parametrize("case", sorted(_GOLDEN_STDOUT))
+def test_subcommand_output_matches_its_golden_digest(case, tmp_path, capsys):
+    argv, digest = _GOLDEN_STDOUT[case]
+    for name, obj in _GOLDEN_INPUTS.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+    argv = [str(tmp_path / f"{a[1:]}.json") if a.startswith("@") else a
+            for a in argv]
+    assert _sha(*argv) == digest
+    assert capsys.readouterr().err == _GOLDEN_STDERR.get(case, "")
 
 
 def test_congruences_output_matches_its_golden_digest(algebra_file):

@@ -36,7 +36,7 @@ def test_counts_per_size():
 
 @pytest.mark.slow
 def test_eight_element_chain_census():
-    # opt in with -m slow: about 15 s
+    # opt in with -m slow: about 5 s
     assert len(enumerate_chain(8, "si")) == 207
     positive = enumerate_chain(8, "positive")
     assert len(positive) == 64
