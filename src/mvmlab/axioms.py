@@ -65,6 +65,13 @@ class AxiomReport:
 
 
 def is_mv_monoid(A):
+    """The `AxiomReport` of A against the 14 `mon.`, `dist.` and `conn.`
+    laws; the `lat.*` laws are an invariant of every FiniteAlgebra.  It lists
+    every failing law with its least witness, in the order of the axiom
+    list, and is cached on A.  `conn.2` follows from `conn.1`, the four
+    `comm`/`unit` laws and the two `dist.*.join` laws (see the lemma in
+    `enumeration._pairs`), but is still checked, so that the report of a
+    table that is not an MV-monoid names every law it fails."""
     cached = A._cache.get("mvm_report")
     if cached is not None:
         return cached

@@ -1,20 +1,20 @@
 """Exhaustive enumeration of MV-monoids over a fixed bounded distributive
 lattice: the n-element chain, or any small lattice.
 
-One pipeline serves both.  `_monoid_tables` lists the commutative monoid
-tables that distribute over join and meet (the additive ones, and the
-multiplicative ones as the additive ones of the order dual); `_pairs`
-searches, for each additive table, the prefix tree of the multiplicative
-ones for those meeting the connecting axioms, checking each axiom instance
-as soon as the cells it reads are known (finite model search in the style
-of SEM and Mace4), and runs the filter on each pair it finds.  On the
-chain, reversing the order and swapping oplus with odot maps the passing
-pairs onto themselves, so the multiplicative tables are the order duals of
-the additive ones, and of a pair and its mirror image only one is walked
-and filtered, the other recorded from it with the same verdict (the usual
-symmetry breaking of finite model search).  Chains are rigid, so distinct
-chain tables are distinct isomorphism classes; lattice outputs are
-deduplicated by canonical key.
+One pipeline serves both.  `_monoid_tables` lists the commutative monoid tables
+that distribute over join and meet (the additive ones, and the multiplicative
+ones as the additive ones of the order dual); `_pairs` searches, for each
+additive table, the prefix tree of the multiplicative ones for those meeting
+the connecting axioms, checking each axiom instance as soon as the cells it
+reads are known (finite model search in the style of SEM and Mace4; of the two
+mixed-associativity laws only the first, which implies the second), and runs
+the filter on each pair it finds.  On the chain, reversing the order and
+swapping oplus with odot maps the passing pairs onto themselves, so the
+multiplicative tables are the order duals of the additive ones, and of a pair
+and its mirror image only one is walked and filtered, the other recorded from
+it with the same verdict (the usual symmetry breaking of finite model search).
+Chains are rigid, so distinct chain tables are distinct isomorphism classes;
+lattice outputs are deduplicated by canonical key.
 """
 
 from .algebra import (FiniteAlgebra, canonical_key, dual_table, max_table,
@@ -161,6 +161,17 @@ def _pairs(join, meet, zero, one, order, flt, delta=None):
     truncation axioms as well, so that they satisfy the full definition,
     each with the filter's verdict on its algebra.
 
+    Of the mixed-associativity axioms only (A), conn.1, is searched: it implies
+    its order dual (B), conn.2.  Lemma: if + and * are commutative and
+    monotone, with units 0 (the bottom) and 1 (the top), and (A) holds for all
+    x, y, z, then so does (B).  Proof: monotonicity gives x*0 = 0, x+1 = 1 and
+    t*c <= t <= t+c.  (A) at z = 0 gives (u+v) * (u*v) = u*v, and at x = 1
+    gives (u+v) + (u*v) = u+v; so s = u+v and t = u*v satisfy s+t = s and
+    s*t = t, and t = t*s <= t*(s+w) <= t for every w.  (A) at (t, s, z), with
+    s = x+y and t = x*y, makes the left sides of (A) and (B) at (x, y, z)
+    equal, and (A) at (t, s, x), with s = y+z and t = y*z, their right sides.
+    Associativity and distributivity are not used; all monoid tables qualify.
+
     For each additive table p the multiplicative tables are walked as a
     prefix tree over the cells in the order `_monoid_tables` fills them.  An
     axiom instance (x, y, z) is checked at the first node where every odot
@@ -170,27 +181,27 @@ def _pairs(join, meet, zero, one, order, flt, delta=None):
     not yet known the instance waits in `pending` at that cell's depth.
     Instances that the unit and absorption laws decide for every pair of
     monotone monoid tables are not listed: all those with y in {0, 1},
-    mixed associativity (A) at x = 0 or z = 1 and (B) at x = 1 or z = 0,
-    truncation (C) at x in {0, 1} or z = 1 and (D) at x in {0, 1} or z = 0;
-    (C) and (D) are symmetric in x and y.  An instance that cuts a node
-    moves to the front of the instances entering at that depth, so the
-    next table tries it first; every instance is still checked on every
-    path that passes, so the hits do not depend on that order.
+    (A) at x = 0 or z = 1, truncation (C) at x in {0, 1} or z = 1 and (D)
+    at x in {0, 1} or z = 0; (C) and (D) are symmetric in x and y.  An
+    instance that cuts a node moves to the front of the instances entering
+    at that depth, so the next table tries it first; every instance is
+    still checked on every path that passes, so the hits do not depend on
+    that order.
 
-    `delta`, when given, is an order-reversing involution of the lattice.
-    The definition is self-dual: t -> t^delta maps the additive tables onto
-    the multiplicative ones, which are built that way, and sigma(p, q) =
-    (q^delta, p^delta) is a bijection between the pairs of monoid tables
-    that sends instances of (A), (B), (C), (D) to instances of (B), (A),
-    (D), (C), so a pair passes exactly when its image does.  With rank(q)
-    the index of q^delta among the additive tables, the walk for the i-th
-    additive table p_i enters no subtree whose tables all rank below i, and
-    a hit (p_i, q) with rank(q) = j > i yields the hit (p_j, p_i^delta) as
-    well; each pair passes through the walk once, as itself or as its
-    image, and every instance is still checked on the pairs walked.  The
-    filter runs on the walked pair only and its verdict is recorded for the
-    image: the image's algebra is the order dual of the walked one A
-    carried along delta, isomorphic to `order_dual(A)`, with A's
+    `delta`, when given, is an order-reversing involution of the lattice.  The
+    definition is self-dual: t -> t^delta maps the additive tables onto the
+    multiplicative ones, which are built that way, and sigma(p, q) =
+    (q^delta, p^delta) is a bijection between the pairs of monoid tables that
+    swaps (A) with (B) and (C) with (D).  A walked pair passes (A), so by the
+    lemma it passes (B), so its image passes (A): a pair passes exactly when
+    its image does.  With rank(q) the index of q^delta among the additive
+    tables, the walk for the i-th additive table p_i enters no subtree whose
+    tables all rank below i, and a hit (p_i, q) with rank(q) = j > i yields
+    the hit (p_j, p_i^delta) as well; each pair passes through the walk once,
+    as itself or as its image, and every instance is still checked on the
+    pairs walked.  The filter runs on the walked pair only and its verdict is
+    recorded for the image: the image's algebra is the order dual of the
+    walked one A carried along delta, isomorphic to `order_dual(A)`, with A's
     congruences carried by delta, so one is subdirectly irreducible exactly
     when the other is; cancellativity and `si_necessary_condition` are
     self-dual, so they read the same on both.
@@ -212,7 +223,7 @@ def _pairs(join, meet, zero, one, order, flt, delta=None):
         flat.append((i * n + j, j * n + i))
     last = len(cells)
     # (kind, x*n+y, y*n+z, x*n, z) by the depth where the cell (x,y) and, for
-    # (A) and (B), (y,z) are known
+    # (A), (y,z) are known
     enter = [[] for _ in range(last + 1)]
     pending = [[] for _ in range(last + 1)]
     for y in order[1:-1]:
@@ -223,8 +234,6 @@ def _pairs(join, meet, zero, one, order, flt, delta=None):
                 at = max(depth[a], depth[c])
                 if x != zero and z != one:
                     enter[at].append(("A", a, c, x * n, z))
-                if x != one and z != zero:
-                    enter[at].append(("B", a, c, x * n, z))
                 if flt != "all" and x not in (zero, one) and x <= y:
                     if z != one:
                         enter[depth[a]].append(("C", a, c, x * n, z))
@@ -249,16 +258,6 @@ def _pairs(join, meet, zero, one, order, flt, delta=None):
                         at = depth[k]
                         if at <= d:
                             if q[k] != p[qn[b] + q[c]]:
-                                break
-                            continue
-                elif kind == "B":  # p[qxy][q[pxy][z]] == q[p[x][qyz]][pyz]
-                    b = pn[a] + z
-                    at = depth[b]
-                    if at <= d:
-                        k = pn[xn + q[c]] + p[c]
-                        at = depth[k]
-                        if at <= d:
-                            if q[k] != p[qn[a] + q[b]]:
                                 break
                             continue
                 elif kind == "C":  # p[qxy][z] == q[pxy][p[qxy][z]] v z

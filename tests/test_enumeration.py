@@ -1,12 +1,15 @@
+import hashlib
 import itertools
+import json
 
 import pytest
 
 from mvmlab import (Poset, canonical_key, chain_algebra, cn_delta, cn_nabla,
-                    enumerate_chain, enumerate_on_lattice, is_mv_monoid,
-                    is_positive_mv, is_simple, is_subdirectly_irreducible,
-                    ln_plus, make_algebra, member_of_variety, parse, product,
-                    satisfies, si_necessary_condition)
+                    enumerate_chain, enumerate_on_lattice, hs_closure,
+                    is_mv_monoid, is_positive_mv, is_simple,
+                    is_subdirectly_irreducible, ln_plus, make_algebra,
+                    member_of_variety, parse, product, satisfies, si_members,
+                    si_necessary_condition)
 from mvmlab import enumeration
 from mvmlab.algebra import (FiniteAlgebra, dual_table, max_table, min_table,
                             order_dual)
@@ -34,12 +37,29 @@ def test_counts_per_size():
         [1, 1, 2, 4, 8, 16, 32]
 
 
+# sha256 of the JSON list of (name, oplus, odot) of enumerate_chain(8, flt)
+_GOLDEN_EIGHT = {
+    "all": (68639, "3299276428de14489dfa526fb7e79081"
+                   "8d9ada8d13a741ea26c08d726df9ae7d"),
+    "si-necessary": (3447, "14aef876bc51e0caef5123674d4aa228"
+                           "720af123baeaad29f0ba31524e24cb9a"),
+    "si": (207, "7051da6a65a92d8a9bc438a8bcaca5ac"
+                "6517547ed5b1e3bb82d973cfcbe68c57"),
+    "positive": (64, "b3e8d850d5de62c5a83ff397d0bf319d"
+                     "7687e039baf9f1f55baf356102e6b805"),
+}
+
+
 @pytest.mark.slow
 def test_eight_element_chain_census():
-    # opt in with -m slow: about 5 s
-    assert len(enumerate_chain(8, "si")) == 207
-    positive = enumerate_chain(8, "positive")
-    assert len(positive) == 64
+    # opt in with -m slow: about 12 s for the four filters
+    out = {flt: enumerate_chain(8, flt) for flt in FILTERS}
+    for flt, (count, digest) in _GOLDEN_EIGHT.items():
+        records = [(A.name, A.oplus, A.odot) for A in out[flt]]
+        assert len(records) == count, flt
+        assert hashlib.sha256(json.dumps(records).encode()).hexdigest() \
+            == digest, flt
+    positive = out["positive"]
     L = ln_plus(7)
     assert [(A.oplus, A.odot) for A in positive
             if is_subdirectly_irreducible(A)[0]] == [(L.oplus, L.odot)]
@@ -346,6 +366,26 @@ def test_almost_minimal_varieties_are_defined_by_their_equations(diamond):
         assert 0 < sum(verdicts) < len(algebras)
 
 
+@pytest.mark.parametrize("N, primes", [
+    (7, [2, 3, 5]), pytest.param(8, [2, 3, 5, 7], marks=pytest.mark.slow)])
+def test_almost_minimal_si_chains_are_the_c3s_and_the_prime_lp(N, primes):
+    # the covers of V(L1+) among the SI chains of 2..N elements, those whose
+    # only other SI member of their HS closure is L1+: C_delta, C_nabla and
+    # L_p+ for p prime; every SI chain of 3..N elements lies above one
+    # (opt in to N = 8 with -m slow: about 4 s)
+    l1 = canonical_key(ln_plus(1))
+    chains = [A for n in range(2, N + 1) for A in enumerate_chain(n, "si")]
+    covers = [A for A in chains
+              if set(si_members([A])) - {canonical_key(A)} == {l1}]
+    want = [cn_delta(2), cn_nabla(2), *map(ln_plus, primes)]
+    assert sorted(map(canonical_key, covers)) == \
+        sorted(map(canonical_key, want))
+    keys = set(map(canonical_key, want))
+    for A in chains:
+        if A.size >= 3:
+            assert keys & set(hs_closure([A])), A.name
+
+
 def _chain_dual(t):
     n = len(t)
     return tuple(tuple(n - 1 - t[n - 1 - i][n - 1 - j] for j in range(n))
@@ -381,6 +421,73 @@ def test_pair_stage_matches_satisfies_on_every_pair_of_tables(n):
         # themselves: the mirrored walk rests on this
         assert {(_chain_dual(q), _chain_dual(p)) for p, q in want} \
             == set(want), flt
+
+
+def _monotone_unital_tables(join, unit):
+    """Every commutative table with the given unit that is monotone in each
+    argument for the order of `join`, by backtracking on monotonicity
+    alone: neither associativity nor distributivity is asked for."""
+    n = len(join)
+    leq = [[join[a][b] == b for b in range(n)] for a in range(n)]
+    t = [[None] * n for _ in range(n)]
+    for i in range(n):
+        t[unit][i] = t[i][unit] = i
+    cells = [(i, j) for i in range(n) for j in range(i, n)
+             if unit not in (i, j)]
+    out = []
+
+    def monotone_at(i, j):
+        v = t[i][j]
+        for a in range(n):
+            for b, w in enumerate(t[a]):
+                if w is None:
+                    continue
+                if leq[a][i] and leq[b][j] and not leq[w][v]:
+                    return False
+                if leq[i][a] and leq[j][b] and not leq[v][w]:
+                    return False
+        return True
+
+    def fill(k):
+        if k == len(cells):
+            out.append(tuple(map(tuple, t)))
+            return
+        i, j = cells[k]
+        for v in range(n):
+            t[i][j] = t[j][i] = v
+            if monotone_at(i, j):
+                fill(k + 1)
+        t[i][j] = t[j][i] = None
+
+    fill(0)
+    return out
+
+
+def _associative(t):
+    r = range(len(t))
+    return all(t[t[a][b]][c] == t[a][t[b][c]] for a in r for b in r for c in r)
+
+
+@pytest.mark.parametrize("which, tables, passing, unassociative", [
+    (2, 1, 1, 0), (3, 2, 4, 0), (4, 7, 23, 4), (5, 42, 185, 67),
+    ("diamond", 4, 1, 0)])
+def test_first_mixed_associativity_implies_the_second(diamond, which, tables,
+                                                      passing, unassociative):
+    # the lemma in the `_pairs` docstring, checked by the term engine on
+    # every pair of commutative monotone tables with units 0 and 1,
+    # associative or not, distributive or not
+    L = diamond if which == "diamond" else ln_plus(which - 1)
+    adds = _monotone_unital_tables(L.join, L.zero)
+    muls = _monotone_unital_tables(L.join, L.one)
+    assert len(adds) == len(muls) == tables
+    algebras = [FiniteAlgebra(L.size, L.zero, L.one, p, q, L.join, L.meet)
+                for p in adds for q in muls]
+    first = [A for A in algebras if satisfies(A, MIXED_ASSOC[0])]
+    assert len(first) == passing
+    assert sum(not (_associative(A.oplus) and _associative(A.odot))
+               for A in first) == unassociative
+    for A in first:
+        assert satisfies(A, MIXED_ASSOC[1]), (A.oplus, A.odot)
 
 
 # ---------------------------------------------------------------------------
