@@ -86,8 +86,8 @@ def is_positive_mv(A):
     """Whether A is an MV-monoid satisfying CANCELLATIVITY: iff every SI
     quotient of A is some L_e+ (Jónsson's lemma one way, as a finite positive
     MV-algebra lies in some V(L_d+ : d in D); Birkhoff the other way).  The
-    definition's scans are the tests' oracle; `enumerate_chain` keeps the
-    cancellation scan, cheaper on tables it proved MV-monoids already."""
+    definition's scans are the tests' oracle; `enumerate_chain` reads
+    cancellation off the columns of tables it proved MV-monoids already."""
     return _si_indices(A) is not None
 
 

@@ -10,6 +10,7 @@ _DEFAULTS = {
     "ENUM_LATTICE": 6,  # enumeration over a fixed non-chain lattice
     "DOWNSET": 12,      # downset lattice of a poset
     "REPEAT": 10_000,   # scalar prefix or exponent in parsed text
+    "ASSIGNMENTS": 2 ** 24,  # n**nv assignments an equation is checked on
 }
 
 

@@ -1,10 +1,31 @@
-"""Congruences: principal congruences by translation closure, the full
-congruence lattice, subdirect irreducibility and simplicity."""
+"""Congruences read off the join-irreducibles J of the lattice reduct L:
+principal congruences, Con(A), subdirect irreducibility and simplicity.
+
+L is finite and distributive, so with down[x] the set of j <= x in J, its
+congruences are the theta_S for S a subset of J, x theta_S y iff down[x] -
+S = down[y] - S, joined and met as unions and intersections of the S (Con L
+is 2^J; Grätzer, Lattice Theory: Foundation).  Each congruence of A is one
+of them, held as the bitset S.  A cover u < v of L is labelled by the one j
+in down[v] - down[u], and theta_S relates u and v iff the label is in S.
+
+Cover lemma: theta_S is compatible with a unary map f iff f(u) theta_S f(v)
+for every cover u < v labelled in S.  Proof: if x theta_S y, the block of x
+is a convex sublattice holding x ^ y, so every cover on a maximal chain from
+x ^ y up to x is labelled in S; f relates the ends of each, so f(x ^ y)
+theta_S f(x) by transitivity, and likewise for y.  Monotonicity is not used.
+
+So with step[k] the OR of down[f(u)] ^ down[f(v)] over the translations f
+by + and * (Mal'cev; Burris & Sankappanavar, II §5) and the covers labelled
+k, theta_S is a congruence of A iff S holds step[k] for each k in S.  The
+congruence some pairs (x, y) generate closes the union of their down[x] ^
+down[y] under step, and the join-irreducibles of Con(A) are the closures of
+the single j in J.  Partitions are built only for returned values.
+"""
 
 import functools
 
 from .algebra import _check_element
-from .posets import Poset, lower_covers
+from .posets import Poset, _bits, lower_covers
 
 
 class Congruence:
@@ -15,7 +36,8 @@ class Congruence:
     __slots__ = ("ids", "size", "_hash")
 
     def __init__(self, ids):
-        self.ids = _normalize(tuple(ids))
+        relabel = {}
+        self.ids = tuple([relabel.setdefault(b, len(relabel)) for b in ids])
         self.size = len(self.ids)
 
     def __eq__(self, other):
@@ -46,34 +68,6 @@ class Congruence:
     def is_identity(self):
         return self.num_blocks() == self.size
 
-    def is_total(self):
-        return self.num_blocks() <= 1
-
-    def refines(self, other):
-        seen = {}
-        for a, b in zip(self.ids, other.ids):
-            if seen.setdefault(a, b) != b:
-                return False
-        return True
-
-    def join(self, other):
-        ids, members = list(self.ids), self.blocks()
-        first = {}  # block of other -> its first element
-        for e, b in enumerate(other.ids):
-            x, y = ids[first.setdefault(b, e)], ids[e]
-            if x != y:
-                _merge(ids, members, x, y)
-        return Congruence(ids)
-
-    def meet(self, other):
-        return Congruence([(self.ids[e], other.ids[e])
-                           for e in range(self.size)])
-
-
-def _normalize(ids):
-    relabel = {}
-    return tuple([relabel.setdefault(b, len(relabel)) for b in ids])
-
 
 def identity_congruence(n):
     return Congruence(range(n))
@@ -83,26 +77,13 @@ def total_congruence(n):
     return Congruence([0] * n)
 
 
-def _merge(ids, members, x, y):
-    """Merge blocks x != y of a partition held as ids (element -> block id)
-    and members (block id -> its elements), relabelling the smaller block;
-    block y is left empty."""
-    if len(members[x]) < len(members[y]):
-        x, y = y, x
-    for e in members[y]:
-        ids[e] = x
-    members[x] += members[y]
-    members[y] = ()
-
-
 def translation_tables(A):
-    """The four operation tables and their transposes, each distinct table
-    once: row c of each is a unary translation x -> op(c, x) or op(x, c).
-    On commutative tables these are just the operation tables."""
+    """The join and meet tables, which commute, then each distinct one of
+    the + and * tables and their transposes: rows are unary translations."""
     tables = A._cache.get("translation_tables")
     if tables is None:
-        tables = []
-        for t in (A.join, A.meet, A.oplus, A.odot):
+        tables = [A.join, A.meet]
+        for t in (A.oplus, A.odot):
             for u in (t, tuple(zip(*t))):
                 if u not in tables:
                     tables.append(u)
@@ -110,54 +91,77 @@ def translation_tables(A):
     return tables
 
 
-def is_congruence(A, part):
-    # when every element's translates are related to those of its block's
-    # first element, transitivity relates those of any two block-mates
-    if part.size != A.size:
-        return False
-    ids, blocks = part.ids, part.blocks()
-    for t in translation_tables(A):
-        for block in blocks:
-            first = t[block[0]]
-            for e in block[1:]:
-                if any(ids[x] != ids[y] for x, y in zip(first, t[e])):
-                    return False
-    return True
+@functools.lru_cache(maxsize=8)
+def _reduct(join):
+    """(down, covers, cells), cached by the join table: down[x] has bit i
+    set iff the i-th join-irreducible is below x, covers[i] lists the covers
+    (u, v) labelled by it, and cells[x] is down[x] as bytes of one width."""
+    lower = lower_covers(join)
+    J = [j for j, below in enumerate(lower) if len(below) == 1]
+    down = tuple(sum(1 << i for i, j in enumerate(J) if join[j][x] == x)
+                 for x in range(len(join)))
+    covers = tuple([(u, v) for v, below in enumerate(lower) for u in below
+                    if down[v] ^ down[u] == 1 << i] for i in range(len(J)))
+    width = (len(J) + 7) // 8 or 1
+    return down, covers, tuple(d.to_bytes(width, "little") for d in down)
 
 
-def principal_congruence(A, a, b):
-    # Pair closure under the unary translations x -> op(x, c) and
-    # x -> op(c, x).  If a ~ a' and b ~ b' then op(a, b) ~ op(a', b) ~
-    # op(a', b') by one step in each argument plus transitivity.  Each merge
-    # queues one pair joining the two blocks, so the queued pairs generate
-    # the partition, and closing them under the translations yields the least
-    # congruence relating a and b (Mal'cev).
-    n = A.size
-    _check_element(a, n, "a")
-    _check_element(b, n, "b")
-    if a == b:
-        return identity_congruence(n)
-    ids, members = list(range(n)), [[e] for e in range(n)]
-    _merge(ids, members, a, b)
-    queue = [(a, b)]
-    blocks = n - 1  # a single block needs no further closing
-    tables = translation_tables(A)
-    while queue and blocks > 1:
-        a, b = queue.pop()
-        for t in tables:
-            for x, y in zip(t[a], t[b]):
-                if ids[x] != ids[y]:
-                    _merge(ids, members, ids[x], ids[y])
-                    blocks -= 1
-                    queue.append((x, y))
-    return Congruence(ids)
+def _steps(A):
+    """(down, step) of A, kept in its cache.  Row u of a + or * table is
+    packed into one integer, field c holding down of its c-th entry, so one
+    XOR per cover compares all of a table's translations; then each label's
+    OR folds its fields, field 0 taking the OR of 0..2w-1 by the shift w."""
+    found = A._cache.get("steps")
+    if found is None:
+        down, covers, cells = _reduct(A.join)
+        get, unpack = cells.__getitem__, int.from_bytes
+        packed = [[unpack(b"".join(map(get, row)), "little") for row in t]
+                  for t in translation_tables(A)[2:]]
+        step, width = [], 8 * len(cells[0])
+        for pairs in covers:
+            x, shift = 0, width
+            for rows in packed:
+                for u, v in pairs:
+                    x |= rows[u] ^ rows[v]
+            while shift < A.size * width:
+                x |= x >> shift
+                shift <<= 1
+            step.append(x & ((1 << width) - 1))
+        found = A._cache["steps"] = down, step
+    return found
 
 
-def congruence_join(A, parts):
-    """Join in Con(A).  Con(A) is a sublattice of the partition lattice
-    Eq(A) (Burris & Sankappanavar, II §5), so this is the partition join."""
-    return functools.reduce(Congruence.join, parts,
-                            identity_congruence(A.size))
+def _close(step, s):
+    """The least superset of s holding step[k] for each of its k."""
+    todo = s
+    while todo:
+        new = 0
+        for k in _bits(todo):
+            new |= step[k]
+        todo = new & ~s
+        s |= todo
+    return s
+
+
+def _principal(A):
+    """Con(A)'s join-irreducibles: the distinct closures of single bits."""
+    step, seen = _steps(A)[1], set()
+    for k in range(len(step)):
+        s = _close(step, 1 << k)
+        if s not in seen:
+            seen.add(s)
+            yield s
+
+
+def _joins(J):
+    """Every union of a subset of the bitsets J."""
+    return functools.reduce(lambda known, p: known | {s | p for s in known},
+                            J, {0})
+
+
+def _congruence(A, s):
+    # theta_s as a partition
+    return Congruence(map((~s).__and__, _steps(A)[0]))
 
 
 def _sort_key(c):
@@ -165,80 +169,67 @@ def _sort_key(c):
     return -c.num_blocks(), c.ids
 
 
+def is_congruence(A, part):
+    # a partition is a congruence iff it is the congruence it generates
+    return part.size == A.size and congruence_join(A, [part]) == part
+
+
+def principal_congruence(A, a, b):
+    _check_element(a, A.size, "a")
+    _check_element(b, A.size, "b")
+    down, step = _steps(A)
+    return _congruence(A, _close(step, down[a] ^ down[b]))
+
+
+def congruence_join(A, parts):
+    """The congruence the partitions `parts` generate, their join in Con(A)
+    when they are congruences: the closure of the union of down[x] ^ down[y]
+    over the pairs they relate, each block read from its first element."""
+    down, step = _steps(A)
+    s = 0
+    for part in parts:
+        first = {}
+        for d, b in zip(down, part.ids):
+            s |= d ^ first.setdefault(b, d)
+    return _congruence(A, _close(step, s))
+
+
 def principal_congruences(A):
-    """The join-irreducibles of Con(A): the distinct theta(j-, j) over the
-    elements j of the lattice reduct with exactly one lower cover j-.
-
-    Every congruence is a join of theta(a, b) over covering pairs a < b,
-    since a congruence relating a and b collapses the interval [a ^ b, a v b]
-    and so every cover of a maximal chain in it.  Such a pair is perspective
-    to [j-, j] for j minimal among the elements below b and not below a,
-    which has one lower cover j- (j v a = b and j ^ a = j-), so theta(a, b)
-    = theta(j-, j) (Grätzer, Lattice Theory: Foundation).  And theta(c, d)
-    of a cover is join-prime: a chain of steps in theta or phi from c to d,
-    mapped by x -> (x v c) ^ d, is a chain in {c, d} with a step from c to
-    d."""
-    seen = set()
-    for j, below in enumerate(lower_covers(A.join)):
-        if len(below) == 1:
-            p = principal_congruence(A, below[0], j)
-            if p not in seen:
-                seen.add(p)
-                yield p
-
-
-def _joins(size, J):
-    """The join of every subset of the join-prime congruences J on `size`
-    elements, as {bitset: join} with bit i set iff J[i] lies below the
-    join; and the bitset of each J[i]."""
-    # each p in J is join-prime, so the members of J below c v p are those
-    # below c or p: after folding in k of them, known holds every join of a
-    # subset of those k by its bitset, and only a new bitset costs a join
-    down = [sum(1 << i for i, q in enumerate(J) if q.refines(p)) for p in J]
-    known = {0: identity_congruence(size)}
-    for p, d in zip(J, down):
-        for m, c in list(known.items()):
-            if m | d not in known:
-                known[m | d] = c.join(p)
-    return known, down
+    """The join-irreducibles of Con(A), lazily: the distinct theta(j-, j)
+    over the join-irreducibles j of the lattice reduct, in order of j."""
+    return (_congruence(A, s) for s in _principal(A))
 
 
 def congruence_lattice(A):
-    """Con(A) as a Poset of its congruences, sorted by (number of blocks
-    desc, ids): the identity first and the total congruence last.  Con(A) is
-    a finite distributive lattice, held as the down-sets of its
-    join-irreducibles: bit i of a congruence's bitset is set iff the i-th
-    join-irreducible lies below it, and c <= d iff the bitset of c is a
-    subset of that of d (Birkhoff; Davey & Priestley, Introduction to
-    Lattices and Order)."""
-    known, down = _joins(A.size, list(principal_congruences(A)))
-    # c <= c v p for every join-irreducible p: the subset order on the
-    # bitsets is the transitive closure of these pairs
-    return Poset(sorted(known.values(), key=_sort_key),
-                 ((c, known[m | d]) for m, c in known.items() for d in down))
+    """Con(A) as a Poset of its congruences, the unions of the
+    join-irreducibles, sorted by (number of blocks desc, ids): the identity
+    first and the total congruence last.  c <= c v p for each
+    join-irreducible p generates the order, built when first read."""
+    J = list(_principal(A))
+    cs = {s: _congruence(A, s) for s in _joins(J)}
+    return Poset(sorted(cs.values(), key=_sort_key),
+                 ((c, cs[s | p]) for s, c in cs.items() for p in J))
 
 
 def monolith(A):
-    """Meet of all nontrivial congruences; None when A has no nontrivial
-    congruence (trivial algebra).  Every nontrivial congruence contains one
-    of the `principal_congruences`, which are nontrivial, so their meet
-    suffices; no lattice needed."""
+    """Meet of all nontrivial congruences, None on the trivial algebra: the
+    AND of the join-irreducibles, each nontrivial congruence holding one,
+    stopping at the first empty meet."""
     m = None
-    for p in principal_congruences(A):
-        m = p if m is None else m.meet(p)
-        if m.is_identity():
-            return m
-    return m
+    for s in _principal(A):
+        m = s if m is None else m & s
+        if not m:
+            break
+    return None if m is None else _congruence(A, m)
 
 
 def is_subdirectly_irreducible(A):
     """Returns (verdict, monolith-or-None)."""
     m = monolith(A)
-    if m is None or m.is_identity():
-        return False, None
-    return True, m
+    si = m is not None and not m.is_identity()
+    return si, m if si else None
 
 
 def is_simple(A):
-    # simple iff every nontrivial congruence is total
-    return A.size > 1 and all(p.is_total() for p in principal_congruences(A))
+    total = (1 << len(_steps(A)[1])) - 1  # all of J
+    return A.size > 1 and all(s == total for s in _principal(A))

@@ -10,9 +10,8 @@ from collections import Counter
 from .algebra import (FiniteAlgebra, _check_element, canonical_key,
                       chain_algebra, make_lmonoid, order_dual, trivial_algebra)
 from .caps import check
-from .congruences import (_sort_key, congruence_join, is_congruence,
-                          is_subdirectly_irreducible, principal_congruences,
-                          translation_tables)
+from .congruences import (_congruence, _principal, _sort_key, is_congruence,
+                          is_subdirectly_irreducible, translation_tables)
 from .errors import MalformedDocument, NotACongruence, UnknownName
 
 
@@ -356,9 +355,9 @@ def si_quotients(A):
     Con(A) they are the kappa(p), the join of the join-irreducibles not
     above p, one for each join-irreducible p.  A finite algebra is a
     subdirect product of them (Birkhoff)."""
-    J = list(principal_congruences(A))
-    kappas = [congruence_join(A, [q for q in J if not p.refines(q)])
-              for p in J]
+    J = list(_principal(A))
+    kappas = [_congruence(A, functools.reduce(
+        operator.or_, (q for q in J if p & ~q), 0)) for p in J]
     return [_quotient(A, c) for c in sorted(kappas, key=_sort_key)]
 
 

@@ -5,28 +5,29 @@ irreducible algebras ordered by HSU membership."""
 import warnings
 
 from .algebra import canonical_key
-from .congruences import (_joins, _sort_key, is_subdirectly_irreducible,
-                          principal_congruences)
+from .congruences import (_congruence, _joins, _principal, _sort_key, _steps,
+                          is_subdirectly_irreducible)
 from .constructions import _quotient, _subalgebra_classes
 from .posets import Poset
 
 
-def _meets_every_block(M, theta):
-    return len(set(map(theta.ids.__getitem__, M))) == theta.num_blocks()
-
-
 def _congruences_to_take(B, covers):
-    """The nontrivial congruences theta of B, in the order of
-    `congruence_lattice(B)`, such that no subuniverse in `covers` meets
-    every theta-block.  A set that meets every block of theta meets every
-    block of a coarser one too, so these theta form a down-set of Con(B):
-    each is a join of join-irreducibles that no cover meets, and only those
-    joins are formed."""
-    J = [p for p in principal_congruences(B)
-         if not any(_meets_every_block(M, p) for M in covers)]
-    known, _ = _joins(B.size, J)  # with J empty, just the identity
-    return [c for c in sorted(known.values(), key=_sort_key)[1:]
-            if not any(_meets_every_block(M, c) for M in covers)]
+    """The nontrivial congruences theta_S of B, in the order of
+    `congruence_lattice(B)`, such that no subuniverse M in `covers` meets
+    every block, that is takes as many values of down[x] - S as B does.
+    They form a down-set of Con(B), as a set meeting every block of theta
+    meets every block of a coarser one: joins of the join-irreducibles that
+    no cover meets."""
+    down = _steps(B)[0]
+
+    def taken(s):
+        blocks = len({d & ~s for d in down})
+        return not any(len({down[x] & ~s for x in M}) == blocks
+                       for M in covers)
+
+    J = [s for s in _principal(B) if taken(s)]
+    return sorted((_congruence(B, s) for s in _joins(J) if s and taken(s)),
+                  key=_sort_key)
 
 
 def hs_closure(S):

@@ -414,8 +414,15 @@ def _product_column(n, nv, i):
 def _blocks(A, nv, first):
     """The assignments to nv variables in product order as blocks, each a
     (tuple of the values it fixes, column cache, column evaluator): one
-    block, or with `first` and nv > 0 one per value of the first variable."""
+    block, or with `first` and nv > 0 one per value of the first variable.
+    More than the ASSIGNMENTS cap of them raise CapExceeded first."""
     n = A.size
+    if nv * (n.bit_length() - 1) <= 1024:
+        check("ASSIGNMENTS", n ** nv, "the number of assignments to "
+              f"{nv} variables over {n} elements")
+    else:  # n**nv > 2**1024, not formed, as an index may have many digits
+        check("ASSIGNMENTS", 1 << 1024,
+              f"a lower bound on the assignments over {n} elements")
     if not (first and nv):
         cols = {}
         yield (), cols, _evaluator(A, n ** nv,

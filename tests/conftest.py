@@ -78,6 +78,17 @@ def random_chain_tables(draw):
     return chain_algebra(n, draw(table), draw(table))
 
 
+def random_operations(P, rng, rate):
+    """P's lattice with oplus and odot whose entries are the join, or at
+    the given rate an element drawn from rng: usually non-commutative
+    tables that break every monoid law."""
+    n = P.size
+    oplus, odot = ([[rng.randrange(n) if rng.random() < rate else P.join[a][b]
+                     for b in range(n)] for a in range(n)] for _ in range(2))
+    return make_algebra(n, P.zero, P.one, oplus, odot, join=P.join,
+                        meet=P.meet)
+
+
 def seeded_chain_tables(count, seed):
     """`count` chains of 1..5 elements with arbitrary oplus and odot tables,
     drawn from random.Random(seed): most break the monoid laws too."""

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -17,7 +18,7 @@ from mvmlab import (catalog, catalog_names, cli, cn_delta, lm_delta, ln_plus,
                     load, product, save, trivial_algebra)
 from mvmlab.constructions import cn_delta_star
 
-from conftest import shuffled
+from conftest import random_operations, shuffled
 
 
 def run(*argv):
@@ -238,6 +239,22 @@ def test_check_eq_caps_scalar_prefixes_and_exponents(algebra_file, capsys,
     assert code == 1 and out == ""
     assert err == "error: the sum of scalar prefixes and exponents is " \
         "200000, above the cap 10000 (MVMLAB_CAP_REPEAT)\n"
+
+
+@pytest.mark.parametrize("eq", ["x99 ≈ x99", "x99 + x ≈ x + x99"])
+def test_check_eq_caps_the_assignments(algebra_file, eq):
+    # x99 makes 100 variables: 2**100 assignments on L1+, which used to end
+    # in an OverflowError traceback or run without end
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+    env.pop("MVMLAB_CAP_ASSIGNMENTS", None)
+    done = subprocess.run([sys.executable, "-m", "mvmlab", "check-eq",
+                           algebra_file(ln_plus(1)), "--eq", eq],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == "error: the number of assignments to 100 " \
+        f"variables over 2 elements is {2 ** 100}, above the cap " \
+        f"{2 ** 24} (MVMLAB_CAP_ASSIGNMENTS)\n"
 
 
 def test_python_dash_m_runs_the_command_line(algebra_file):
@@ -549,6 +566,16 @@ _GOLDEN_CONGRUENCES = [
     # L2+ x L3+ relabeled by shuffled(_, 5)
     ("7a731100fccb8853b1b2aa922be71a7d30d20f0fc9fe018ab874a3bfe3f8915b",
      "540ed500e0d729065be6bb2aa04da2acd00ed063389460401b4a7a039a10b646"),
+    # the chain C4 delta
+    ("7b2a0ddbaec3b3632daa1d216dc2326a6e4c8fb2fe0ae3bee8987ba98e668d90",
+     "2eae13e3aa0b0ff92abc704660cd085071b2098df2f7ead727569ccbfcaba162"),
+    # random_operations(L1+ x L2+, Random(28), 0.05): non-commutative, no
+    # MV-monoid, five congruences
+    ("9f80dbe1d5881613ef6eacad8114a91de92d4b5de3276b6388cf8dfcd1f708a4",
+     "8c89ad0730c7e300d8e2837ac7fbc0164b0c4fd89e71db7f895c4452eb313e85"),
+    # the trivial algebra
+    ("108ab97ada3a0e864d69bfec0b1a6fed3cb5bdeacbb921f90585f0de558fea69",
+     "eb85d52ee908fdc503362011769a96906afe6cb2350492818fc205c7a4e2f0af"),
 ]
 
 
@@ -736,7 +763,11 @@ def test_subcommand_output_matches_its_golden_digest(case, tmp_path, capsys):
 def test_congruences_output_matches_its_golden_digest(algebra_file):
     L1 = ln_plus(1)
     algebras = [product(product(L1, L1), product(L1, L1)),
-                shuffled(product(ln_plus(2), ln_plus(3)), 5)]
+                shuffled(product(ln_plus(2), ln_plus(3)), 5), cn_delta(4),
+                random_operations(product(L1, ln_plus(2)), random.Random(28),
+                                  0.05),
+                trivial_algebra()]
+    assert len(algebras) == len(_GOLDEN_CONGRUENCES)
     for A, digests in zip(algebras, _GOLDEN_CONGRUENCES):
         path = algebra_file(A)
         assert (_sha("congruences", path),

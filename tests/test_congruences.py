@@ -11,15 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (poset_is_chain, random_chain_tables, shuffled,
-                      si_chain_pairs)
+from conftest import (poset_is_chain, random_chain_tables, random_operations,
+                      shuffled, si_chain_pairs)
 from mvmlab import (Congruence, catalog, chain_algebra, cn_delta, cn_nabla,
                     congruence_lattice, enumerate_chain, identity_congruence,
                     is_simple, is_subdirectly_irreducible, lm_delta, lm_nabla,
-                    ln_plus, make_algebra, monolith, order_dual,
-                    principal_congruence, principal_congruences, product,
-                    quotient, si_quotients, subalgebras, total_congruence,
-                    trivial_algebra)
+                    ln_plus, monolith, order_dual, principal_congruence,
+                    principal_congruences, product, quotient, si_quotients,
+                    subalgebras, total_congruence, trivial_algebra)
 from mvmlab import cli, congruences, posets, save
 from mvmlab.congruences import congruence_join, is_congruence
 from mvmlab.constructions import _quotient
@@ -33,7 +32,78 @@ def pure_chain(n):
 
 
 # ---------------------------------------------------------------------------
-# partitions
+# the partition reference: the lattice of partitions (its order, meet and
+# join) and Mal'cev's pair closure, as `congruences` computed Con(A) before
+# it read congruences off the join-irreducibles of the lattice reduct.  The
+# oracles below build on these, so they are checked first.
+
+def _merge(ids, members, x, y):
+    """Merge blocks x != y of a partition held as ids (element -> block id)
+    and members (block id -> its elements), relabelling the smaller block;
+    block y is left empty."""
+    if len(members[x]) < len(members[y]):
+        x, y = y, x
+    for e in members[y]:
+        ids[e] = x
+    members[x] += members[y]
+    members[y] = ()
+
+
+def _join(a, b):
+    """The join of two partitions: the transitive closure of their union."""
+    ids, members = list(a.ids), a.blocks()
+    first = {}  # block of b -> its first element
+    for e, block in enumerate(b.ids):
+        x, y = ids[first.setdefault(block, e)], ids[e]
+        if x != y:
+            _merge(ids, members, x, y)
+    return Congruence(ids)
+
+
+def _meet(a, b):
+    return Congruence(zip(a.ids, b.ids))
+
+
+def _refines(a, b):
+    """Whether every block of a lies in a block of b."""
+    seen = {}
+    return all(seen.setdefault(x, y) == y for x, y in zip(a.ids, b.ids))
+
+
+def _is_total(c):
+    return c.num_blocks() <= 1
+
+
+def _translation_tables(A):
+    """The four operation tables and their transposes: row c of each is a
+    unary translation x -> op(c, x) or op(x, c)."""
+    return [u for t in (A.join, A.meet, A.oplus, A.odot)
+            for u in (t, tuple(zip(*t)))]
+
+
+def _malcev(A, a, b):
+    """theta(a, b) by pair closure under the unary translations.  If a ~ a'
+    and b ~ b' then op(a, b) ~ op(a', b) ~ op(a', b') by one step in each
+    argument plus transitivity.  Each merge queues one pair joining the two
+    blocks, so the queued pairs generate the partition, and closing them
+    under the translations yields the least congruence relating a and b
+    (Mal'cev)."""
+    n = A.size
+    ids, members = list(range(n)), [[e] for e in range(n)]
+    queue = []
+    if a != b:
+        _merge(ids, members, a, b)
+        queue.append((a, b))
+    tables = _translation_tables(A)
+    while queue:
+        a, b = queue.pop()
+        for t in tables:
+            for x, y in zip(t[a], t[b]):
+                if ids[x] != ids[y]:
+                    _merge(ids, members, ids[x], ids[y])
+                    queue.append((x, y))
+    return Congruence(ids)
+
 
 def test_partition_normal_form():
     assert Congruence([5, 5, 2, 5]).ids == (0, 0, 1, 0)
@@ -52,17 +122,17 @@ def test_partition_predicates():
     c = Congruence([0, 0, 1, 2])
     assert c.related(0, 1) and not c.related(1, 2)
     assert c.blocks() == [(0, 1), (2,), (3,)]
-    assert not c.is_identity() and not c.is_total()
-    assert identity_congruence(4).refines(c)
-    assert c.refines(total_congruence(4))
-    assert not c.refines(identity_congruence(4))
+    assert not c.is_identity() and not _is_total(c)
+    assert _refines(identity_congruence(4), c)
+    assert _refines(c, total_congruence(4))
+    assert not _refines(c, identity_congruence(4))
 
 
 def test_partition_meet_join():
     a = Congruence([0, 0, 1, 1])
     b = Congruence([0, 1, 1, 2])
-    assert a.meet(b) == Congruence([0, 1, 2, 3])
-    assert a.join(b) == total_congruence(4)
+    assert _meet(a, b) == Congruence([0, 1, 2, 3])
+    assert _join(a, b) == total_congruence(4)
 
 
 _partitions = st.lists(st.integers(0, 3), min_size=4, max_size=4).map(Congruence)
@@ -71,12 +141,12 @@ _partitions = st.lists(st.integers(0, 3), min_size=4, max_size=4).map(Congruence
 @settings(max_examples=100, deadline=None)
 @given(_partitions, _partitions)
 def test_meet_join_are_lattice_bounds(a, b):
-    m, j = a.meet(b), a.join(b)
-    assert m.refines(a) and m.refines(b)
-    assert a.refines(j) and b.refines(j)
+    m, j = _meet(a, b), _join(a, b)
+    assert _refines(m, a) and _refines(m, b)
+    assert _refines(a, j) and _refines(b, j)
     # meet is the greatest lower bound, join the least upper bound
-    assert a.meet(b) == b.meet(a) and a.join(b) == b.join(a)
-    assert a.refines(b) == (a.meet(b) == a)
+    assert _meet(a, b) == _meet(b, a) and _join(a, b) == _join(b, a)
+    assert _refines(a, b) == (_meet(a, b) == a)
 
 
 def _relation(part):
@@ -101,7 +171,7 @@ _partition_pairs = st.integers(1, 8).flatmap(lambda n: st.tuples(
 @given(_partition_pairs)
 def test_join_is_the_transitive_closure_of_the_union(pair):
     a, b = pair
-    assert _relation(a.join(b)) == \
+    assert _relation(_join(a, b)) == \
         _transitive_closure(_relation(a) | _relation(b))
 
 
@@ -135,7 +205,7 @@ def test_principal_congruence_on_simple_chain_is_total():
     A = ln_plus(2)
     for a in range(3):
         for b in range(a + 1, 3):
-            assert principal_congruence(A, a, b).is_total()
+            assert _is_total(principal_congruence(A, a, b))
 
 
 def test_principal_congruences_are_congruences():
@@ -150,7 +220,7 @@ def test_congruence_join_closure():
     ths = [principal_congruence(A, 1, 2), principal_congruence(A, 2, 3)]
     j = congruence_join(A, ths)
     assert is_congruence(A, j)
-    assert all(t.refines(j) for t in ths)
+    assert all(_refines(t, j) for t in ths)
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +233,7 @@ def test_infinitesimal_chains_have_chain_congruence_lattices():
             assert len(L) == n + 1
             assert poset_is_chain(L)
             assert L.labels[0].is_identity()
-            assert L.labels[-1].is_total()
+            assert _is_total(L.labels[-1])
 
 
 def test_pure_chain_congruence_lattice_is_boolean():
@@ -201,7 +271,7 @@ def test_truncated_chains_are_simple():
         A = ln_plus(n)
         assert is_simple(A)
         si, m = is_subdirectly_irreducible(A)
-        assert si and m.is_total()
+        assert si and _is_total(m)
 
 
 def test_trivial_algebra_is_not_si_or_simple():
@@ -213,7 +283,7 @@ def test_monolith_refines_every_nontrivial_congruence():
     for A in (cn_delta(3), catalog("A3n"), catalog("B3d"), lm_delta(3)):
         m = monolith(A)
         for c in congruence_lattice(A).labels[1:]:
-            assert m.refines(c)
+            assert _refines(m, c)
 
 
 def test_congruence_lattice_of_a_large_simple_chain():
@@ -263,23 +333,27 @@ def _check_against_brute_force(A):
     assert set(cs) == con
     assert lat.covers() == [
         (cs[i], cs[j]) for i, j in itertools.permutations(range(len(cs)), 2)
-        if cs[i].refines(cs[j]) and not any(
-            k not in (i, j) and cs[i].refines(cs[k]) and cs[k].refines(cs[j])
-            for k in range(len(cs)))]
+        if _refines(cs[i], cs[j]) and not any(
+            k not in (i, j) and _refines(cs[i], cs[k])
+            and _refines(cs[k], cs[j]) for k in range(len(cs)))]
     for p in partitions:
         assert is_congruence(A, p) == (p in con)
+        # the congruence p generates is the least one above it
+        above = [c for c in con if _refines(p, c)]
+        g = congruence_join(A, [p])
+        assert g in above and all(_refines(g, c) for c in above)
     for a, b in itertools.combinations(range(A.size), 2):
         theta = principal_congruence(A, a, b)
         assert theta in con and theta.related(a, b)
-        assert all(theta.refines(c) for c in con if c.related(a, b))
+        assert all(_refines(theta, c) for c in con if c.related(a, b))
     nontrivial = [c for c in con if not c.is_identity()]
-    m = functools.reduce(Congruence.meet, nontrivial) if nontrivial else None
+    m = functools.reduce(_meet, nontrivial) if nontrivial else None
     assert monolith(A) == m
     assert is_simple(A) == (A.size > 1 and len(con) == 2)
     # A/theta is SI iff the congruences strictly above theta have a least one
     def si(c):
-        above = [d for d in con if c.refines(d) and d != c]
-        return any(all(d.refines(e) for e in above) for d in above)
+        above = [d for d in con if _refines(c, d) and d != c]
+        return any(all(_refines(d, e) for e in above) for d in above)
 
     assert [_tables(Q) for Q in si_quotients(A)] == \
         [_tables(quotient(A, c)) for c in cs if si(c)]
@@ -344,7 +418,7 @@ def test_non_commutative_oplus_needs_the_second_argument():
     theta = Congruence([0, 0, 1])
     assert not is_congruence(A, theta)
     assert theta not in congruence_lattice(A).labels
-    assert principal_congruence(A, 0, 1).is_total()
+    assert _is_total(principal_congruence(A, 0, 1))
     with pytest.raises(NotACongruence):
         quotient(A, theta)
 
@@ -356,7 +430,7 @@ def test_covering_pairs_generate_the_lattice_of_every_pair():
         known = {identity_congruence(P.size)}
         for a, b in itertools.combinations(range(P.size), 2):
             p = principal_congruence(P, a, b)
-            known |= {c.join(p) for c in known}
+            known |= {_join(c, p) for c in known}
         assert set(congruence_lattice(P).labels) == known
         assert set(principal_congruences(P)) <= known
 
@@ -370,7 +444,7 @@ def test_trusted_quotients_and_lazy_covers_match_the_checked_ones():
             # the covers as they were built eagerly: refinement rows, then
             # the covering pairs of that order
             assert _index_covers(lat) == cover_pairs(
-                [sum(1 << j for j, d in enumerate(cs) if c.refines(d))
+                [sum(1 << j for j, d in enumerate(cs) if _refines(c, d))
                  for c in cs])
             for theta in cs:
                 Q, R = _quotient(P, theta), quotient(P, theta)
@@ -385,9 +459,9 @@ def test_trusted_quotients_and_lazy_covers_match_the_checked_ones():
 
 # ---------------------------------------------------------------------------
 # the all-covers reference: Con(A) as it was built before it was read off
-# the join-irreducibles, with one closure per covering pair of the lattice
-# reduct, the covers from refinement rows and the SI quotients from a count
-# of upper covers
+# the join-irreducibles, with one Mal'cev closure per covering pair of the
+# lattice reduct, the covers from refinement rows and the SI quotients from
+# a count of upper covers
 
 def _lattice_cover_pairs(A):
     n = A.size
@@ -398,8 +472,8 @@ def _lattice_cover_pairs(A):
 def _all_covers_lattice(A):
     known = {identity_congruence(A.size)}
     for a, b in _lattice_cover_pairs(A):
-        p = principal_congruence(A, a, b)
-        known |= {c.join(p) for c in known}
+        p = _malcev(A, a, b)
+        known |= {_join(c, p) for c in known}
     return sorted(known, key=lambda c: (-c.num_blocks(), c.ids))
 
 
@@ -430,8 +504,8 @@ def _check_against_all_covers(A):
     assert _index_covers(lat) == _refinement_covers(cs)
     # the chain test of the `congruences` command
     assert (len(lat.covers()) == len(lat) - 1) == \
-        all(a.refines(b) for a, b in zip(cs, cs[1:]))
-    assert monolith(A) == (functools.reduce(Congruence.meet, cs[1:])
+        all(_refines(a, b) for a, b in zip(cs, cs[1:]))
+    assert monolith(A) == (functools.reduce(_meet, cs[1:])
                            if cs[1:] else None)
     assert is_simple(A) == (A.size > 1 and len(cs) == 2)
     assert [_tables(Q) for Q in si_quotients(A)] == \
@@ -471,11 +545,20 @@ def test_random_operations_on_product_lattices_match_the_all_covers_lattice(
     # element: usually non-commutative tables that break every monoid law,
     # with a congruence lattice that is not always trivial
     rng = random.Random(seed)
-    n, rate = P.size, rng.choice((0.05, 0.2, 1.0))
-    oplus, odot = ([[rng.randrange(n) if rng.random() < rate else P.join[a][b]
-                     for b in range(n)] for a in range(n)] for _ in range(2))
-    A = make_algebra(n, P.zero, P.one, oplus, odot, join=P.join, meet=P.meet)
+    A = random_operations(P, rng, rng.choice((0.05, 0.2, 1.0)))
     _check_against_all_covers(shuffled(A, seed))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(_PRODUCTS), _seeds)
+def test_every_pair_closure_matches_the_malcev_closure(P, seed):
+    # rate 0 keeps the product's own tables, relabelled
+    rng = random.Random(seed)
+    A = shuffled(random_operations(P, rng, rng.choice((0, 0.05, 0.2, 1.0))),
+                 seed)
+    for a, b in itertools.product(range(A.size), repeat=2):
+        assert principal_congruence(A, a, b) == _malcev(A, a, b), (a, b)
+    _check_against_all_covers(A)
 
 
 def test_json_is_chain_means_every_two_congruences_are_comparable(tmp_path):
@@ -491,7 +574,7 @@ def test_json_is_chain_means_every_two_congruences_are_comparable(tmp_path):
         cs = [Congruence([b for e in range(A.size) for b, block in
                           enumerate(c) if e in block])
               for c in doc["congruences"]]
-        comparable = all(a.refines(b) or b.refines(a)
+        comparable = all(_refines(a, b) or _refines(b, a)
                          for a, b in itertools.combinations(cs, 2))
         assert doc["is_chain"] == comparable, A
         verdicts.add(comparable)
@@ -500,34 +583,38 @@ def test_json_is_chain_means_every_two_congruences_are_comparable(tmp_path):
 
 @pytest.fixture()
 def closures(monkeypatch):
-    """The (a, b) of every `principal_congruence` closure run."""
-    calls, real = [], congruences.principal_congruence
+    """The bitset each `_close` call starts from."""
+    calls, real = [], congruences._close
 
-    def counted(A, a, b):
-        calls.append((a, b))
-        return real(A, a, b)
+    def counted(step, s):
+        calls.append(s)
+        return real(step, s)
 
-    monkeypatch.setattr(congruences, "principal_congruence", counted)
+    monkeypatch.setattr(congruences, "_close", counted)
     return calls
 
 
 def test_one_closure_per_join_irreducible_of_the_lattice_reduct(closures):
-    # the all-covers fold ran one closure per covering pair: 32 and 17
+    # the all-covers fold ran one Mal'cev closure per covering pair: 32 and
+    # 17; now each join-irreducible of the lattice reduct gets one closure,
+    # over one step table per algebra
     for P, pairs, joins, size in (
             (functools.reduce(product, [ln_plus(1)] * 4), 32, 4, 16),
             (product(ln_plus(2), ln_plus(3)), 17, 5, 4)):
         assert len(_lattice_cover_pairs(P)) == pairs
         closures.clear()
         assert len(congruence_lattice(P)) == size
-        assert len(closures) == joins
+        assert closures == [1 << i for i in range(joins)]
+        steps = P._cache["steps"]
         closures.clear()
         assert len(si_quotients(P)) == len(_upper_cover_si(
             _all_covers_lattice(P)))
-        assert len(closures) == joins
-    # monolith stops at the first identity meet: two atoms of L1+^4
+        assert closures == [1 << i for i in range(joins)]
+        assert P._cache["steps"] is steps
+    # monolith stops at the first empty meet: two atoms of L1+^4
     closures.clear()
     assert monolith(functools.reduce(product, [ln_plus(1)] * 4)).is_identity()
-    assert len(closures) == 2
+    assert closures == [1, 2]
 
 
 def test_si_quotients_build_no_congruence_lattice(monkeypatch):

@@ -1,15 +1,19 @@
 import hashlib
 import itertools
 import json
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvmlab import (Poset, canonical_key, chain_algebra, cn_delta, cn_nabla,
                     enumerate_chain, enumerate_on_lattice, hs_closure,
                     is_mv_monoid, is_positive_mv, is_simple,
                     is_subdirectly_irreducible, ln_plus, make_algebra,
-                    member_of_variety, parse, product, satisfies, si_members,
-                    si_necessary_condition)
+                    member_of_variety, parse, product, satisfies,
+                    satisfies_quasi, si_members, si_necessary_condition)
+from mvmlab.terms import CANCELLATIVITY
 from mvmlab import enumeration
 from mvmlab.algebra import (FiniteAlgebra, dual_table, max_table, min_table,
                             order_dual)
@@ -17,7 +21,7 @@ from mvmlab.enumeration import (FILTERS, _dual_tables, _monoid_tables,
                                 _pairs, _passes)
 from mvmlab.errors import CapExceeded
 
-from conftest import shuffled
+from conftest import random_chain_tables, random_operations, shuffled
 
 # the two connecting-axiom groups, written out for an independent check
 MIXED_ASSOC = [parse("(x + y) * ((x * y) + z) ≈ (x * (y + z)) + (y * z)"),
@@ -63,6 +67,25 @@ def test_eight_element_chain_census():
     L = ln_plus(7)
     assert [(A.oplus, A.odot) for A in positive
             if is_subdirectly_irreducible(A)[0]] == [(L.oplus, L.odot)]
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_cancellativity_read_off_the_columns_matches_the_quasi_equation(n):
+    # every table of the "all" census, which holds every chain MV-monoid
+    for A in enumerate_chain(n, "all"):
+        assert _passes(A, "positive") == \
+            bool(satisfies_quasi(A, CANCELLATIVITY))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(random_chain_tables(), st.builds(
+    lambda P, seed, rate: random_operations(P, random.Random(seed), rate),
+    st.sampled_from([product(ln_plus(1), ln_plus(2)),
+                     product(ln_plus(1), ln_plus(1))]),
+    st.integers(0, 10 ** 6), st.sampled_from([0, 0.2, 1.0]))))
+def test_cancellativity_of_arbitrary_tables_matches_the_quasi_equation(A):
+    assert _passes(A, "positive") == \
+        bool(satisfies_quasi(A, CANCELLATIVITY))
 
 
 def test_output_is_deterministic_and_duplicate_free():

@@ -132,6 +132,22 @@ def test_scalar_prefixes_and_exponents_under_the_cap(monkeypatch):
         parse("2(2x)")
 
 
+def test_assignments_are_capped_before_a_column_is_built(monkeypatch):
+    # n**nv assignments: L1+ has 2 elements, so x2 makes 8 and x3 16
+    monkeypatch.setenv("MVMLAB_CAP_ASSIGNMENTS", "8")
+    assert satisfies(ln_plus(1), parse("x2 + x ≈ x + x2"))
+    with pytest.raises(CapExceeded, match=r"^the number of assignments to 4 "
+                       r"variables over 2 elements is 16, above the cap 8 "
+                       r"\(MVMLAB_CAP_ASSIGNMENTS\)$"):
+        satisfies(ln_plus(1), parse("x3 ≈ x3"))
+    # an index of a thousand digits: the count is bounded, not formed
+    huge = parse("x ≈ y => x" + "9" * 1000 + " ≈ x")
+    with pytest.raises(CapExceeded, match=r"^a lower bound on the "
+                       r"assignments over 2 elements is \d+, above the "
+                       r"cap 8 "):
+        satisfies_quasi(ln_plus(1), huge)
+
+
 def _parse_at_depth(depth, text):
     if depth:
         return _parse_at_depth(depth - 1, text)
