@@ -23,8 +23,10 @@ the single j in J.  Partitions are built only for returned values.
 """
 
 import functools
+import operator
 
 from .algebra import _check_element
+from .errors import NotACongruence
 from .posets import Poset, _bits, lower_covers
 
 
@@ -106,29 +108,47 @@ def _reduct(join):
     return down, covers, tuple(d.to_bytes(width, "little") for d in down)
 
 
+def _table_steps(join, *tables):
+    """step of the translations by the rows of the given tables alone, the
+    OR of each table's.  Row u of a table is packed into one integer, field
+    c holding down of its c-th entry, so one XOR per cover compares all of
+    a table's translations; then each label's OR folds its fields, field 0
+    taking the OR of 0..2w-1 by the shift w."""
+    covers, cells = _reduct(join)[1:]
+    get, unpack = cells.__getitem__, int.from_bytes
+    packed = [[unpack(b"".join(map(get, row)), "little") for row in t]
+              for t in tables]
+    step, width = [], 8 * len(cells[0])
+    for pairs in covers:
+        x, shift = 0, width
+        for rows in packed:
+            for u, v in pairs:
+                x |= rows[u] ^ rows[v]
+        while shift < len(join) * width:
+            x |= x >> shift
+            shift <<= 1
+        step.append(x & ((1 << width) - 1))
+    return step
+
+
 def _steps(A):
-    """(down, step) of A, kept in its cache.  Row u of a + or * table is
-    packed into one integer, field c holding down of its c-th entry, so one
-    XOR per cover compares all of a table's translations; then each label's
-    OR folds its fields, field 0 taking the OR of 0..2w-1 by the shift w."""
+    """(down, step) of A, kept in its cache: the step of its + and * tables
+    and their transposes."""
     found = A._cache.get("steps")
     if found is None:
-        down, covers, cells = _reduct(A.join)
-        get, unpack = cells.__getitem__, int.from_bytes
-        packed = [[unpack(b"".join(map(get, row)), "little") for row in t]
-                  for t in translation_tables(A)[2:]]
-        step, width = [], 8 * len(cells[0])
-        for pairs in covers:
-            x, shift = 0, width
-            for rows in packed:
-                for u, v in pairs:
-                    x |= rows[u] ^ rows[v]
-            while shift < A.size * width:
-                x |= x >> shift
-                shift <<= 1
-            step.append(x & ((1 << width) - 1))
-        found = A._cache["steps"] = down, step
+        found = A._cache["steps"] = _reduct(A.join)[0], _table_steps(
+            A.join, *translation_tables(A)[2:])
     return found
+
+
+def _seed_steps(A, *steps):
+    """Set A's step table to the OR of the `_table_steps` of its + and *
+    tables, for a caller that already holds them.  With both tables
+    commutative this is what `_steps` finds, up to each label's own bit,
+    which every closure holds: the transposes are the tables themselves,
+    and a table equal to join or meet, which `_steps` drops, moves a cover
+    labelled k onto a cover labelled k or onto one element."""
+    A._cache["steps"] = _reduct(A.join)[0], list(map(operator.or_, *steps))
 
 
 def _close(step, s):
@@ -188,6 +208,10 @@ def congruence_join(A, parts):
     down, step = _steps(A)
     s = 0
     for part in parts:
+        if part.size != A.size:
+            raise NotACongruence(f"a partition of {part.size} elements is "
+                                 f"no congruence of a {A.size}-element "
+                                 f"algebra")
         first = {}
         for d, b in zip(down, part.ids):
             s |= d ^ first.setdefault(b, d)

@@ -7,12 +7,13 @@ ones as the additive ones of the order dual); `_pairs` searches, for each
 additive table, the prefix tree of the multiplicative ones for those meeting
 the connecting axioms, checking each axiom instance as soon as the cells it
 reads are known (finite model search in the style of SEM and Mace4; of the two
-mixed-associativity laws only the first, which implies the second), and runs
-the filter on each pair it finds.  On the chain, reversing the order and
-swapping oplus with odot maps the passing pairs onto themselves, so the
-multiplicative tables are the order duals of the additive ones, and of a pair
-and its mirror image only one is walked and filtered, the other recorded from
-it with the same verdict (the usual symmetry breaking of finite model search).
+mixed-associativity laws only the first, which implies the second, and the
+truncation laws once per cell), and runs the filter on each pair it finds.
+On the chain, reversing the order and swapping oplus with odot maps the
+passing pairs onto themselves, so the multiplicative tables are the order
+duals of the additive ones, and of a pair and its mirror image only one is
+walked and filtered, the other recorded from it with the same verdict (the
+usual symmetry breaking of finite model search).
 Chains are rigid, so distinct chain tables are distinct isomorphism classes;
 lattice outputs are deduplicated by canonical key.
 """
@@ -21,7 +22,8 @@ from .algebra import (FiniteAlgebra, canonical_key, dual_table, max_table,
                       min_table)
 from .axioms import si_necessary_condition
 from .caps import check
-from .congruences import is_subdirectly_irreducible
+from .congruences import (_seed_steps, _table_steps,
+                          is_subdirectly_irreducible)
 from .errors import BadArgument
 from .posets import lower_covers
 
@@ -173,21 +175,37 @@ def _pairs(join, meet, zero, one, order, flt, delta=None):
     equal, and (A) at (t, s, x), with s = y+z and t = y*z, their right sides.
     Associativity and distributivity are not used; all monoid tables qualify.
 
+    Truncation (C), conn.3, and (D), conn.4, read x and y only through
+    s = x+y and t = x*y, and over all z only row s of * and row t of +:
+    (C) is t+z = (s * (t+z)) v z and (D) is s*z = (t + (s*z)) ^ z.  Lemma:
+    for + and * monotone, with units 0 and 1, both hold when s = 1 or t = 0.
+    Proof: t*c <= 1*c = c <= 0+c <= t+c.  At t = 0 they read z = (s*z) v z
+    and s*z = (s*z) ^ z, true as s*z <= z; at s = 1 they read t+z =
+    (t+z) v z and z = (t+z) ^ z, true as z <= t+z.  With x in {0, 1} one
+    of the two holds, and (C) and (D) are symmetric in x and y, so for each
+    additive table p they are one check per cell (x, y), x <= y both strictly
+    between 0 and 1, with s = p(x,y) not 1: it loops over z at the depth
+    where the cell (x,y) and row s of the odot table are both known, and
+    passes at once when t = 0.
+
     For each additive table p the multiplicative tables are walked as a
     prefix tree over the cells in the order `_monoid_tables` fills them.  An
-    axiom instance (x, y, z) is checked at the first node where every odot
+    instance (x, y, z) of (A) is checked at the first node where every odot
     cell it reads is known, so a failing prefix is cut once for all the
     tables below it.  Its cells (x,y) and (y,z) fix the node it enters at;
     the other cells it reads depend on p and on values of q, and when one is
     not yet known the instance waits in `pending` at that cell's depth.
     Instances that the unit and absorption laws decide for every pair of
-    monotone monoid tables are not listed: all those with y in {0, 1},
-    (A) at x = 0 or z = 1, truncation (C) at x in {0, 1} or z = 1 and (D)
-    at x in {0, 1} or z = 0; (C) and (D) are symmetric in x and y.  An
-    instance that cuts a node moves to the front of the instances entering
-    at that depth, so the next table tries it first; every instance is
-    still checked on every path that passes, so the hits do not depend on
-    that order.
+    monotone monoid tables are not listed: all those with y in {0, 1} or
+    x = 0 or z = 1.  An instance that cuts a node moves to the front of the
+    instances entering at that depth, so the next table tries it first;
+    every instance is still checked on every path that passes, so the hits
+    do not depend on that order.  The truncation checks of a node run
+    before its (A) instances, in the order of their cells.
+
+    The "si" filter reads the step table of Con(A) (see `congruences`), the
+    OR of one per table, so each table's is found once per call and the two
+    are ORed for each pair filtered.
 
     `delta`, when given, is an order-reversing involution of the lattice.  The
     definition is self-dual: t -> t^delta maps the additive tables onto the
@@ -223,57 +241,44 @@ def _pairs(join, meet, zero, one, order, flt, delta=None):
         depth[i * n + j] = depth[j * n + i] = d
         flat.append((i * n + j, j * n + i))
     last = len(cells)
-    # (kind, x*n+y, y*n+z, x*n, z) by the depth where the cell (x,y) and, for
-    # (A), (y,z) are known
+    # row s of odot is known from this depth on
+    row_depth = [max(depth[s * n:s * n + n]) for s in range(n)]
+    # (A) instances (x*n+y, y*n+z, x*n, z) by the depth where the cells
+    # (x,y) and (y,z) are known
     enter = [[] for _ in range(last + 1)]
     pending = [[] for _ in range(last + 1)]
     for y in order[1:-1]:
-        for x in order:
-            a = x * n + y
-            for z in order:
-                c = y * n + z
-                at = max(depth[a], depth[c])
-                if x != zero and z != one:
-                    enter[at].append(("A", a, c, x * n, z))
-                if flt != "all" and x not in (zero, one) and x <= y:
-                    if z != one:
-                        enter[depth[a]].append(("C", a, c, x * n, z))
-                    if z != zero:
-                        enter[depth[a]].append(("D", a, c, x * n, z))
+        for x in order[1:]:  # x != 0 and z != 1
+            for z in order[:-1]:
+                a, c = x * n + y, y * n + z
+                enter[max(depth[a], depth[c])].append((a, c, x * n, z))
     # odot as flat lists q[i*n+j], with qn = n*q; the inner cells are
     # overwritten along the walk
     q = [v for row in muls[0] for v in row]
     qn = [v * n for v in q]
 
     def walk(node, d):
-        # p, pn = n*p and hits are those of the current additive table
+        # p, pn = n*p, truncation and hits are those of the current
+        # additive table
+        for a, sn in truncation[d]:  # (C) and (D) at (x, y, z) for each z
+            t = q[a]
+            if t != zero:
+                tn = t * n
+                for z in order:
+                    v, w = p[tn + z], q[sn + z]
+                    if join[q[sn + v]][z] != v or meet[p[tn + w]][z] != w:
+                        return
         waiting = []
         for items in (enter[d], pending[d]):
-            for item in items:
-                kind, a, c, xn, z = item
-                if kind == "A":  # q[pxy][p[qxy][z]] == p[q[x][pyz]][qyz]
-                    b = xn + p[c]
-                    at = depth[b]
-                    if at <= d:
-                        k = pn[a] + p[qn[a] + z]
-                        at = depth[k]
-                        if at <= d:
-                            if q[k] != p[qn[b] + q[c]]:
-                                break
-                            continue
-                elif kind == "C":  # p[qxy][z] == q[pxy][p[qxy][z]] v z
-                    v = p[qn[a] + z]
-                    k = pn[a] + v
+            for item in items:  # q[pxy][p[qxy][z]] == p[q[x][pyz]][qyz]
+                a, c, xn, z = item
+                b = xn + p[c]
+                at = depth[b]
+                if at <= d:
+                    k = pn[a] + p[qn[a] + z]
                     at = depth[k]
                     if at <= d:
-                        if join[q[k]][z] != v:
-                            break
-                        continue
-                else:  # q[pxy][z] == p[qxy][q[pxy][z]] ^ z
-                    b = pn[a] + z
-                    at = depth[b]
-                    if at <= d:
-                        if q[b] != meet[p[qn[a] + q[b]]][z]:
+                        if q[k] != p[qn[b] + q[c]]:
                             break
                         continue
                 pending[at].append(item)
@@ -298,21 +303,35 @@ def _pairs(join, meet, zero, one, order, flt, delta=None):
         for at in waiting:
             pending[at].pop()
 
+    mul_steps = {}  # odot index -> its step table, for the "si" filter
     # mirrored[j]: odot index -> the verdict on the mirror pair, for p_j
     mirrored = [{} for _ in adds]
     for i, t in enumerate(adds):
         floor = 0 if delta is None else i
         p = [v for row in t for v in row]
         pn = [v * n for v in p]
+        truncation = [[] for _ in range(last + 1)]
+        if flt != "all":
+            for d, (a, _) in enumerate(flat, 1):
+                s = p[a]
+                if s != one:
+                    truncation[max(d, row_depth[s])].append((a, s * n))
         hits = []
         walk(tree, 0)
         known = mirrored[i]
         mirrored[i] = None
+        add_steps = None
         for idx in sorted(hits + list(known)):
             kept = known.get(idx)
             if kept is None:
-                kept = _passes(FiniteAlgebra(n, zero, one, t, muls[idx], join,
-                                             meet), flt)
+                A = FiniteAlgebra(n, zero, one, t, muls[idx], join, meet)
+                if flt == "si":
+                    if add_steps is None:
+                        add_steps = _table_steps(join, t)
+                    if idx not in mul_steps:
+                        mul_steps[idx] = _table_steps(join, muls[idx])
+                    _seed_steps(A, add_steps, mul_steps[idx])
+                kept = _passes(A, flt)
                 if rank[idx] > floor:
                     mirrored[rank[idx]][dual_of[i]] = kept
             yield t, muls[idx], kept

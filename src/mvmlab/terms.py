@@ -188,6 +188,17 @@ _TOKEN = re.compile(r"""
   | (?P<VAR>[xyz]\d*) | (?P<BAD>.)""", re.VERBOSE | re.DOTALL)
 
 
+# int() refuses longer digit strings under Python's default limit
+_MAX_DIGITS = 4300
+
+
+def _number(digits, position):
+    if len(digits) > _MAX_DIGITS:
+        raise TermSyntaxError(f"a number has at most {_MAX_DIGITS} digits, "
+                              f"got {len(digits)}", position)
+    return int(digits)
+
+
 def _tokenize(text):
     """(kind, value, position) triples, ending with ("END", None, len)."""
     toks = []
@@ -201,12 +212,12 @@ def _tokenize(text):
         if kind == "PUNCT":
             kind = s
         elif kind == "INT":
-            value = int(s)
+            value = _number(s, i)
         elif kind == "VAR":
             if len(s) == 1:
                 value = _VARS[s]
             elif s[0] == "x":
-                value = int(s[1:])
+                value = _number(s[1:], i)
             else:
                 raise TermSyntaxError("indexed variables use x<digits>", i)
         toks.append((kind, value, i))

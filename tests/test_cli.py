@@ -231,6 +231,18 @@ def test_check_eq_superscript_digit_is_a_syntax_error(algebra_file, capsys):
     assert err == "error: unexpected character '²' (at position 1)\n"
 
 
+@pytest.mark.parametrize("eq", ["x" + "9" * 5000 + " ≈ x",
+                                "9" * 5000 + "x ≈ x"])
+def test_check_eq_rejects_numbers_too_long_to_read(algebra_file, capsys, eq):
+    # a variable index or scalar of 5000 digits used to end in a ValueError
+    # traceback from int()
+    code, out = run("check-eq", algebra_file(ln_plus(2)), "--eq", eq)
+    err = capsys.readouterr().err
+    assert code == 1 and out == ""
+    assert err == "error: a number has at most 4300 digits, got 5000 " \
+        "(at position 0)\n"
+
+
 @pytest.mark.parametrize("eq", ["200000x ≈ x", "x^200000 ≈ x"])
 def test_check_eq_caps_scalar_prefixes_and_exponents(algebra_file, capsys,
                                                      eq):

@@ -6,6 +6,7 @@ import json
 import math
 import operator
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -559,6 +560,70 @@ def test_every_pair_closure_matches_the_malcev_closure(P, seed):
     for a, b in itertools.product(range(A.size), repeat=2):
         assert principal_congruence(A, a, b) == _malcev(A, a, b), (a, b)
     _check_against_all_covers(A)
+
+
+def _reference_steps(A):
+    """step[k] for the k-th join-irreducible j of the lattice reduct, from
+    scratch: the OR of down[f(u)] ^ down[f(v)] over the covers u < v with
+    down[v] - down[u] = {j} and every translation f by join, meet, + and *
+    in either argument, one cover and one translation at a time."""
+    n = A.size
+    leq = [[A.join[a][b] == b for b in range(n)] for a in range(n)]
+    covers = [(u, v) for u in range(n) for v in range(n)
+              if u != v and leq[u][v] and not any(
+                  w not in (u, v) and leq[u][w] and leq[w][v]
+                  for w in range(n))]
+    J = [j for j in range(n) if sum(v == j for _, v in covers) == 1]
+    down = [sum(1 << i for i, j in enumerate(J) if leq[j][x])
+            for x in range(n)]
+    tables = [u for t in (A.join, A.meet, A.oplus, A.odot)
+              for u in (t, tuple(zip(*t)))]
+    step = [0] * len(J)
+    for u, v in covers:
+        k = (down[v] ^ down[u]).bit_length() - 1
+        for t in tables:
+            for c in range(n):
+                step[k] |= down[t[u][c]] ^ down[t[v][c]]
+    return down, step
+
+
+def _symmetric(t):
+    # the commutative table that agrees with t on and above the diagonal
+    return tuple(tuple(t[min(a, b)][max(a, b)] for b in range(len(t)))
+                 for a in range(len(t)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_PRODUCTS), _seeds, st.booleans())
+def test_step_tables_match_the_all_translations_reference(P, seed,
+                                                          commutative):
+    # up to each label's own bit, which every closure holds: the lattice
+    # translations, which `_steps` leaves out, add only that bit
+    rng = random.Random(seed)
+    A = random_operations(P, rng, rng.choice((0, 0.05, 0.2, 1.0)))
+    if commutative:
+        A = replace(A, oplus=_symmetric(A.oplus), odot=_symmetric(A.odot),
+                    _cache={})
+    A = shuffled(A, seed)
+    down, step = congruences._steps(A)
+    want_down, want_step = _reference_steps(A)
+    assert down == tuple(want_down)
+    assert [s | 1 << k for k, s in enumerate(step)] == \
+        [s | 1 << k for k, s in enumerate(want_step)]
+
+
+def test_congruence_join_rejects_a_partition_of_another_size():
+    # it used to read the first elements of a partition and pass over the
+    # rest: Congruence([0, 0]) gave the total congruence on L2+
+    A = ln_plus(2)
+    for parts in ([Congruence([0, 0])], [Congruence([0, 0, 1, 1])],
+                  [identity_congruence(3), Congruence([0, 1])]):
+        with pytest.raises(NotACongruence, match=r"^a partition of [24] "
+                           r"elements is no congruence of a 3-element "
+                           r"algebra$"):
+            congruence_join(A, parts)
+    assert not is_congruence(A, Congruence([0, 0]))
+    assert congruence_join(A, []) == identity_congruence(3)
 
 
 def test_json_is_chain_means_every_two_congruences_are_comparable(tmp_path):

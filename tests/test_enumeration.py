@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import json
@@ -14,7 +15,7 @@ from mvmlab import (Poset, canonical_key, chain_algebra, cn_delta, cn_nabla,
                     member_of_variety, parse, product, satisfies,
                     satisfies_quasi, si_members, si_necessary_condition)
 from mvmlab.terms import CANCELLATIVITY
-from mvmlab import enumeration
+from mvmlab import congruences, enumeration
 from mvmlab.algebra import (FiniteAlgebra, dual_table, max_table, min_table,
                             order_dual)
 from mvmlab.enumeration import (FILTERS, _dual_tables, _monoid_tables,
@@ -26,8 +27,10 @@ from conftest import random_chain_tables, random_operations, shuffled
 # the two connecting-axiom groups, written out for an independent check
 MIXED_ASSOC = [parse("(x + y) * ((x * y) + z) ≈ (x * (y + z)) + (y * z)"),
                parse("(x * y) + ((x + y) * z) ≈ (x + (y * z)) * (y + z)")]
-TRUNCATION = [parse("(x * y) + z ≈ ((x + y) * ((x * y) + z)) v z"),
-              parse("(x + y) * z ≈ ((x * y) + ((x + y) * z)) ^^ z")]
+# (C) and (D) with x, y written {a}, {b}
+_TRUNCATION_LAWS = ["({a} * {b}) + z ≈ (({a} + {b}) * (({a} * {b}) + z)) v z",
+                    "({a} + {b}) * z ≈ (({a} * {b}) + (({a} + {b}) * z)) ^^ z"]
+TRUNCATION = [parse(law.format(a="x", b="y")) for law in _TRUNCATION_LAWS]
 
 
 def test_counts_per_size():
@@ -513,6 +516,48 @@ def test_first_mixed_associativity_implies_the_second(diamond, which, tables,
         assert satisfies(A, MIXED_ASSOC[1]), (A.oplus, A.odot)
 
 
+def _monotone_unital_algebras(L):
+    # every pair of commutative monotone tables on L with units 0 and 1
+    return [FiniteAlgebra(L.size, L.zero, L.one, p, q, L.join, L.meet)
+            for p in _monotone_unital_tables(L.join, L.zero)
+            for q in _monotone_unital_tables(L.join, L.one)]
+
+
+@pytest.mark.parametrize("which, failing", [
+    (2, 0), (3, 0), (4, 12), (5, 970), ("diamond", 0)])
+def test_truncation_holds_at_sum_one_or_product_zero(diamond, which,
+                                                     failing):
+    # the truncation lemma in the `_pairs` docstring, checked by the term
+    # engine on every pair of commutative monotone tables with units 0 and
+    # 1, associative or not, distributive or not
+    L = diamond if which == "diamond" else ln_plus(which - 1)
+    laws = [parse(f"{premise} => {law.format(a='x', b='y')}")
+            for law in _TRUNCATION_LAWS
+            for premise in ("x + y ≈ 1", "x * y ≈ 0")]
+    algebras = _monotone_unital_algebras(L)
+    for A in algebras:
+        for law in laws:
+            assert satisfies(A, law), (A.oplus, A.odot, law)
+    assert sum(not satisfies(A, TRUNCATION) for A in algebras) == failing
+
+
+@pytest.mark.parametrize("which", [
+    2, 3, 4, pytest.param(5, marks=pytest.mark.slow), "diamond"])
+def test_truncation_reads_x_and_y_through_their_sum_and_product(diamond,
+                                                                which):
+    # the verdict of (C) and (D) at (x, y, z) is their verdict at every
+    # (x3, x4, z) with the same sum and product (opt in to the 5-chain with
+    # -m slow: about 8 s, for 5^5 assignments on 1764 algebras)
+    L = diamond if which == "diamond" else ln_plus(which - 1)
+    laws = [parse(f"x + y ≈ x3 + x4 & x * y ≈ x3 * x4 & "
+                  f"{law.format(a='x', b='y')} => "
+                  f"{law.format(a='x3', b='x4')}")
+            for law in _TRUNCATION_LAWS]
+    for A in _monotone_unital_algebras(L):
+        for law in laws:
+            assert satisfies(A, law), (A.oplus, A.odot, law)
+
+
 # ---------------------------------------------------------------------------
 # the mirrored census: odot tables as order duals, one verdict per mirror pair
 
@@ -545,6 +590,61 @@ def test_refined_filters_read_the_same_on_a_pair_and_its_mirror(n):
         assert (D.oplus, D.odot) == _mirror((p, q))
         for flt in FILTERS[1:]:
             assert _passes(A, flt) == _passes(D, flt), (flt, p, q)
+
+
+def _seeded_filter_runs(monkeypatch, enumerate_):
+    """(algebra, seeded step table, verdict) of each pair the "si" filter
+    runs on during enumerate_(), the step table as `_pairs` sets it from
+    the step tables of the pair's two tables."""
+    runs = []
+
+    def recorded(A, flt):
+        assert flt == "si"
+        steps = A._cache.get("steps")
+        kept = _passes(A, flt)
+        runs.append((A, steps, kept))
+        return kept
+
+    with monkeypatch.context() as m:
+        m.setattr(enumeration, "_passes", recorded)
+        enumerate_()
+    return runs
+
+
+def _check_seeded_filter_runs(runs):
+    for A, steps, kept in runs:
+        fresh = FiniteAlgebra(A.size, A.zero, A.one, A.oplus, A.odot, A.join,
+                              A.meet)
+        assert fresh._cache == {}
+        # up to each label's own bit, which every closure holds: `_steps`
+        # drops a + or * table equal to join or meet
+        down, step = congruences._steps(fresh)
+        assert steps[0] == down
+        assert [s | 1 << k for k, s in enumerate(steps[1])] == \
+            [s | 1 << k for k, s in enumerate(step)], (A.oplus, A.odot)
+        assert is_subdirectly_irreducible(fresh)[0] == kept, \
+            (A.oplus, A.odot)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_the_si_filter_reads_the_seeded_step_tables_on_chains(monkeypatch,
+                                                             n):
+    runs = _seeded_filter_runs(monkeypatch, lambda: enumerate_chain(n, "si"))
+    _check_seeded_filter_runs(runs)
+    assert sum(kept for *_, kept in runs) >= (n > 1)
+
+
+@pytest.mark.parametrize("which", ["diamond", "2x3", "2^3"])
+def test_the_si_filter_reads_the_seeded_step_tables_on_lattices(
+        monkeypatch, diamond, which):
+    two = ln_plus(1)
+    L = {"diamond": diamond, "2x3": product(two, ln_plus(2)),
+         "2^3": functools.reduce(product, [two] * 3)}[which]
+    monkeypatch.setenv("MVMLAB_CAP_ENUM_LATTICE", str(L.size))
+    runs = _seeded_filter_runs(monkeypatch,
+                               lambda: enumerate_on_lattice(L, "si"))
+    assert runs
+    _check_seeded_filter_runs(runs)
 
 
 @pytest.mark.parametrize("n, flt, classes", [

@@ -181,6 +181,20 @@ def test_digits_are_decimal_digits():
     assert parse("٣x") is scalar(3, var(0))  # any decimal digit, as int reads
 
 
+def test_numbers_longer_than_the_int_limit_are_syntax_errors():
+    # int() refuses more than 4300 digits under Python's default limit:
+    # such a number used to end in a ValueError
+    for text, digits, position in [("x" + "9" * 5000 + " ≈ x", 5000, 0),
+                                   ("x + " + "0" * 4300 + "2x", 4301, 4),
+                                   ("x^" + "1" * 4301, 4301, 2)]:
+        with pytest.raises(TermSyntaxError) as exc:
+            parse(text)
+        assert str(exc.value) == "a number has at most 4300 digits, got " \
+            f"{digits} (at position {position})"
+    assert parse("x" + "0" * 4299 + "3") is var(3)
+    assert parse("0" * 4299 + "2x") is scalar(2, var(0))
+
+
 def test_syntax_error_reports_position():
     with pytest.raises(TermSyntaxError) as exc:
         parse("x + $")
