@@ -15,11 +15,18 @@ from .congruences import (_congruence, _principal, _sort_key, is_congruence,
 from .errors import MalformedDocument, NotACongruence, UnknownName
 
 
+def _check_n(name, n):
+    # an (n+1)-element table holds the values at the 2-variable assignments
+    if n < 1:
+        raise MalformedDocument(f"{name} needs n >= 1")
+    check("ASSIGNMENTS", (n + 1) ** 2, "the number of assignments to 2 "
+          f"variables over the {n + 1} elements of {name}({n})")
+
+
 def ln_plus(n):
     """(n+1)-chain of i/n with truncated addition: i+j capped at n, i*j
     floored at 0 after subtracting n."""
-    if n < 1:
-        raise MalformedDocument("ln_plus needs n >= 1")
+    _check_n("ln_plus", n)
     size = n + 1
     oplus = [[min(i + j, n) for j in range(size)] for i in range(size)]
     odot = [[max(i + j - n, 0) for j in range(size)] for i in range(size)]
@@ -29,8 +36,7 @@ def ln_plus(n):
 def cn_delta(n):
     """(n+1)-chain 0 < e < 2e < ... < (n-1)e < 1 of infinitesimal multiples:
     ie+je = min(i+j, n-1)e, ie*je = 0, and 1 is the *-unit / +-absorber."""
-    if n < 1:
-        raise MalformedDocument("cn_delta needs n >= 1")
+    _check_n("cn_delta", n)
     size = n + 1
     top = n
 
@@ -54,15 +60,13 @@ def cn_delta(n):
 def cn_nabla(n):
     """Order dual of cn_delta: chain 0 < d^(n-1) < ... < d^2 < d < 1 of
     infinitesimal co-multiples; element i (1 <= i <= n-1) is d^(n-i)."""
-    if n < 1:
-        raise MalformedDocument("cn_nabla needs n >= 1")
+    _check_n("cn_nabla", n)
     return order_dual(cn_delta(n)).rename(f"C{n}n")
 
 
 def lm_delta(n):
     """(n+1)-chain with oplus = join and x*y = 0 unless one argument is 1."""
-    if n < 1:
-        raise MalformedDocument("lm_delta needs n >= 1")
+    _check_n("lm_delta", n)
     size = n + 1
 
     def mul(i, j):
@@ -79,8 +83,7 @@ def lm_delta(n):
 
 def lm_nabla(n):
     """Order dual of lm_delta: odot = meet, x+y = 1 unless one side is 0."""
-    if n < 1:
-        raise MalformedDocument("lm_nabla needs n >= 1")
+    _check_n("lm_nabla", n)
     return order_dual(lm_delta(n)).rename(f"LM{n}n")
 
 

@@ -5,15 +5,15 @@ One pipeline serves both.  `_monoid_tables` lists the commutative monoid tables
 that distribute over join and meet (the additive ones, and the multiplicative
 ones as the additive ones of the order dual); `_pairs` searches, for each
 additive table, the prefix tree of the multiplicative ones for those meeting
-the connecting axioms, checking each axiom instance as soon as the cells it
-reads are known (finite model search in the style of SEM and Mace4; of the two
-mixed-associativity laws only the first, which implies the second, and the
-truncation laws once per cell), and runs the filter on each pair it finds.
-On the chain, reversing the order and swapping oplus with odot maps the
-passing pairs onto themselves, so the multiplicative tables are the order
-duals of the additive ones, and of a pair and its mirror image only one is
-walked and filtered, the other recorded from it with the same verdict (the
-usual symmetry breaking of finite model search).
+the connecting axioms, checking each axiom instance at a depth fixed before the
+walk, where every cell it reads is known (finite model search in the style of
+SEM and Mace4; of the two mixed-associativity laws only the first, which
+implies the second, and the truncation laws once per cell), and runs the filter
+on each pair it finds.  On the chain, reversing the order and swapping oplus
+with odot maps the passing pairs onto themselves, so the multiplicative tables
+are the order duals of the additive ones, and of a pair and its mirror image
+only one is walked and filtered, the other recorded from it with the same
+verdict (the usual symmetry breaking of finite model search).
 Chains are rigid, so distinct chain tables are distinct isomorphism classes;
 lattice outputs are deduplicated by canonical key.
 """
@@ -157,6 +157,30 @@ def _dual_tables(tables, delta):
     return [duals[k] for k in rank], rank
 
 
+def _schedule(order, flt):
+    """The odot cells in the order the walk of `_pairs` fills them, the depth
+    from which each cell i*n+j is known, and by the depth they enter at (see
+    the schedule lemma there) the truncation cells and the (A) instances."""
+    n = len(order)
+    cells = _inner_cells(order[::-1])
+    depth = [0] * (n * n)
+    for d, (i, j) in enumerate(cells, 1):
+        depth[i * n + j] = depth[j * n + i] = d
+    truncation = [[] for _ in range(len(cells) + 1)]
+    enter = [[] for _ in range(len(cells) + 1)]
+    if flt != "all":  # {m, j} at the end of pass m
+        for m, j in cells:
+            truncation[depth[m * n + order[1]]].append(m * n + j)
+    for y in order[1:-1]:  # (A) as (x*n+y, y*n+z, x*n, z)
+        for x in order[1:]:  # x != 0 and z != 1
+            mn = max(x, y, key=order.index) * n
+            for z in order[:-1]:
+                a, c = x * n + y, y * n + z
+                at = depth[mn + (z if z != order[0] else order[1])]
+                enter[max(depth[a], depth[c], at)].append((a, c, x * n, z))
+    return cells, depth, truncation, enter
+
+
 def _pairs(join, meet, zero, one, order, flt, delta=None):
     """The (oplus, odot, kept) triples on the lattice, in lexicographic
     order of the pairs: the pairs of monoid tables satisfying the two
@@ -183,25 +207,41 @@ def _pairs(join, meet, zero, one, order, flt, delta=None):
     and s*z = (s*z) ^ z, true as s*z <= z; at s = 1 they read t+z =
     (t+z) v z and z = (t+z) ^ z, true as z <= t+z.  With x in {0, 1} one
     of the two holds, and (C) and (D) are symmetric in x and y, so for each
-    additive table p they are one check per cell (x, y), x <= y both strictly
-    between 0 and 1, with s = p(x,y) not 1: it loops over z at the depth
-    where the cell (x,y) and row s of the odot table are both known, and
-    passes at once when t = 0.
+    additive table p they are one check per cell {x, y}, x and y both
+    strictly between 0 and 1: it loops over z once row s of odot is known
+    (see the schedule lemma), and passes at once when s = 1 or t = 0.
 
     For each additive table p the multiplicative tables are walked as a
-    prefix tree over the cells in the order `_monoid_tables` fills them.  An
-    instance (x, y, z) of (A) is checked at the first node where every odot
-    cell it reads is known, so a failing prefix is cut once for all the
-    tables below it.  Its cells (x,y) and (y,z) fix the node it enters at;
-    the other cells it reads depend on p and on values of q, and when one is
-    not yet known the instance waits in `pending` at that cell's depth.
-    Instances that the unit and absorption laws decide for every pair of
-    monotone monoid tables are not listed: all those with y in {0, 1} or
-    x = 0 or z = 1.  An instance that cuts a node moves to the front of the
-    instances entering at that depth, so the next table tries it first;
-    every instance is still checked on every path that passes, so the hits
-    do not depend on that order.  The truncation checks of a node run
-    before its (A) instances, in the order of their cells.
+    prefix tree over the cells in the order `_monoid_tables` fills them.
+    Each check enters at a depth, fixed by `_schedule` from `order` alone,
+    where every odot cell it reads is known (cells off the current path
+    hold a sibling branch's values), so a failing prefix is cut once for all
+    the tables below it.  Instances of (A) with y in {0, 1}, x = 0 or z = 1
+    hold by the unit and absorption laws and are not listed.  A node runs
+    its truncation checks, in the order of their cells, then its (A)
+    instances; one that cuts moves to the front of its depth's list, so the
+    next table tries it first (the hits do not depend on that order).
+
+    Fill order: pass r, one per inner element r, later elements of `order`
+    first, fills {r, j} for each inner j at or before r, j going down; cells
+    with 0 or 1 are known from the start.  So {a, b} is known no later than
+    {a', b'} when a, b come at or after a', b', neither 0: the later of a
+    and b comes at or after the later of a' and b', in an earlier pass if
+    after; if both are r, the earlier of a and b comes at or after the
+    earlier of a' and b', so {a, b} comes no later in pass r.
+
+    Schedule lemma: let + and * be monotone, with units 0 and 1, and `order`
+    a linear extension with the bottom first (as `_monoid_tables` requires).
+    For x, y not 0 let m be the later of x and y, z' = z, or order[1] when
+    z = 0, s = x+y, t = x*y, u = y+z and w = t+z.  Then (A) at (x, y, z),
+    which reads odot at {x,y}, {y,z}, {x,u} and {s,w}, can be checked once
+    {x,y}, {y,z} and {m,z'} are known, and, for x and y inner, (C) and (D),
+    which read {x,y} and row s, once pass m ends, at {m, order[1]}.  Proof:
+    s >= x, y, u >= y and w >= z, and a larger element comes no earlier, so
+    s is m or later and {x,u} is known no later than {x,y}.  For z = 0,
+    w = t is 0 or at or after order[1]; either way {s,w} is known no later
+    than {m,z'}.  Row s: {s,0} is known from the start, and every other
+    {s,z}, like {x,y}, no later than {m, order[1]}, the last cell of pass m.
 
     The "si" filter reads the step table of Con(A) (see `congruences`), the
     OR of one per table, so each table's is found once per call and the two
@@ -211,19 +251,19 @@ def _pairs(join, meet, zero, one, order, flt, delta=None):
     definition is self-dual: t -> t^delta maps the additive tables onto the
     multiplicative ones, which are built that way, and sigma(p, q) =
     (q^delta, p^delta) is a bijection between the pairs of monoid tables that
-    swaps (A) with (B) and (C) with (D).  A walked pair passes (A), so by the
-    lemma it passes (B), so its image passes (A): a pair passes exactly when
-    its image does.  With rank(q) the index of q^delta among the additive
-    tables, the walk for the i-th additive table p_i enters no subtree whose
-    tables all rank below i, and a hit (p_i, q) with rank(q) = j > i yields
-    the hit (p_j, p_i^delta) as well; each pair passes through the walk once,
-    as itself or as its image, and every instance is still checked on the
-    pairs walked.  The filter runs on the walked pair only and its verdict is
-    recorded for the image: the image's algebra is the order dual of the
-    walked one A carried along delta, isomorphic to `order_dual(A)`, with A's
-    congruences carried by delta, so one is subdirectly irreducible exactly
-    when the other is; cancellativity and `si_necessary_condition` are
-    self-dual, so they read the same on both.
+    swaps (A) with (B) and (C) with (D).  A walked pair passes (A), so (B), so
+    its image passes (A): a pair passes exactly when its image does.  With
+    rank(q) the index of q^delta among the additive tables, the walk for the
+    i-th additive table p_i enters no subtree whose tables all rank below i,
+    and a hit (p_i, q) with rank(q) = j > i yields the hit (p_j, p_i^delta)
+    as well; each pair passes through the walk once, as itself or as its
+    image, and every instance is still checked on the pairs walked.  The
+    filter runs on the walked pair only and its verdict is recorded for the
+    image: the image's algebra is the order dual of the walked one A carried
+    along delta, isomorphic to `order_dual(A)`, with A's congruences carried
+    by delta, so one is subdirectly irreducible exactly when the other is;
+    cancellativity and `si_necessary_condition` are self-dual, so they read
+    the same on both.
     """
     n = len(order)
     adds = _monoid_tables(join, meet, zero, order)
@@ -233,75 +273,40 @@ def _pairs(join, meet, zero, one, order, flt, delta=None):
     else:
         muls, rank = _dual_tables(adds, delta)
         dual_of = sorted(range(len(muls)), key=rank.__getitem__)
-    cells = _inner_cells(order[::-1])
+    cells, _, truncation, enter = _schedule(order, flt)
     tree = _prefix_tree(muls, cells, rank)
-    depth = [0] * (n * n)  # cell i*n+j is known from this depth on
-    flat = []
-    for d, (i, j) in enumerate(cells, 1):
-        depth[i * n + j] = depth[j * n + i] = d
-        flat.append((i * n + j, j * n + i))
+    flat = [(i * n + j, j * n + i) for i, j in cells]
     last = len(cells)
-    # row s of odot is known from this depth on
-    row_depth = [max(depth[s * n:s * n + n]) for s in range(n)]
-    # (A) instances (x*n+y, y*n+z, x*n, z) by the depth where the cells
-    # (x,y) and (y,z) are known
-    enter = [[] for _ in range(last + 1)]
-    pending = [[] for _ in range(last + 1)]
-    for y in order[1:-1]:
-        for x in order[1:]:  # x != 0 and z != 1
-            for z in order[:-1]:
-                a, c = x * n + y, y * n + z
-                enter[max(depth[a], depth[c])].append((a, c, x * n, z))
-    # odot as flat lists q[i*n+j], with qn = n*q; the inner cells are
-    # overwritten along the walk
+    # odot as flat lists q[i*n+j] and qn = n*q, inner cells set by the walk
     q = [v for row in muls[0] for v in row]
     qn = [v * n for v in q]
 
     def walk(node, d):
-        # p, pn = n*p, truncation and hits are those of the current
-        # additive table
-        for a, sn in truncation[d]:  # (C) and (D) at (x, y, z) for each z
-            t = q[a]
-            if t != zero:
-                tn = t * n
+        # p, pn = n*p and hits are those of the current additive table
+        for a in truncation[d]:  # (C) and (D) at (x, y, z) for each z
+            s, t = p[a], q[a]
+            if s != one and t != zero:
+                sn, tn = s * n, t * n
                 for z in order:
                     v, w = p[tn + z], q[sn + z]
                     if join[q[sn + v]][z] != v or meet[p[tn + w]][z] != w:
                         return
-        waiting = []
-        for items in (enter[d], pending[d]):
-            for item in items:  # q[pxy][p[qxy][z]] == p[q[x][pyz]][qyz]
-                a, c, xn, z = item
-                b = xn + p[c]
-                at = depth[b]
-                if at <= d:
-                    k = pn[a] + p[qn[a] + z]
-                    at = depth[k]
-                    if at <= d:
-                        if q[k] != p[qn[b] + q[c]]:
-                            break
-                        continue
-                pending[at].append(item)
-                waiting.append(at)
-            else:
-                continue
-            if items is enter[d]:  # fail first on the next table
-                items.remove(item)
+        items = enter[d]
+        for item in items:  # q[pxy][p[qxy][z]] == p[q[x][pyz]][qyz]
+            a, c, xn, z = item
+            if q[pn[a] + p[qn[a] + z]] != p[qn[xn + p[c]] + q[c]]:
+                items.remove(item)  # fail first on the next table
                 items.insert(0, item)
-            break
-        else:
-            if d == last:
-                hits.append(node)
-            else:
-                k1, k2 = flat[d]
-                for v, child, top in node:
-                    if top < floor:
-                        continue
-                    q[k1] = q[k2] = v
-                    qn[k1] = qn[k2] = v * n
-                    walk(child, d + 1)
-        for at in waiting:
-            pending[at].pop()
+                return
+        if d == last:
+            hits.append(node)
+            return
+        k1, k2 = flat[d]
+        for v, child, top in node:
+            if top >= floor:
+                q[k1] = q[k2] = v
+                qn[k1] = qn[k2] = v * n
+                walk(child, d + 1)
 
     mul_steps = {}  # odot index -> its step table, for the "si" filter
     # mirrored[j]: odot index -> the verdict on the mirror pair, for p_j
@@ -310,12 +315,6 @@ def _pairs(join, meet, zero, one, order, flt, delta=None):
         floor = 0 if delta is None else i
         p = [v for row in t for v in row]
         pn = [v * n for v in p]
-        truncation = [[] for _ in range(last + 1)]
-        if flt != "all":
-            for d, (a, _) in enumerate(flat, 1):
-                s = p[a]
-                if s != one:
-                    truncation[max(d, row_depth[s])].append((a, s * n))
         hits = []
         walk(tree, 0)
         known = mirrored[i]

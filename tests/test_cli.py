@@ -269,6 +269,23 @@ def test_check_eq_caps_the_assignments(algebra_file, eq):
         f"{2 ** 24} (MVMLAB_CAP_ASSIGNMENTS)\n"
 
 
+@pytest.mark.parametrize("name", ["ln_plus", "cn_delta", "cn_nabla",
+                                  "lm_delta", "lm_nabla"])
+def test_construct_caps_the_table_size(name):
+    # n = 100000 makes about 10**10 table cells, which used to end in a
+    # MemoryError traceback from the table builder
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+    env.pop("MVMLAB_CAP_ASSIGNMENTS", None)
+    done = subprocess.run([sys.executable, "-m", "mvmlab", "construct", name,
+                           "--n", "100000"],
+                          capture_output=True, text=True, env=env, timeout=10)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == "error: the number of assignments to 2 " \
+        f"variables over the 100001 elements of {name}(100000) is " \
+        f"{100001 ** 2}, above the cap {2 ** 24} (MVMLAB_CAP_ASSIGNMENTS)\n"
+
+
 def test_python_dash_m_runs_the_command_line(algebra_file):
     # `python -m mvmlab` in a source checkout, as the installed `mvmlab`
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")

@@ -55,8 +55,27 @@ def test_degenerate_chains():
 
 def test_invalid_parameters():
     for build in (ln_plus, cn_delta, cn_nabla, lm_delta, lm_nabla):
-        with pytest.raises(MalformedDocument):
+        with pytest.raises(MalformedDocument,
+                           match=rf"^{build.__name__} needs n >= 1$"):
             build(0)
+
+
+def test_parametric_tables_are_capped_before_they_are_built(monkeypatch):
+    # (n+1)**2 cells, the 2-variable assignments: n <= 4095 by default
+    monkeypatch.delenv("MVMLAB_CAP_ASSIGNMENTS", raising=False)
+    for build in (ln_plus, cn_delta, cn_nabla, lm_delta, lm_nabla):
+        name = build.__name__
+        with pytest.raises(CapExceeded, match=rf"^the number of assignments "
+                           rf"to 2 variables over the 4097 elements of "
+                           rf"{name}\(4096\) is 16785409, above the cap "
+                           rf"16777216 \(MVMLAB_CAP_ASSIGNMENTS\)$"):
+            build(4096)
+        with pytest.raises(CapExceeded):
+            build(10 ** 100)
+    monkeypatch.setenv("MVMLAB_CAP_ASSIGNMENTS", "16")
+    assert ln_plus(3).size == 4
+    with pytest.raises(CapExceeded):
+        lm_nabla(4)
 
 
 def test_catalog_names_and_aliases():

@@ -19,7 +19,7 @@ from mvmlab import congruences, enumeration
 from mvmlab.algebra import (FiniteAlgebra, dual_table, max_table, min_table,
                             order_dual)
 from mvmlab.enumeration import (FILTERS, _dual_tables, _monoid_tables,
-                                _pairs, _passes)
+                                _pairs, _passes, _schedule)
 from mvmlab.errors import CapExceeded
 
 from conftest import random_chain_tables, random_operations, shuffled
@@ -674,3 +674,128 @@ def test_the_filter_runs_once_per_mirror_class(monkeypatch, n, flt, classes):
     # and every verdict, run or recorded, is the filter's own
     assert [(A.oplus, A.odot) for A in out] == \
         [pq for pq in pairs if _passes(chain_algebra(n, *pq), flt)]
+
+
+# ---------------------------------------------------------------------------
+# the walk's fixed schedule, on every linear extension of the lattice order
+
+_SMALL_LATTICES = {
+    "2x3": lambda: product(ln_plus(1), ln_plus(2)),
+    "2^3": lambda: functools.reduce(product, [ln_plus(1)] * 3),
+    "3x3": lambda: product(ln_plus(2), ln_plus(2)),
+}
+
+
+def _linear_extensions(L):
+    # every order with the bottom first and the top last that puts each
+    # element after the ones below it
+    inner = [v for v in range(L.size) if v not in (L.zero, L.one)]
+    for perm in itertools.permutations(inner):
+        if not any(L.join[b][a] == a
+                   for a, b in itertools.combinations(perm, 2)):
+            yield [L.zero, *perm, L.one]
+
+
+def _schedule_cases(diamond):
+    # (join, meet, zero, one, order) of the 2- to 6-chains, and of the
+    # diamond, 2x3 and 2^3 with every linear extension
+    for n in range(2, 7):
+        yield _chain_args(n)
+    for L in (diamond, _SMALL_LATTICES["2x3"](), _SMALL_LATTICES["2^3"]()):
+        for order in _linear_extensions(L):
+            yield L.join, L.meet, L.zero, L.one, order
+
+
+def test_linear_extensions_are_counted_right(diamond):
+    assert [len(list(_linear_extensions(L))) for L in
+            (diamond, *(make() for make in _SMALL_LATTICES.values()))] == \
+        [2, 5, 48, 42]
+
+
+def test_every_check_enters_once_all_the_cells_it_reads_are_known(diamond):
+    # the schedule lemma of `_pairs`, on every pair of monoid tables: odot
+    # cells off the current path hold a sibling branch's values, so a check
+    # entering before a cell it reads is known would read a stale value
+    for join, meet, zero, one, order in _schedule_cases(diamond):
+        n = len(order)
+        inner = order[1:-1]
+        cells, depth, truncation, enter = _schedule(order, "si")
+        # the fill order: pass r, later elements first, fills {r, j} for
+        # the inner j up to r, j going down; 0 and 1 are known at once
+        assert cells == [(r, j) for k, r in enumerate(inner[::-1])
+                         for j in inner[::-1][k:]]
+        assert depth == [0 if {i, j} & {zero, one} else
+                         cells.index((max(i, j, key=order.index),
+                                      min(i, j, key=order.index))) + 1
+                         for i in range(n) for j in range(n)]
+        # every check is listed once: a truncation check per inner cell
+        # unless the filter is "all", an (A) instance per (x, y, z) with
+        # x != 0, y strictly inside and z != 1
+        assert sorted(a for at in truncation for a in at) == \
+            sorted(i * n + j for i, j in cells)
+        assert not any(_schedule(order, "all")[2])
+        assert sorted(item for at in enter for item in at) == \
+            sorted((x * n + y, y * n + z, x * n, z) for y in inner
+                   for x in order[1:] for z in order[:-1])
+        adds = _monoid_tables(join, meet, zero, order)
+        muls = _monoid_tables(meet, join, one, order[::-1])
+        for p in adds:
+            for q in muls:
+                for d, items in enumerate(enter):
+                    for a, _, _, z in items:
+                        # (x + y) * ((x * y) + z) = (x * (y + z)) + (y * z)
+                        x, y = divmod(a, n)
+                        s, t = p[x][y], q[x][y]
+                        reads = [(x, y), (s, p[t][z]), (x, p[y][z]), (y, z)]
+                        assert max(depth[i * n + j] for i, j in reads) <= d
+                for d, at in enumerate(truncation):
+                    for a in at:
+                        # (C) and (D) read {x, y} and row x + y of odot
+                        s = p[a // n][a % n]
+                        assert max(depth[a], *depth[s * n:s * n + n]) <= d
+
+
+def _order_free(generate):
+    # `_monoid_tables` lists the same tables on every linear extension
+    # (tested below), so one run per lattice serves all of them
+    runs = {}
+
+    def cached(join, meet, unit, order):
+        key = (str(join), str(meet), unit)
+        if key not in runs:
+            runs[key] = generate(join, meet, unit, order)
+        return runs[key]
+
+    return cached
+
+
+@pytest.mark.parametrize("which", ["2x3", "2^3", "3x3"])
+def test_pairs_do_not_depend_on_the_linear_extension(monkeypatch, which):
+    L = _SMALL_LATTICES[which]()
+    orders = list(_linear_extensions(L))
+    monkeypatch.setattr(enumeration, "_monoid_tables",
+                        _order_free(_monoid_tables))
+    args = (L.join, L.meet, L.zero, L.one, orders[0])
+    relaxed = _reference_pairs(*args, "all")
+    full = [(p, q) for p, q in relaxed
+            if _truncation_ok(L.size, L.join, L.meet, p, q)]
+    for flt in FILTERS:
+        want = sorted(_judged(args, relaxed if flt == "all" else full, flt))
+        for order in orders:
+            got = _pairs(L.join, L.meet, L.zero, L.one, order, flt)
+            assert sorted(got) == want, (flt, order)
+
+
+@pytest.mark.parametrize("which", [
+    "2x3", "2^3", pytest.param("3x3", marks=pytest.mark.slow)])
+def test_monoid_tables_do_not_depend_on_the_linear_extension(which):
+    # opt in with -m slow for 3x3: about 0.6 s per call there, so every
+    # seventh extension
+    L = _SMALL_LATTICES[which]()
+    orders = list(_linear_extensions(L))[::7 if which == "3x3" else 1]
+    adds = _monoid_tables(L.join, L.meet, L.zero, orders[0])
+    muls = _monoid_tables(L.meet, L.join, L.one, orders[0][::-1])
+    for order in orders[1:]:
+        assert _monoid_tables(L.join, L.meet, L.zero, order) == adds, order
+        assert _monoid_tables(L.meet, L.join, L.one, order[::-1]) == muls, \
+            order
