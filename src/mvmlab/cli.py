@@ -41,13 +41,15 @@ def _registry():
         reg.setdefault(algebra.canonical_key(A), A.name)
 
     put(algebra.trivial_algebra())
+    # fixed tables, so built uncapped: a lowered cap bounds what a command
+    # is asked to build, not the names it prints
     for n in range(1, 9):
-        put(constructions.ln_plus(n))
+        put(constructions._ln_plus(n))
     for n in range(2, 8):
-        put(constructions.cn_delta(n))
-        put(constructions.cn_nabla(n))
-        put(constructions.lm_delta(n))
-        put(constructions.lm_nabla(n))
+        put(constructions._cn_delta(n))
+        put(constructions._cn_nabla(n))
+        put(constructions._lm_delta(n))
+        put(constructions._lm_nabla(n))
     for name in constructions.catalog_names():
         put(constructions.catalog(name))
     return reg

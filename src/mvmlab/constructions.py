@@ -23,20 +23,18 @@ def _check_n(name, n):
           f"variables over the {n + 1} elements of {name}({n})")
 
 
-def ln_plus(n):
-    """(n+1)-chain of i/n with truncated addition: i+j capped at n, i*j
-    floored at 0 after subtracting n."""
-    _check_n("ln_plus", n)
+# The families below are built by private, uncapped builders: the public
+# constructors check n first, while the catalogue and the CLI's names build
+# their fixed small tables directly, whatever the caps.
+
+def _ln_plus(n):
     size = n + 1
     oplus = [[min(i + j, n) for j in range(size)] for i in range(size)]
     odot = [[max(i + j - n, 0) for j in range(size)] for i in range(size)]
     return chain_algebra(size, oplus, odot, name=f"L{n}+")
 
 
-def cn_delta(n):
-    """(n+1)-chain 0 < e < 2e < ... < (n-1)e < 1 of infinitesimal multiples:
-    ie+je = min(i+j, n-1)e, ie*je = 0, and 1 is the *-unit / +-absorber."""
-    _check_n("cn_delta", n)
+def _cn_delta(n):
     size = n + 1
     top = n
 
@@ -57,16 +55,11 @@ def cn_delta(n):
     return chain_algebra(size, oplus, odot, name=f"C{n}d")
 
 
-def cn_nabla(n):
-    """Order dual of cn_delta: chain 0 < d^(n-1) < ... < d^2 < d < 1 of
-    infinitesimal co-multiples; element i (1 <= i <= n-1) is d^(n-i)."""
-    _check_n("cn_nabla", n)
-    return order_dual(cn_delta(n)).rename(f"C{n}n")
+def _cn_nabla(n):
+    return order_dual(_cn_delta(n)).rename(f"C{n}n")
 
 
-def lm_delta(n):
-    """(n+1)-chain with oplus = join and x*y = 0 unless one argument is 1."""
-    _check_n("lm_delta", n)
+def _lm_delta(n):
     size = n + 1
 
     def mul(i, j):
@@ -81,10 +74,41 @@ def lm_delta(n):
     return chain_algebra(size, oplus, odot, name=f"LM{n}d")
 
 
+def _lm_nabla(n):
+    return order_dual(_lm_delta(n)).rename(f"LM{n}n")
+
+
+def ln_plus(n):
+    """(n+1)-chain of i/n with truncated addition: i+j capped at n, i*j
+    floored at 0 after subtracting n."""
+    _check_n("ln_plus", n)
+    return _ln_plus(n)
+
+
+def cn_delta(n):
+    """(n+1)-chain 0 < e < 2e < ... < (n-1)e < 1 of infinitesimal multiples:
+    ie+je = min(i+j, n-1)e, ie*je = 0, and 1 is the *-unit / +-absorber."""
+    _check_n("cn_delta", n)
+    return _cn_delta(n)
+
+
+def cn_nabla(n):
+    """Order dual of cn_delta: chain 0 < d^(n-1) < ... < d^2 < d < 1 of
+    infinitesimal co-multiples; element i (1 <= i <= n-1) is d^(n-i)."""
+    _check_n("cn_nabla", n)
+    return _cn_nabla(n)
+
+
+def lm_delta(n):
+    """(n+1)-chain with oplus = join and x*y = 0 unless one argument is 1."""
+    _check_n("lm_delta", n)
+    return _lm_delta(n)
+
+
 def lm_nabla(n):
     """Order dual of lm_delta: odot = meet, x+y = 1 unless one side is 0."""
     _check_n("lm_nabla", n)
-    return order_dual(lm_delta(n)).rename(f"LM{n}n")
+    return _lm_nabla(n)
 
 
 def _four_chain(name, bb_p, ab_p, aa_p, bb_t, ab_t, aa_t):
@@ -105,9 +129,9 @@ def _catalog_builders():
     b, a, one, zero = 1, 2, 3, 0
     return {
         # 3-element algebras
-        "L2+": lambda: ln_plus(2),
-        "C2d": lambda: cn_delta(2),
-        "C2n": lambda: cn_nabla(2),
+        "L2+": lambda: _ln_plus(2),
+        "C2d": lambda: _cn_delta(2),
+        "C2n": lambda: _cn_nabla(2),
         "L2": lambda: chain_algebra(
             3, [[max(i, j) for j in range(3)] for i in range(3)],
             [[min(i, j) for j in range(3)] for i in range(3)], name="L2"),
@@ -116,12 +140,12 @@ def _catalog_builders():
         "A3n": lambda: order_dual(catalog("A3d")),
         "B3d": lambda: _four_chain("B3d", b, a, one, zero, zero, b),
         "B3n": lambda: order_dual(catalog("B3d")),
-        "L3+": lambda: ln_plus(3),
-        "C3d": lambda: cn_delta(3),
-        "C3n": lambda: cn_nabla(3),
-        "LM3d": lambda: lm_delta(3),
-        "LM3n": lambda: lm_nabla(3),
-        "L1+": lambda: ln_plus(1),
+        "L3+": lambda: _ln_plus(3),
+        "C3d": lambda: _cn_delta(3),
+        "C3n": lambda: _cn_nabla(3),
+        "LM3d": lambda: _lm_delta(3),
+        "LM3n": lambda: _lm_nabla(3),
+        "L1+": lambda: _ln_plus(1),
         "trivial": trivial_algebra,
     }
 

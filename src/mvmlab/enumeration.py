@@ -1,19 +1,24 @@
 """Exhaustive enumeration of MV-monoids over a fixed bounded distributive
 lattice: the n-element chain, or any small lattice.
 
-One pipeline serves both.  `_monoid_tables` lists the commutative monoid tables
-that distribute over join and meet (the additive ones, and the multiplicative
-ones as the additive ones of the order dual); `_pairs` searches, for each
-additive table, the prefix tree of the multiplicative ones for those meeting
-the connecting axioms, checking each axiom instance at a depth fixed before the
-walk, where every cell it reads is known (finite model search in the style of
-SEM and Mace4; of the two mixed-associativity laws only the first, which
-implies the second, and the truncation laws once per cell), and runs the filter
-on each pair it finds.  On the chain, reversing the order and swapping oplus
-with odot maps the passing pairs onto themselves, so the multiplicative tables
-are the order duals of the additive ones, and of a pair and its mirror image
-only one is walked and filtered, the other recorded from it with the same
-verdict (the usual symmetry breaking of finite model search).
+One pipeline serves both, and one search discipline (finite model search in
+the style of SEM and Mace4): the cells of a table are filled in the order of
+`_fill_order`, and each axiom instance is checked at a depth fixed before the
+search, where every cell it reads is known, so a failing prefix is cut once
+for all the tables below it.  `_monoid_tables` lists the commutative monoid
+tables that distribute over join and meet (the additive ones, and the
+multiplicative ones as the additive ones of the order dual), each cell
+taking the values between the join of its arguments and the meet of the
+cells above it, with associativity and distributivity checked during the
+fill; `_pairs` searches, for each additive table, the prefix tree of the
+multiplicative ones for those meeting the connecting axioms (of the two
+mixed-associativity laws only the first, which implies the second, and the
+truncation laws once per cell), and runs the filter on each pair it finds.
+On the chain, reversing the order and swapping oplus with odot maps the
+passing pairs onto themselves, so the multiplicative tables are the order
+duals of the additive ones, and of a pair and its mirror image only one is
+walked and filtered, the other recorded from it with the same verdict (the
+usual symmetry breaking of finite model search).
 Chains are rigid, so distinct chain tables are distinct isomorphism classes;
 lattice outputs are deduplicated by canonical key.
 """
@@ -52,12 +57,52 @@ def _passes(A, flt):
     return True
 
 
-def _inner_cells(order):
-    """The cells (i, j), i before j in `order`, of the elements strictly
-    between its first and last, row-major: the cells `_monoid_tables`
-    searches, in its order."""
+def _fill_order(order):
+    """The inner cells (i, j), i and j strictly between the first and the
+    last of `order`, in the order the searches of `_monoid_tables` and
+    `_pairs` fill them, and the depth from which each cell i*n+j is known:
+    0 for the cells of the first or the last element, known from the start.
+
+    Pass r, one per inner element r, later elements of `order` first, fills
+    {r, j} for each inner j at or before r, j going down.  Lemma: {a, b} is
+    known no later than {a', b'} when a, b come at or after a', b', neither
+    first.  Proof: the later of a and b comes at or after the later of a'
+    and b', in an earlier pass if after, or it is the last element; if both
+    are r, the earlier of a and b comes at or after the earlier of a' and
+    b', so {a, b} comes no later in pass r.
+    """
+    n = len(order)
+    inner = order[-2:0:-1]
+    cells = [(i, j) for k, i in enumerate(inner) for j in inner[k:]]
+    depth = [0] * (n * n)
+    for d, (i, j) in enumerate(cells, 1):
+        depth[i * n + j] = depth[j * n + i] = d
+    return cells, depth
+
+
+def _table_schedule(join, meet, order):
+    """The cells in the order `_monoid_tables` fills them, the depth from
+    which each cell i*n+j is known, and by the depth they enter at (see the
+    entry lemma there) the associativity instances (a*n+b, b*n+c, a*n, c)
+    and the distributivity instances (a*n+b, a*n+c, a*n+(b v c),
+    a*n+(b ^ c))."""
+    n = len(order)
+    pos = {v: k for k, v in enumerate(order)}
+    cells, depth = _fill_order(order)
     inner = order[1:-1]
-    return [(i, j) for k, i in enumerate(inner) for j in inner[k:]]
+    assoc = [[] for _ in range(len(cells) + 1)]
+    dist = [[] for _ in range(len(cells) + 1)]
+    for a in inner:
+        an = a * n
+        for b in inner:
+            for c in inner:
+                if pos[a] <= pos[c]:
+                    ab, bc = an + b, b * n + c
+                    assoc[max(depth[ab], depth[bc])].append((ab, bc, an, c))
+                if b < c and join[b][c] not in (b, c):  # b, c incomparable
+                    reads = (an + b, an + c, an + join[b][c], an + meet[b][c])
+                    dist[max(map(depth.__getitem__, reads))].append(reads)
+    return cells, depth, assoc, dist
 
 
 def _monoid_tables(join, meet, unit, order):
@@ -66,64 +111,85 @@ def _monoid_tables(join, meet, unit, order):
 
     `order` is a linear extension of the lattice order starting at `unit`
     (the bottom).  Monotonicity and the unit force t(i,j) >= i v j and make
-    the top absorbing, so only the cells (i,j) with i, j strictly between
-    bottom and top are searched, row-major in `order`.  A cell takes the
-    elements above i v j joined with the filled cells t(i',j), t(i,j') at
-    the lower covers i' of i and j' of j; on a chain that bound is
-    max(j, t(i,j-1), t(i-1,j)).  Distributivity over comparable elements is
-    monotonicity, so the leaves check it on incomparable pairs only, along
-    with associativity.  Multiplicative tables are the additive ones of the
-    order dual: call with (meet, join, one, reversed order).
+    the top absorbing, so only the inner cells (i,j), i and j strictly
+    between bottom and top, are searched, in the order of `_fill_order`:
+    pass r, one per inner element r, later elements first, fills (r, j) for
+    each inner j at or before r, j going down.  Multiplicative tables are
+    the additive ones of the order dual: call with (meet, join, one,
+    reversed order).
+
+    Candidates: a cell (i,j) takes the v with i v j <= v <= the meet of the
+    filled cells t(u,j), t(i,u') at the upper covers u of i and u' of j; on
+    a chain, max(i, j) <= v <= min(t(i+1,j), t(i,j+1)).  Each such cell
+    comes before (i,j): u comes after i, so by the fill-order lemma {u, j}
+    is known no later than {i, j}, and it is another cell (when u is the
+    top it is the top, known at once).  So each cover step of monotonicity
+    between inner cells is checked once, when its lower cell is filled, and
+    the bound i v j = t(i,0) v t(0,j) is the step from the unit's row: the
+    complete tables are exactly the monotone ones.
+
+    The other laws are checked during the fill, each instance at a depth
+    that `_table_schedule` fixes before the search, from which every cell
+    it reads is known (the cells past the current one hold a sibling
+    branch's values), so a failing prefix is cut once for all the tables
+    below it:
+    - associativity, t(t(a,b),c) = t(a,t(b,c)), for a, b, c inner and a
+      at or before c in `order`, enters at max(depth{a,b}, depth{b,c}).
+      It holds by the unit and absorption laws when one of a, b, c is the
+      bottom or the top, and at (c, b, a) it is the one at (a, b, c) with
+      its sides swapped.  Entry lemma: the instance reads {a,b}, {b,c},
+      {t(a,b),c} and {a,t(b,c)}.  Proof: t(a,b) >= a v b >= b, so t(a,b)
+      is the top, known at once, or b or an element after it, and then
+      {t(a,b), c} is known no later than {b, c} by the fill-order lemma;
+      likewise t(b,c) >= b, so {a, t(b,c)} is known no later than {a, b}.
+    - distributivity, t(a,b v c) = t(a,b) v t(a,c) and t(a,b ^ c) =
+      t(a,b) ^ t(a,c), for a inner and b, c with neither below the other,
+      enters once {a,b}, {a,c}, {a,b v c} and {a,b ^ c} are all known.
+      For b <= c it is monotonicity, and at a = bottom or top the unit and
+      absorption laws.
+    So a complete table needs no further check.
     """
     n = len(order)
-    leq = [[join[a][b] == b for b in range(n)] for a in range(n)]
-    above = [[v for v in order if leq[a][v]] for a in range(n)]
-    below = lower_covers(join)
-    incomparable = [(b, c) for b in range(n) for c in range(b + 1, n)
-                    if not leq[b][c] and not leq[c][b]]
     top = order[-1]
-    t = [[None] * n for _ in range(n)]
+    cells, _, assoc, dist = _table_schedule(join, meet, order)
+    leq = [[join[a][b] == b for b in range(n)] for a in range(n)]
+    between = [[[v for v in order if leq[lo][v] and leq[v][hi]]
+                for hi in range(n)] for lo in range(n)]
+    above = lower_covers(meet)  # the upper covers, as lower ones of the dual
+    fill = [(i * n + j, j * n + i, join[i][j],
+             sorted({u * n + j for u in above[i] if u != top}
+                    | {i * n + u for u in above[j] if u != top}))
+            for i, j in cells]
+    last = len(cells)
+    t = [top] * (n * n)  # flat, t[i*n+j], inner cells set by the search
     for i in range(n):
-        t[top][i] = t[i][top] = top
-        t[unit][i] = t[i][unit] = i
-    inner = order[1:-1]
-    cells = [(i, j, [(a, j) for a in below[i]] + [(i, b) for b in below[j]])
-             for i, j in _inner_cells(order)]
+        t[unit * n + i] = t[i * n + unit] = i
+    tn = [v * n for v in t]  # n*t, so a value indexes its row at once
     out = []
     rows = {}  # each distinct row is stored once, shared by the tables
 
-    def leaf_ok():
-        # the unit and the absorbing top satisfy both laws in any position
-        for a in inner:
-            ta = t[a]
-            for b in inner:
-                tab = t[ta[b]]
-                tb = t[b]
-                for c in inner:
-                    if tab[c] != ta[tb[c]]:
-                        return False
-            for b, c in incomparable:
-                if (ta[join[b][c]] != join[ta[b]][ta[c]]
-                        or ta[meet[b][c]] != meet[ta[b]][ta[c]]):
-                    return False
-        return True
-
-    def fill(idx):
-        if idx == len(cells):
-            if leaf_ok():
-                out.append(tuple(rows.setdefault(r, r)
-                                 for r in map(tuple, t)))
+    def search(d):
+        for ab, bc, an, c in assoc[d]:  # t(t(a,b),c) == t(a,t(b,c))
+            if t[tn[ab] + c] != t[an + t[bc]]:
+                return
+        for ab, ac, ajoin, ameet in dist[d]:
+            x, y = t[ab], t[ac]
+            if t[ajoin] != join[x][y] or t[ameet] != meet[x][y]:
+                return
+        if d == last:
+            table = list(zip(*[iter(t)] * n))
+            out.append(tuple(map(rows.setdefault, table, table)))
             return
-        i, j, below = cells[idx]
-        lo = join[i][j]
-        for a, b in below:
-            lo = join[lo][t[a][b]]
-        ti, tj = t[i], t[j]
-        for v in above[lo]:
-            ti[j] = tj[i] = v
-            fill(idx + 1)
+        k1, k2, lo, uppers = fill[d]
+        hi = top
+        for k in uppers:
+            hi = meet[hi][t[k]]
+        for v in between[lo][hi]:
+            t[k1] = t[k2] = v
+            tn[k1] = tn[k2] = v * n
+            search(d + 1)
 
-    fill(0)
+    search(0)
     out.sort()
     return out
 
@@ -162,10 +228,7 @@ def _schedule(order, flt):
     from which each cell i*n+j is known, and by the depth they enter at (see
     the schedule lemma there) the truncation cells and the (A) instances."""
     n = len(order)
-    cells = _inner_cells(order[::-1])
-    depth = [0] * (n * n)
-    for d, (i, j) in enumerate(cells, 1):
-        depth[i * n + j] = depth[j * n + i] = d
+    cells, depth = _fill_order(order)
     truncation = [[] for _ in range(len(cells) + 1)]
     enter = [[] for _ in range(len(cells) + 1)]
     if flt != "all":  # {m, j} at the end of pass m
@@ -212,23 +275,17 @@ def _pairs(join, meet, zero, one, order, flt, delta=None):
     (see the schedule lemma), and passes at once when s = 1 or t = 0.
 
     For each additive table p the multiplicative tables are walked as a
-    prefix tree over the cells in the order `_monoid_tables` fills them.
-    Each check enters at a depth, fixed by `_schedule` from `order` alone,
-    where every odot cell it reads is known (cells off the current path
-    hold a sibling branch's values), so a failing prefix is cut once for all
-    the tables below it.  Instances of (A) with y in {0, 1}, x = 0 or z = 1
-    hold by the unit and absorption laws and are not listed.  A node runs
-    its truncation checks, in the order of their cells, then its (A)
-    instances; one that cuts moves to the front of its depth's list, so the
-    next table tries it first (the hits do not depend on that order).
-
-    Fill order: pass r, one per inner element r, later elements of `order`
-    first, fills {r, j} for each inner j at or before r, j going down; cells
-    with 0 or 1 are known from the start.  So {a, b} is known no later than
-    {a', b'} when a, b come at or after a', b', neither 0: the later of a
-    and b comes at or after the later of a' and b', in an earlier pass if
-    after; if both are r, the earlier of a and b comes at or after the
-    earlier of a' and b', so {a, b} comes no later in pass r.
+    prefix tree over the cells in the order of `_fill_order`: pass r, one
+    per inner element r, later elements of `order` first, fills {r, j} for
+    each inner j at or before r, j going down; cells with 0 or 1 are known
+    from the start.  Each check enters at a depth, fixed by `_schedule` from
+    `order` alone, where every odot cell it reads is known (cells off the
+    current path hold a sibling branch's values), so a failing prefix is cut
+    once for all the tables below it.  Instances of (A) with y in {0, 1},
+    x = 0 or z = 1 hold by the unit and absorption laws and are not listed.
+    A node runs its truncation checks, in the order of their cells, then its
+    (A) instances; one that cuts moves to the front of its depth's list, so
+    the next table tries it first (the hits do not depend on that order).
 
     Schedule lemma: let + and * be monotone, with units 0 and 1, and `order`
     a linear extension with the bottom first (as `_monoid_tables` requires).
@@ -238,7 +295,8 @@ def _pairs(join, meet, zero, one, order, flt, delta=None):
     {x,y}, {y,z} and {m,z'} are known, and, for x and y inner, (C) and (D),
     which read {x,y} and row s, once pass m ends, at {m, order[1]}.  Proof:
     s >= x, y, u >= y and w >= z, and a larger element comes no earlier, so
-    s is m or later and {x,u} is known no later than {x,y}.  For z = 0,
+    s is m or later and {x,u} is known no later than {x,y}, by the
+    fill-order lemma (see `_fill_order`).  For z = 0,
     w = t is 0 or at or after order[1]; either way {s,w} is known no later
     than {m,z'}.  Row s: {s,0} is known from the start, and every other
     {s,z}, like {x,y}, no later than {m, order[1]}, the last cell of pass m.

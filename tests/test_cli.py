@@ -286,6 +286,28 @@ def test_construct_caps_the_table_size(name):
         f"{100001 ** 2}, above the cap {2 ** 24} (MVMLAB_CAP_ASSIGNMENTS)\n"
 
 
+def test_a_lowered_cap_leaves_the_catalogue_names(algebra_file):
+    # the names come from fixed tables up to L8+, built whatever the caps;
+    # 50 is below the 81 cells of L8+'s table
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(src),
+           "MVMLAB_CAP_ASSIGNMENTS": "50"}
+    done = subprocess.run([sys.executable, "-m", "mvmlab", "hsu",
+                           algebra_file(ln_plus(1))],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == '{\n  "classes": [\n    "L1+",\n    "trivial"\n' \
+        '  ]\n}\n'
+    # while what a command is asked to build stays capped
+    done = subprocess.run([sys.executable, "-m", "mvmlab", "construct",
+                           "ln_plus", "--n", "7"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == "error: the number of assignments to 2 " \
+        "variables over the 8 elements of ln_plus(7) is 64, above the cap " \
+        "50 (MVMLAB_CAP_ASSIGNMENTS)\n"
+
+
 def test_python_dash_m_runs_the_command_line(algebra_file):
     # `python -m mvmlab` in a source checkout, as the installed `mvmlab`
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")

@@ -19,7 +19,8 @@ from mvmlab import congruences, enumeration
 from mvmlab.algebra import (FiniteAlgebra, dual_table, max_table, min_table,
                             order_dual)
 from mvmlab.enumeration import (FILTERS, _dual_tables, _monoid_tables,
-                                _pairs, _passes, _schedule)
+                                _pairs, _passes, _schedule, _table_schedule)
+from mvmlab.posets import lower_covers
 from mvmlab.errors import CapExceeded
 
 from conftest import random_chain_tables, random_operations, shuffled
@@ -59,7 +60,7 @@ _GOLDEN_EIGHT = {
 
 @pytest.mark.slow
 def test_eight_element_chain_census():
-    # opt in with -m slow: about 12 s for the four filters
+    # opt in with -m slow: about 5 s for the four filters
     out = {flt: enumerate_chain(8, flt) for flt in FILTERS}
     for flt, (count, digest) in _GOLDEN_EIGHT.items():
         records = [(A.name, A.oplus, A.odot) for A in out[flt]]
@@ -70,6 +71,17 @@ def test_eight_element_chain_census():
     L = ln_plus(7)
     assert [(A.oplus, A.odot) for A in positive
             if is_subdirectly_irreducible(A)[0]] == [(L.oplus, L.odot)]
+
+
+@pytest.mark.slow
+def test_nine_element_chain_counts():
+    # opt in with -m slow: about 35 s; "all" is counted off the verdicts of
+    # the pair stage, as its 723,617 algebras would hold some 270 MB
+    assert len(enumerate_chain(9, "si")) == 591
+    assert len(enumerate_chain(9, "positive")) == 128
+    assert sum(kept for _, _, kept in _pairs(*_chain_args(9), "all",
+                                            delta=list(range(9))[::-1])) \
+        == 723_617
 
 
 @pytest.mark.parametrize("n", range(2, 8))
@@ -143,7 +155,7 @@ def test_bad_arguments():
     with pytest.raises(ValueError):
         enumerate_chain(0)
     with pytest.raises(CapExceeded, match=r"^chain enumeration size is 99, "
-                       r"above the cap 8 \(MVMLAB_CAP_ENUM_CHAIN\)$"):
+                       r"above the cap 9 \(MVMLAB_CAP_ENUM_CHAIN\)$"):
         enumerate_chain(99)
     assert FILTERS == ("all", "si-necessary", "si", "positive")
 
@@ -173,6 +185,87 @@ def _naive_monoid_tables(join, meet, unit):
             continue
         out.append(tuple(tuple(r) for r in t))
     return out
+
+
+def _reference_monoid_tables(join, meet, unit, order):
+    """The same tables by the generator the census used before the checks
+    moved into the fill: row-major in `order`, each cell bounded below by
+    the filled cells at the lower covers, associativity and distributivity
+    checked on complete tables only."""
+    n = len(order)
+    leq = [[join[a][b] == b for b in range(n)] for a in range(n)]
+    above = [[v for v in order if leq[a][v]] for a in range(n)]
+    below = lower_covers(join)
+    incomparable = [(b, c) for b in range(n) for c in range(b + 1, n)
+                    if not leq[b][c] and not leq[c][b]]
+    top = order[-1]
+    t = [[None] * n for _ in range(n)]
+    for i in range(n):
+        t[top][i] = t[i][top] = top
+        t[unit][i] = t[i][unit] = i
+    inner = order[1:-1]
+    cells = [(i, j, [(a, j) for a in below[i]] + [(i, b) for b in below[j]])
+             for k, i in enumerate(inner) for j in inner[k:]]
+    out = []
+
+    def leaf_ok():
+        for a in inner:
+            ta = t[a]
+            for b in inner:
+                tab = t[ta[b]]
+                tb = t[b]
+                for c in inner:
+                    if tab[c] != ta[tb[c]]:
+                        return False
+            for b, c in incomparable:
+                if (ta[join[b][c]] != join[ta[b]][ta[c]]
+                        or ta[meet[b][c]] != meet[ta[b]][ta[c]]):
+                    return False
+        return True
+
+    def fill(idx):
+        if idx == len(cells):
+            if leaf_ok():
+                out.append(tuple(map(tuple, t)))
+            return
+        i, j, lower = cells[idx]
+        lo = join[i][j]
+        for a, b in lower:
+            lo = join[lo][t[a][b]]
+        for v in above[lo]:
+            t[i][j] = t[j][i] = v
+            fill(idx + 1)
+
+    fill(0)
+    return sorted(out)
+
+
+_SMALL_LATTICES = {
+    "2x3": lambda: product(ln_plus(1), ln_plus(2)),
+    "2^3": lambda: functools.reduce(product, [ln_plus(1)] * 3),
+    "2x4": lambda: product(ln_plus(1), ln_plus(3)),
+    "3x3": lambda: product(ln_plus(2), ln_plus(2)),
+}
+
+
+@pytest.mark.parametrize("which", [*range(2, 8), "diamond",
+                                   *_SMALL_LATTICES])
+def test_monoid_tables_match_the_leaf_check_generator(diamond, which):
+    # both calls, the additive and the multiplicative (the order dual's)
+    if which == "diamond":
+        L = diamond
+    elif which in _SMALL_LATTICES:
+        L = _SMALL_LATTICES[which]()
+    else:
+        L = ln_plus(which - 1)
+    order = sorted(range(L.size), key=L.heights().__getitem__)
+    for args in [(L.join, L.meet, L.zero, order),
+                 (L.meet, L.join, L.one, order[::-1])]:
+        got = _monoid_tables(*args)
+        assert got == _reference_monoid_tables(*args), (which, args)
+        # equal rows are one object
+        rows = [r for t in got for r in t]
+        assert len({id(r) for r in rows}) == len(set(rows))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -561,8 +654,7 @@ def test_truncation_reads_x_and_y_through_their_sum_and_product(diamond,
 # ---------------------------------------------------------------------------
 # the mirrored census: odot tables as order duals, one verdict per mirror pair
 
-@pytest.mark.parametrize(
-    "n", [*range(1, 8), pytest.param(8, marks=pytest.mark.slow)])
+@pytest.mark.parametrize("n", range(1, 9))
 def test_dual_tables_are_the_multiplicative_tables(n):
     join, meet, zero, one, order = _chain_args(n)
     adds = _monoid_tables(join, meet, zero, order)
@@ -679,13 +771,6 @@ def test_the_filter_runs_once_per_mirror_class(monkeypatch, n, flt, classes):
 # ---------------------------------------------------------------------------
 # the walk's fixed schedule, on every linear extension of the lattice order
 
-_SMALL_LATTICES = {
-    "2x3": lambda: product(ln_plus(1), ln_plus(2)),
-    "2^3": lambda: functools.reduce(product, [ln_plus(1)] * 3),
-    "3x3": lambda: product(ln_plus(2), ln_plus(2)),
-}
-
-
 def _linear_extensions(L):
     # every order with the bottom first and the top last that puts each
     # element after the ones below it
@@ -709,7 +794,7 @@ def _schedule_cases(diamond):
 def test_linear_extensions_are_counted_right(diamond):
     assert [len(list(_linear_extensions(L))) for L in
             (diamond, *(make() for make in _SMALL_LATTICES.values()))] == \
-        [2, 5, 48, 42]
+        [2, 5, 48, 14, 42]
 
 
 def test_every_check_enters_once_all_the_cells_it_reads_are_known(diamond):
@@ -755,26 +840,53 @@ def test_every_check_enters_once_all_the_cells_it_reads_are_known(diamond):
                         assert max(depth[a], *depth[s * n:s * n + n]) <= d
 
 
-def _order_free(generate):
-    # `_monoid_tables` lists the same tables on every linear extension
-    # (tested below), so one run per lattice serves all of them
-    runs = {}
-
-    def cached(join, meet, unit, order):
-        key = (str(join), str(meet), unit)
-        if key not in runs:
-            runs[key] = generate(join, meet, unit, order)
-        return runs[key]
-
-    return cached
+def test_every_table_check_enters_once_all_the_cells_it_reads_are_known(
+        diamond):
+    # the entry lemma of `_monoid_tables`, for the additive call and the
+    # multiplicative one (the order dual's, on the reversed order): a prefix
+    # holds at {a, b} an element above a v b (the unit and monotonicity), so
+    # checking each of those covers every table prefix
+    additive = [(join, meet, order)
+                for join, meet, _, _, order in _schedule_cases(diamond)]
+    for join, meet, order in additive + [(meet, join, order[::-1])
+                                         for join, meet, order in additive]:
+        n = len(order)
+        inner = order[1:-1]
+        cells, depth, assoc, dist = _table_schedule(join, meet, order)
+        # one fill order and one depth table for both searches
+        assert (cells, depth) == _schedule(order, "si")[:2]
+        # every instance is listed once: associativity at (a, b, c) for
+        # a, b, c inner and a at or before c, distributivity at
+        # (a; b, c) for a inner and b, c incomparable
+        assert sorted(item for at in assoc for item in at) == \
+            sorted((a * n + b, b * n + c, a * n, c)
+                   for a, b, c in itertools.product(inner, repeat=3)
+                   if order.index(a) <= order.index(c))
+        assert sorted(item for at in dist for item in at) == \
+            sorted((a * n + b, a * n + c, a * n + join[b][c],
+                    a * n + meet[b][c])
+                   for a, b, c in itertools.product(inner, repeat=3)
+                   if b < c and join[b][c] not in (b, c))
+        known = [[depth[i * n + j] for j in range(n)] for i in range(n)]
+        for d, items in enumerate(assoc):
+            for ab, bc, _, c in items:
+                # t(t(a,b),c) = t(a,t(b,c))
+                a, b = divmod(ab, n)
+                assert max(known[a][b], known[b][c]) <= d
+                for u in order:
+                    if join[join[a][b]][u] == u:  # u >= a v b
+                        assert known[u][c] <= d, (order, a, b, c, u)
+                    if join[join[b][c]][u] == u:  # u >= b v c
+                        assert known[a][u] <= d, (order, a, b, c, u)
+        for d, items in enumerate(dist):
+            for reads in items:
+                assert max(depth[k] for k in reads) <= d
 
 
 @pytest.mark.parametrize("which", ["2x3", "2^3", "3x3"])
-def test_pairs_do_not_depend_on_the_linear_extension(monkeypatch, which):
+def test_pairs_do_not_depend_on_the_linear_extension(which):
     L = _SMALL_LATTICES[which]()
     orders = list(_linear_extensions(L))
-    monkeypatch.setattr(enumeration, "_monoid_tables",
-                        _order_free(_monoid_tables))
     args = (L.join, L.meet, L.zero, L.one, orders[0])
     relaxed = _reference_pairs(*args, "all")
     full = [(p, q) for p, q in relaxed
@@ -786,13 +898,10 @@ def test_pairs_do_not_depend_on_the_linear_extension(monkeypatch, which):
             assert sorted(got) == want, (flt, order)
 
 
-@pytest.mark.parametrize("which", [
-    "2x3", "2^3", pytest.param("3x3", marks=pytest.mark.slow)])
+@pytest.mark.parametrize("which", ["2x3", "2^3", "2x4", "3x3"])
 def test_monoid_tables_do_not_depend_on_the_linear_extension(which):
-    # opt in with -m slow for 3x3: about 0.6 s per call there, so every
-    # seventh extension
     L = _SMALL_LATTICES[which]()
-    orders = list(_linear_extensions(L))[::7 if which == "3x3" else 1]
+    orders = list(_linear_extensions(L))
     adds = _monoid_tables(L.join, L.meet, L.zero, orders[0])
     muls = _monoid_tables(L.meet, L.join, L.one, orders[0][::-1])
     for order in orders[1:]:
