@@ -127,10 +127,11 @@ def _cmd_construct(args):
 
 
 def _cmd_enumerate(args):
+    if args.count_only:  # the verdicts alone: no algebra is built
+        return {"size": args.size, "filter": args.filter, "count": sum(
+            kept for _, _, kept in enumeration._chain_census(args.size,
+                                                             args.filter))}
     algebras = enumeration.enumerate_chain(args.size, args.filter)
-    if args.count_only:
-        return {"size": args.size, "filter": args.filter,
-                "count": len(algebras)}
     if not args.out:
         return [algebra.save(A) for A in algebras]
     os.makedirs(args.out, exist_ok=True)

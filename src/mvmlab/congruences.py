@@ -23,6 +23,7 @@ the single j in J.  Partitions are built only for returned values.
 """
 
 import functools
+import itertools
 import operator
 
 from .algebra import _check_element
@@ -112,23 +113,30 @@ def _table_steps(join, *tables):
     """step of the translations by the rows of the given tables alone, the
     OR of each table's.  Row u of a table is packed into one integer, field
     c holding down of its c-th entry, so one XOR per cover compares all of
-    a table's translations; then each label's OR folds its fields, field 0
-    taking the OR of 0..2w-1 by the shift w."""
+    a table's translations; then `_fold` ORs each label's fields."""
     covers, cells = _reduct(join)[1:]
     get, unpack = cells.__getitem__, int.from_bytes
     packed = [[unpack(b"".join(map(get, row)), "little") for row in t]
               for t in tables]
     step, width = [], 8 * len(cells[0])
     for pairs in covers:
-        x, shift = 0, width
+        x = 0
         for rows in packed:
             for u, v in pairs:
                 x |= rows[u] ^ rows[v]
-        while shift < len(join) * width:
-            x |= x >> shift
-            shift <<= 1
-        step.append(x & ((1 << width) - 1))
+        step.append(_fold(x, width, len(join) * width))
     return step
+
+
+def _fold(x, width, size):
+    """The OR of the fields of `width` bits of x, which has no bit from
+    `size` on: each shift by s bits, s doubling from `width`, ORs into
+    every field the one s bits above it, so field 0 ends with all of them."""
+    shift = width
+    while shift < size:
+        x |= x >> shift
+        shift <<= 1
+    return x & ((1 << width) - 1)
 
 
 def _steps(A):
@@ -163,14 +171,88 @@ def _close(step, s):
     return s
 
 
-def _principal(A):
-    """Con(A)'s join-irreducibles: the distinct closures of single bits."""
-    step, seen = _steps(A)[1], set()
-    for k in range(len(step)):
+def _closures(step, labels):
+    """The distinct closures of the single bits k in `labels`, lazily, in
+    the order of `labels`."""
+    seen = set()
+    for k in labels:
         s = _close(step, 1 << k)
         if s not in seen:
             seen.add(s)
             yield s
+
+
+def _principal(A):
+    """Con(A)'s join-irreducibles: the distinct closures of single bits."""
+    step = _steps(A)[1]
+    return _closures(step, range(len(step)))
+
+
+def _frame(A):
+    """A's order and translations, packed once for all its subuniverses:
+    (down, strict, rows, spread, width).  down[x] is the bitset of the
+    elements of A below x, strict[x] that of those strictly below; rows[u]
+    packs, one field of `width` bits per pair (i, a), down[t[u][a]] for the
+    i-th + or * table t that `_steps` reads; spread[a] has the lowest bit of
+    each field (i, a) set.  That is n rows of n² bits per table (n fields
+    of n bits, each rounded up to whole bytes), held for the call that
+    builds the frame."""
+    n, join = A.size, A.join
+    down = [sum(1 << y for y in range(n) if join[y][x] == x)
+            for x in range(n)]
+    nbytes = (n + 7) // 8
+    cells = [d.to_bytes(nbytes, "little") for d in down]
+    tables = translation_tables(A)[2:]
+    rows = [int.from_bytes(b"".join(map(cells.__getitem__, itertools.chain(
+        *(t[u] for t in tables)))), "little") for u in range(n)]
+    width = 8 * nbytes
+    spread = [sum(1 << (i * n + a) * width for i in range(len(tables)))
+              for a in range(n)]
+    return down, [d ^ 1 << x for x, d in enumerate(down)], rows, spread, width
+
+
+def _restricted_steps(frame, emb):
+    """(down, J, step) of the subalgebra B of A on the elements `emb` of A,
+    increasing, read off A's `_frame`, each join-irreducible of B held as
+    the bit of its element of A: J is the bitset of them, down[i] that of
+    those below the i-th element of B, and step[k], for k in J, the step
+    table's entry.  Bits keep B's order, so these are the values of
+    `_steps(B)` spread out over A's elements, and the partitions read off
+    them are B's.
+
+    B's operations are A's restricted to U = emb, so its order is A's on U:
+    the lower covers of x in B are the maximal elements of strict[x] & U,
+    J is the set of elements with exactly one, and down of x in B is
+    down[x] & J.  B's translations are A's by the elements of U, restricted
+    to U, so by the cover lemma step[k] is J & the OR, over B's covers
+    (u, v) labelled k and the fields (i, a) with a in U, of field (i, a) of
+    rows[u] ^ rows[v].  A table of B equal to its join or meet, or to
+    another's transpose, which `_steps` drops, only adds bit k to step[k]
+    (see `_seed_steps`), which every closure holds."""
+    down, strict, rows, spread, width = frame
+    U = sum(1 << x for x in emb)
+    lower, J = [], 0
+    for x in emb:
+        below = down[x] & U ^ 1 << x
+        above = 0
+        for y in _bits(below):
+            above |= strict[y]
+        lower.append(below & ~above)
+        if lower[-1].bit_count() == 1:
+            J |= 1 << x
+    downJ = {x: down[x] & J for x in emb}
+    acc = {}
+    for x, covers in zip(emb, lower):
+        row, dx = rows[x], downJ[x]
+        for y in _bits(covers):
+            k = dx ^ downJ[y]
+            acc[k] = acc.get(k, 0) | row ^ rows[y]
+    mask = J * sum(map(spread.__getitem__, emb))
+    step = [0] * len(down)
+    for k, x in acc.items():
+        step[k.bit_length() - 1] = _fold(x & mask, width,
+                                         mask.bit_length()) & J
+    return list(downJ.values()), J, step
 
 
 def _joins(J):

@@ -13,6 +13,7 @@ from .caps import check
 from .congruences import (_congruence, _principal, _sort_key, is_congruence,
                           is_subdirectly_irreducible, translation_tables)
 from .errors import MalformedDocument, NotACongruence, UnknownName
+from .posets import _bits
 
 
 def _check_n(name, n):
@@ -268,29 +269,48 @@ def product(A, B):
         name=f"{A.name}x{B.name}" if A.name and B.name else "")
 
 
-def _extend(A, closed, gens):
-    """Least subuniverse containing the subuniverse `closed` and `gens`.
-    Products of two elements of `closed` already lie in it, so only the
-    products involving a new element are computed."""
+def _pair_masks(A):
+    """One bitset per pair (x, y), as rows indexed by x and then y: the
+    values at (x, y) of every table of `translation_tables(A)`, which holds
+    the transposes, so that row x gives every product of x with an
+    element, on either side."""
+    bit = [1 << v for v in range(A.size)]
     tables = translation_tables(A)
-    members, seen = list(closed), set(closed)
-    queue = list(set(gens) - seen)
-    seen.update(queue)
-    while queue:
-        x = queue.pop()
+    masks = [list(map(bit.__getitem__, row)) for row in tables[0]]
+    for t in tables[1:]:
+        masks = [list(map(operator.or_, m, map(bit.__getitem__, row)))
+                 for m, row in zip(masks, t)]
+    return masks
+
+
+def _close_bits(masks, members, closed, gens):
+    """Least subuniverse, as a bitset, containing the subuniverse `closed`,
+    whose elements `members` lists, and the bitset `gens`.  Products of two
+    elements of `closed` already lie in it, so only the products involving
+    a new element x are taken: the OR of row x of `_pair_masks` over the
+    members so far, x included."""
+    members = list(members)
+    seen = closed | gens
+    todo = gens & ~closed
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        x = low.bit_length() - 1
         members.append(x)
-        new = {t[x][y] for t in tables for y in members} - seen
+        new = functools.reduce(operator.or_,
+                               map(masks[x].__getitem__, members)) & ~seen
         seen |= new
-        queue += new
-    return frozenset(seen)
+        todo |= new
+    return seen
 
 
 def subuniverse_closure(A, gens):
     """Least subuniverse (containing 0 and 1) that contains gens."""
-    gens = tuple(gens)
-    for g in gens:
+    mask = 1 << A.zero | 1 << A.one
+    for g in tuple(gens):
         _check_element(g, A.size, "generator")
-    return _extend(A, (), {A.zero, A.one, *gens})
+        mask |= 1 << g
+    return frozenset(_bits(_close_bits(_pair_masks(A), (), 0, mask)))
 
 
 def _induced_tables(A, reps, index):
@@ -319,29 +339,43 @@ def _subalgebra_classes(A):
     at a time and closing, and each step from S counts the elements e that
     take S to each U.  S is a lower cover of U exactly when every e in
     U - S takes S to U (if S < S' < U, an e in S' - S takes S only into
-    S'), so the walk records the covers as it goes."""
-    least = subuniverse_closure(A, ())
+    S'), so the walk records the covers as it goes.
+
+    The walk stays in A's coordinates: a subuniverse is a bitset of A's
+    elements, and S + e is closed by ORing, for each new element x, the
+    masks of `_pair_masks` at x and the members so far (n² masks, one per
+    pair, for the call).  The subalgebra B on U has A's operations
+    restricted to U, so the rest of B can be read off A as well, which
+    `hs_closure` does: B's order is A's down rows masked to U, its lower
+    covers and join-irreducibles J(B) follow from those, and its step table
+    is the OR of A's packed translation rows XORed over B's covers and
+    masked to the fields of U (`congruences._restricted_steps`), from a
+    frame of n packed rows of n² bits per translation table built once per
+    call."""
+    masks = _pair_masks(A)
+    least = _close_bits(masks, (), 0, 1 << A.zero | 1 << A.one)
     covers, stack = {least: []}, [least]
     while stack:
         S = stack.pop()
-        grown = Counter(_extend(A, S, (e,)) for e in range(A.size)
-                        if e not in S)
+        members = list(_bits(S))
+        grown = Counter(_close_bits(masks, members, S, 1 << e)
+                        for e in range(A.size) if not S >> e & 1)
         for U, k in grown.items():
             if U not in covers:
                 covers[U] = []
                 stack.append(U)
-            if k == len(U) - len(S):
+            if k == U.bit_count() - len(members):
                 covers[U].append(S)
     found, seen = {}, set()
-    for U in sorted(covers, key=lambda U: (len(U), sorted(U))):
-        elems = sorted(U)
+    for elems, U in sorted(((list(_bits(U)), U) for U in covers),
+                           key=lambda p: (len(p[0]), p[0])):
         index = {e: i for i, e in enumerate(elems)}
         sub = FiniteAlgebra(*_induced_tables(A, elems, index))
         n = len(seen)
         seen.add(sub)
         if len(seen) > n:
             found.setdefault(canonical_key(sub), (sub, tuple(elems), [
-                tuple(sorted(map(index.__getitem__, S))) for S in covers[U]]))
+                tuple(map(index.__getitem__, _bits(S))) for S in covers[U]]))
     # by size first: from 256 elements on a key starts with two bytes
     return [found[k] for k in sorted(found,
                                      key=lambda k: (found[k][0].size, k))]

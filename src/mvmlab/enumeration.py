@@ -405,12 +405,22 @@ def enumerate_chain(n, flt="all"):
     chain{n}_{k}, with k counting the algebras the filter rules on, a
     mirror image included although its verdict is read off its twin's.
     """
-    _check_arguments(n, flt, "ENUM_CHAIN", "chain")
-    join, meet, order = max_table(n), min_table(n), list(range(n))
-    pairs = _pairs(join, meet, 0, n - 1, order, flt, delta=order[::-1])
+    pairs = _chain_census(n, flt)
+    join, meet = max_table(n), min_table(n)
     return [FiniteAlgebra(n, 0, n - 1, p, q, join, meet,
                           name=f"chain{n}_{count}")
             for count, (p, q, kept) in enumerate(pairs) if kept]
+
+
+def _chain_census(n, flt):
+    """The (oplus, odot, kept) triples of `_pairs` on the n-element chain,
+    mirrored through its order reversal, the arguments checked at the
+    call: what `enumerate_chain` builds its algebras from, and what
+    `mvmlab enumerate --count-only` counts without building any."""
+    _check_arguments(n, flt, "ENUM_CHAIN", "chain")
+    order = list(range(n))
+    return _pairs(max_table(n), min_table(n), 0, n - 1, order, flt,
+                  delta=order[::-1])
 
 
 def enumerate_on_lattice(L, flt="all"):

@@ -5,29 +5,33 @@ irreducible algebras ordered by HSU membership."""
 import warnings
 
 from .algebra import canonical_key
-from .congruences import (_congruence, _joins, _principal, _sort_key, _steps,
+from .congruences import (Congruence, _closures, _frame, _joins,
+                          _restricted_steps, _sort_key,
                           is_subdirectly_irreducible)
 from .constructions import _quotient, _subalgebra_classes
-from .posets import Poset
+from .posets import Poset, _bits
 
 
-def _congruences_to_take(B, covers):
-    """The nontrivial congruences theta_S of B, in the order of
-    `congruence_lattice(B)`, such that no subuniverse M in `covers` meets
-    every block, that is takes as many values of down[x] - S as B does.
-    They form a down-set of Con(B), as a set meeting every block of theta
-    meets every block of a coarser one: joins of the join-irreducibles that
-    no cover meets."""
-    down = _steps(B)[0]
+def _congruences_to_take(frame, emb, covers):
+    """The nontrivial congruences theta_S of the subalgebra B of A on the
+    elements `emb`, in the order of `congruence_lattice(B)`, such that no
+    subuniverse M in `covers` meets every block, that is takes as many
+    values of down[x] - S as B does.  They form a down-set of Con(B), as a
+    set meeting every block of theta meets every block of a coarser one:
+    joins of the join-irreducibles that no cover meets.  B's down, J and
+    step come from A's `frame` (see `congruences._restricted_steps`), with
+    join-irreducibles as bits of A's elements: the partitions, read off
+    first occurrences, are those of B's own."""
+    down, J, step = _restricted_steps(frame, emb)
 
     def taken(s):
         blocks = len({d & ~s for d in down})
         return not any(len({down[x] & ~s for x in M}) == blocks
                        for M in covers)
 
-    J = [s for s in _principal(B) if taken(s)]
-    return sorted((_congruence(B, s) for s in _joins(J) if s and taken(s)),
-                  key=_sort_key)
+    Js = [s for s in _closures(step, _bits(J)) if taken(s)]
+    return sorted((Congruence(map((~s).__and__, down)) for s in _joins(Js)
+                   if s and taken(s)), key=_sort_key)
 
 
 def hs_closure(S):
@@ -51,16 +55,27 @@ def hs_closure(S):
     A quotient that repeats the very tables of an earlier subalgebra or
     quotient is not keyed either: equal tables give equal algebras and equal
     keys, so its class is in `found` already, and its representative stays
-    the first."""
+    the first.
+
+    Each subalgebra B of a member A is worked out in A's coordinates.  Its
+    subuniverse U is a bitset of A's elements (see `_subalgebra_classes`),
+    and B's operations are A's restricted to U, so B's order, lower covers
+    and join-irreducibles J(B) are read off A's down rows masked to U, and
+    its step table off A's packed translation rows, XORed per cover of B
+    and masked to the fields of U (`congruences._restricted_steps`): B's
+    tables are never packed and no lattice of B's is built.  The frame
+    (`congruences._frame`) holds n packed rows of n² bits per translation
+    table of an n-element A, for this call only."""
     found, seen = {}, set()
     for A in S:
         found.setdefault(canonical_key(A), A)
     for A in list(found.values()):
-        for B, _, covers in _subalgebra_classes(A):
+        frame = _frame(A)
+        for B, emb, covers in _subalgebra_classes(A):
             # B is its own quotient by the identity, the first congruence
             found.setdefault(canonical_key(B), B)
             seen.add(B)
-            for theta in _congruences_to_take(B, covers):
+            for theta in _congruences_to_take(frame, emb, covers):
                 Q = _quotient(B, theta)
                 n = len(seen)
                 seen.add(Q)

@@ -9,7 +9,6 @@ from mvmlab import (canonical_key, catalog, catalog_names, chain_algebra,
                     congruence_lattice, enumerate_chain, ln_plus,
                     make_algebra, order_dual, product)
 from mvmlab.algebra import FiniteAlgebra, canonical_form
-from mvmlab.constructions import _extend, subuniverse_closure
 
 
 @pytest.fixture(scope="session")
@@ -199,19 +198,44 @@ def _induced(A, reps, index, name=""):
                          table(A.meet), name=name)
 
 
+def extend(A, closed, gens):
+    """Least subuniverse containing the subuniverse `closed` and `gens`, as
+    a frozenset, closed one element at a time over sets of values.  Products
+    of two elements of `closed` already lie in it, so only the products
+    involving a new element, on either side, are computed."""
+    tables = (A.join, A.meet, A.oplus, A.odot)
+    members, seen = list(closed), set(closed)
+    queue = list(set(gens) - seen)
+    seen.update(queue)
+    while queue:
+        x = queue.pop()
+        members.append(x)
+        new = {v for t in tables for y in members
+               for v in (t[x][y], t[y][x])} - seen
+        seen |= new
+        queue += new
+    return frozenset(seen)
+
+
+def subalgebra_on(A, elems):
+    """The subalgebra of A on the subuniverse `elems`, increasing."""
+    return _induced(A, elems, {e: i for i, e in enumerate(elems)})
+
+
 def unskipped_subalgebras(A):
     """`subalgebras` with a subalgebra built and keyed for every
-    subuniverse, in the same (size, sorted elements) order."""
-    least = subuniverse_closure(A, ())
+    subuniverse, in the same (size, sorted elements) order, the
+    subuniverses closed by `extend`."""
+    least = extend(A, (), (A.zero, A.one))
     universes, stack = {least}, [least]
     while stack:
         S = stack.pop()
-        grown = {_extend(A, S, (e,)) for e in range(A.size) if e not in S}
+        grown = {extend(A, S, (e,)) for e in range(A.size) if e not in S}
         stack += grown - universes
         universes |= grown
     found = {}
     for U in sorted(map(sorted, universes), key=lambda U: (len(U), U)):
-        sub = _induced(A, U, {e: i for i, e in enumerate(U)})
+        sub = subalgebra_on(A, U)
         found.setdefault(height_key(sub), (sub, tuple(U)))
     return [found[k] for k in sorted(found,
                                      key=lambda k: (found[k][0].size, k))]

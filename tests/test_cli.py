@@ -14,9 +14,10 @@ import warnings
 
 import pytest
 
-from mvmlab import (catalog, catalog_names, cli, cn_delta, lm_delta, ln_plus,
-                    load, product, save, trivial_algebra)
+from mvmlab import (catalog, catalog_names, cli, cn_delta, enumerate_chain,
+                    lm_delta, ln_plus, load, product, save, trivial_algebra)
 from mvmlab.constructions import cn_delta_star
+from mvmlab.enumeration import FILTERS
 
 from conftest import random_operations, shuffled
 
@@ -98,6 +99,15 @@ def test_enumerate_count_only():
     doc = run_json("enumerate", "--size", "4", "--filter", "si",
                    "--count-only")
     assert doc["count"] == 7
+
+
+@pytest.mark.parametrize("flt", FILTERS)
+def test_enumerate_count_only_counts_what_enumerate_chain_lists(flt):
+    # the count is read off the pair stage's verdicts, no algebra built
+    for n in range(1, 8):
+        assert run_json("enumerate", "--size", str(n), "--filter", flt,
+                        "--count-only") == {
+            "size": n, "filter": flt, "count": len(enumerate_chain(n, flt))}
 
 
 def test_enumerate_writes_files(tmp_path):

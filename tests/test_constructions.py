@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (algebra_tables, random_chain_tables,
+from conftest import (algebra_tables, extend, random_chain_tables,
                       reference_subalgebras, reference_subuniverses,
                       seeded_lattice_tables, shuffled, si_chain_pairs,
                       si_product_family, unskipped_subalgebras)
@@ -148,6 +148,16 @@ def test_subuniverse_closure():
     assert subuniverse_closure(A, [1]) == set(range(7))
 
 
+def test_subuniverse_closure_matches_the_set_closure(catalog_algebras):
+    # the bitset closure against `extend`, which closes sets of values
+    for A in [*catalog_algebras.values(), *si_product_family()[::4],
+              *seeded_lattice_tables(4, 37)]:
+        for g in range(A.size):
+            U = subuniverse_closure(A, [g])
+            assert type(U) is frozenset
+            assert U == extend(A, (), (A.zero, A.one, g)), (A, g)
+
+
 @pytest.mark.parametrize("gens, message", [
     ([-1], "generator = -1 outside 0..2"),  # used to give {-1, 0, 2}
     ([1, 3], "generator = 3 outside 0..2"),
@@ -204,9 +214,16 @@ def test_subalgebras_skip_only_repeated_tables(catalog_algebras):
 
 def test_subalgebra_covers_are_the_maximal_proper_subuniverses(
         catalog_algebras):
-    for A in [*catalog_algebras.values(), *si_product_family()[::2],
-              *seeded_lattice_tables(20, 31)]:
-        for B, _, covers in _subalgebra_classes(A):
+    # shuffled copies change which bits the walk's subuniverses set, so
+    # the covers, embeddings and listing order are checked apart from them
+    corpus = [*catalog_algebras.values(), *si_product_family()[::2],
+              *seeded_lattice_tables(20, 31)]
+    corpus += [shuffled(A, seed) for seed, A in enumerate(corpus)]
+    for A in corpus:
+        classes = _subalgebra_classes(A)
+        assert [(B, emb) for B, emb, _ in classes] == \
+            reference_subalgebras(A), A
+        for B, _, covers in classes:
             proper = [set(M) for M in reference_subuniverses(B)
                       if len(M) < B.size]
             assert sorted(covers) == sorted(

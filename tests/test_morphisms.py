@@ -7,13 +7,17 @@ from hypothesis import strategies as st
 
 from conftest import (algebra_tables, reference_subalgebras,
                       reference_subuniverses, seeded_lattice_tables, shuffled,
-                      si_chain_pairs, si_product_family, unskipped_hs_closure)
-from mvmlab import (are_isomorphic, canonical_key, catalog, catalog_names,
-                    cn_delta, congruence_lattice, enumerate_chain, hs_closure,
-                    is_subdirectly_irreducible, ln_plus, lm_delta, order_dual,
+                      si_chain_pairs, si_product_family, subalgebra_on,
+                      unskipped_hs_closure)
+from mvmlab import (Congruence, are_isomorphic, canonical_key, catalog,
+                    catalog_names, cn_delta, congruence_lattice,
+                    enumerate_chain, hs_closure, is_subdirectly_irreducible,
+                    ln_plus, lm_delta, order_dual, principal_congruences,
                     product, quotient, si_members, si_poset, subalgebras,
                     trivial_algebra)
 from mvmlab import constructions, morphisms, posets
+from mvmlab.congruences import (_closures, _frame, _joins,
+                                _restricted_steps, _sort_key, _steps)
 from mvmlab.cli import identify
 
 
@@ -236,6 +240,39 @@ def test_hs_closure_skips_exactly_what_a_proper_subuniverse_gives(
                 if not any(len({theta.ids[m] for m in M})
                            == theta.num_blocks() for M in proper)], (A, B)
         assert not by_sub
+
+
+def _check_frame_against_con(A):
+    """For every subuniverse U of A, the congruences read off A's frame
+    are those of the subalgebra on U: its join-irreducibles, in order, and
+    their joins, in the order of Con(B)."""
+    frame = _frame(A)
+    for U in reference_subuniverses(A):
+        B = subalgebra_on(A, U)
+        down, J, step = _restricted_steps(frame, U)
+        assert J.bit_count() == len(_steps(B)[1]), (A, U)
+        principal = list(_closures(step, posets._bits(J)))
+
+        def partition(s):
+            return Congruence(map((~s).__and__, down))
+
+        assert list(map(partition, principal)) == \
+            list(principal_congruences(B)), (A, U)
+        assert sorted(map(partition, _joins(principal)), key=_sort_key) == \
+            congruence_lattice(B).labels, (A, U)
+
+
+def test_congruences_read_off_the_frame_are_those_of_each_subalgebra():
+    # the catalogue, every SI product as it is, dualised or shuffled, and
+    # tables that are no MV-monoids: the cover lemma uses no monoid law
+    for A in [*_lemma_corpus(), *si_product_family()]:
+        _check_frame_against_con(A)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(si_chain_pairs()), st.integers(0, 10 ** 6))
+def test_congruences_read_off_the_frame_of_a_shuffled_product(pair, seed):
+    _check_frame_against_con(shuffled(product(*pair), seed))
 
 
 def test_hs_closure_of_non_mv_tables_matches_the_fixpoint():
