@@ -8,6 +8,7 @@ stored in documents.
 
 import functools
 import json
+import operator
 from dataclasses import dataclass, field, replace
 
 from .errors import (MalformedDocument, NotALattice, NotAnLMonoid,
@@ -55,6 +56,11 @@ def max_table(n):
 @functools.cache
 def min_table(n):
     return tuple(tuple(min(i, j) for j in range(n)) for i in range(n))
+
+
+def _is_chain(join):
+    return all(x in (i, j) for i, row in enumerate(join)
+               for j, x in enumerate(row))
 
 
 def _validate_lattice(join, meet, n):
@@ -142,8 +148,7 @@ class FiniteAlgebra:
         return self.join[a][b] == b
 
     def is_chain(self):
-        return all(self.join[i][j] in (i, j)
-                   for i in range(self.size) for j in range(self.size))
+        return _is_chain(self.join)
 
     def height(self, a):
         """The number of elements strictly below a, as in `heights`."""
@@ -359,16 +364,17 @@ def are_isomorphic(A, B):
 def dual_table(t, delta):
     """The table t^delta[i][j] = delta[t[delta[i]][delta[j]]], for an
     involution delta of the elements given as a list."""
-    r = range(len(t))
-    return tuple(tuple(delta[t[delta[i]][delta[j]]] for j in r) for i in r)
+    if len(delta) == 1:  # itemgetter of one index returns the item alone
+        return tuple(map(tuple, t))
+    pick = operator.itemgetter(*delta)
+    return tuple(tuple(map(delta.__getitem__, pick(row))) for row in pick(t))
 
 
 def order_dual(A):
     """Reverse the order, swap oplus/odot and zero/one (relabeled so chains
     stay in numeric order)."""
-    n = A.size
-    p = [n - 1 - i for i in range(n)]
-    return FiniteAlgebra(n, p[A.one], p[A.zero], dual_table(A.odot, p),
+    p = list(range(A.size))[::-1]
+    return FiniteAlgebra(A.size, p[A.one], p[A.zero], dual_table(A.odot, p),
                          dual_table(A.oplus, p), dual_table(A.meet, p),
                          dual_table(A.join, p),
                          name=f"dual({A.name})" if A.name else "")

@@ -1,7 +1,7 @@
 """Named axiom suites: the defining equations of MV-monoids, positivity,
 the necessary condition for subdirect irreducibility, and good pairs."""
 
-from .algebra import _check_element
+from .algebra import _check_element, _is_chain
 from .constructions import _si_indices
 from .terms import _failures, parse
 
@@ -94,9 +94,16 @@ def is_positive_mv(A):
 def si_necessary_condition(A):
     """Nontrivial, totally ordered, and oplus(x,y)=1 or odot(x,y)=0 for all
     pairs."""
-    return A.size > 1 and A.is_chain() and all(
-        p == A.one or q == A.zero
-        for ps, qs in zip(A.oplus, A.odot) for p, q in zip(ps, qs))
+    return _si_necessary(A.join, A.zero, A.one)(A.oplus, A.odot)
+
+
+def _si_necessary(join, zero, one):
+    """`si_necessary_condition` as a function of the + and * tables on the
+    lattice of `join`, whether that is a nontrivial chain decided once."""
+    if len(join) < 2 or not _is_chain(join):
+        return lambda p, q: False
+    return lambda p, q: all(x == one or y == zero
+                            for xs, ys in zip(p, q) for x, y in zip(xs, ys))
 
 
 def is_good_pair(A, x0, x1):

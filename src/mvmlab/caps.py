@@ -7,7 +7,7 @@ from .errors import BadArgument, CapExceeded
 _DEFAULTS = {
     "PRODUCT": 64,      # product size
     "ENUM_CHAIN": 9,    # chain enumeration
-    "ENUM_LATTICE": 6,  # enumeration over a fixed non-chain lattice
+    "ENUM_LATTICE": 9,  # enumeration over a fixed non-chain lattice
     "DOWNSET": 12,      # downset lattice of a poset
     "REPEAT": 10_000,   # scalar prefix or exponent in parsed text
     "ASSIGNMENTS": 2 ** 24,  # n**nv assignments an equation is checked on

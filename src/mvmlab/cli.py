@@ -359,6 +359,7 @@ def _cmd_repro(args):
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser():
     ap = argparse.ArgumentParser(
         prog="mvmlab",

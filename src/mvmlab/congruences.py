@@ -24,7 +24,6 @@ the single j in J.  Partitions are built only for returned values.
 
 import functools
 import itertools
-import operator
 
 from .algebra import _check_element
 from .errors import NotACongruence
@@ -149,16 +148,6 @@ def _steps(A):
     return found
 
 
-def _seed_steps(A, *steps):
-    """Set A's step table to the OR of the `_table_steps` of its + and *
-    tables, for a caller that already holds them.  With both tables
-    commutative this is what `_steps` finds, up to each label's own bit,
-    which every closure holds: the transposes are the tables themselves,
-    and a table equal to join or meet, which `_steps` drops, moves a cover
-    labelled k onto a cover labelled k or onto one element."""
-    A._cache["steps"] = _reduct(A.join)[0], list(map(operator.or_, *steps))
-
-
 def _close(step, s):
     """The least superset of s holding step[k] for each of its k."""
     todo = s
@@ -228,7 +217,7 @@ def _restricted_steps(frame, emb):
     (u, v) labelled k and the fields (i, a) with a in U, of field (i, a) of
     rows[u] ^ rows[v].  A table of B equal to its join or meet, or to
     another's transpose, which `_steps` drops, only adds bit k to step[k]
-    (see `_seed_steps`), which every closure holds."""
+    (see `_monolith_of`), which every closure holds."""
     down, strict, rows, spread, width = frame
     U = sum(1 << x for x in emb)
     lower, J = [], 0
@@ -317,15 +306,26 @@ def congruence_lattice(A):
                  ((c, cs[s | p]) for s, c in cs.items() for p in J))
 
 
-def monolith(A):
-    """Meet of all nontrivial congruences, None on the trivial algebra: the
-    AND of the join-irreducibles, each nontrivial congruence holding one,
-    stopping at the first empty meet."""
+def _monolith_of(step):
+    """The AND of the distinct closures of the single labels under `step`,
+    stopping at the first empty meet: A's monolith when step is A's, 0 when
+    A is not SI, None when A is trivial.  The OR of the `_table_steps` of
+    A's + and * tables, both commutative, is A's step up to each label's
+    own bit, which every closure holds: a table equal to join or meet,
+    which `_steps` drops, moves a cover labelled k onto one labelled k or
+    onto one element."""
     m = None
-    for s in _principal(A):
+    for s in _closures(step, range(len(step))):
         m = s if m is None else m & s
         if not m:
             break
+    return m
+
+
+def monolith(A):
+    """Meet of all nontrivial congruences, None on the trivial algebra: the
+    AND of the join-irreducibles, each nontrivial congruence holding one."""
+    m = _monolith_of(_steps(A)[1])
     return None if m is None else _congruence(A, m)
 
 

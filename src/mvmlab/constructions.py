@@ -35,25 +35,18 @@ def _ln_plus(n):
     return chain_algebra(size, oplus, odot, name=f"L{n}+")
 
 
+def _top_unit_odot(size):
+    # x*y = 0 unless one argument is the top, the *-unit
+    top = size - 1
+    return [[j if i == top else i if j == top else 0 for j in range(size)]
+            for i in range(size)]
+
+
 def _cn_delta(n):
     size = n + 1
-    top = n
-
-    def add(i, j):
-        if i == top or j == top:
-            return top
-        return min(i + j, n - 1)
-
-    def mul(i, j):
-        if i == top:
-            return j
-        if j == top:
-            return i
-        return 0
-
-    oplus = [[add(i, j) for j in range(size)] for i in range(size)]
-    odot = [[mul(i, j) for j in range(size)] for i in range(size)]
-    return chain_algebra(size, oplus, odot, name=f"C{n}d")
+    oplus = [[n if n in (i, j) else min(i + j, n - 1) for j in range(size)]
+             for i in range(size)]
+    return chain_algebra(size, oplus, _top_unit_odot(size), name=f"C{n}d")
 
 
 def _cn_nabla(n):
@@ -62,17 +55,8 @@ def _cn_nabla(n):
 
 def _lm_delta(n):
     size = n + 1
-
-    def mul(i, j):
-        if i == size - 1:
-            return j
-        if j == size - 1:
-            return i
-        return 0
-
     oplus = [[max(i, j) for j in range(size)] for i in range(size)]
-    odot = [[mul(i, j) for j in range(size)] for i in range(size)]
-    return chain_algebra(size, oplus, odot, name=f"LM{n}d")
+    return chain_algebra(size, oplus, _top_unit_odot(size), name=f"LM{n}d")
 
 
 def _lm_nabla(n):

@@ -23,12 +23,14 @@ Chains are rigid, so distinct chain tables are distinct isomorphism classes;
 lattice outputs are deduplicated by canonical key.
 """
 
+import functools
+import operator
+
 from .algebra import (FiniteAlgebra, canonical_key, dual_table, max_table,
                       min_table)
-from .axioms import si_necessary_condition
+from .axioms import _si_necessary
 from .caps import check
-from .congruences import (_seed_steps, _table_steps,
-                          is_subdirectly_irreducible)
+from .congruences import _monolith_of, _table_steps
 from .errors import BadArgument
 from .posets import lower_covers
 
@@ -43,18 +45,22 @@ def _check_arguments(n, flt, cap_name, what):
         raise BadArgument(f"unknown filter {flt!r}")
 
 
-def _passes(A, flt):
-    # the refined filters only ever see tables that already satisfy all the
-    # MV-monoid axioms, so "positive" needs cancellativity alone: for each
-    # z, x -> (x + z, x * z) is one to one
+def _verdict(flt, join, zero, one):
+    """The filter as a function of the + and * tables on the lattice: its
+    verdict on their algebra, with none built.  The refined filters see
+    MV-monoids only, so "positive" is cancellativity: for each z, x ->
+    (x + z, x * z) is one to one.  "si" ORs the two tables' step tables,
+    each table's found once per call, for `congruences._monolith_of`."""
     if flt == "si-necessary":
-        return si_necessary_condition(A)
+        return _si_necessary(join, zero, one)
     if flt == "si":
-        return is_subdirectly_irreducible(A)[0]
+        steps = functools.cache(lambda t: _table_steps(join, t))
+        return lambda p, q: bool(_monolith_of(
+            list(map(operator.or_, steps(p), steps(q)))))
     if flt == "positive":
-        return all(len(set(zip(p, q))) == A.size
-                   for p, q in zip(zip(*A.oplus), zip(*A.odot)))
-    return True
+        return lambda p, q: all(len(set(zip(x, y))) == len(join)
+                                for x, y in zip(zip(*p), zip(*q)))
+    return lambda p, q: True
 
 
 def _fill_order(order):
@@ -301,9 +307,8 @@ def _pairs(join, meet, zero, one, order, flt, delta=None):
     than {m,z'}.  Row s: {s,0} is known from the start, and every other
     {s,z}, like {x,y}, no later than {m, order[1]}, the last cell of pass m.
 
-    The "si" filter reads the step table of Con(A) (see `congruences`), the
-    OR of one per table, so each table's is found once per call and the two
-    are ORed for each pair filtered.
+    The filter is `_verdict`'s, read off the two tables: no algebra is
+    built, and for "si" each table's step table is found once per call.
 
     `delta`, when given, is an order-reversing involution of the lattice.  The
     definition is self-dual: t -> t^delta maps the additive tables onto the
@@ -366,7 +371,7 @@ def _pairs(join, meet, zero, one, order, flt, delta=None):
                 qn[k1] = qn[k2] = v * n
                 walk(child, d + 1)
 
-    mul_steps = {}  # odot index -> its step table, for the "si" filter
+    verdict = _verdict(flt, join, zero, one)
     # mirrored[j]: odot index -> the verdict on the mirror pair, for p_j
     mirrored = [{} for _ in adds]
     for i, t in enumerate(adds):
@@ -377,18 +382,10 @@ def _pairs(join, meet, zero, one, order, flt, delta=None):
         walk(tree, 0)
         known = mirrored[i]
         mirrored[i] = None
-        add_steps = None
         for idx in sorted(hits + list(known)):
             kept = known.get(idx)
             if kept is None:
-                A = FiniteAlgebra(n, zero, one, t, muls[idx], join, meet)
-                if flt == "si":
-                    if add_steps is None:
-                        add_steps = _table_steps(join, t)
-                    if idx not in mul_steps:
-                        mul_steps[idx] = _table_steps(join, muls[idx])
-                    _seed_steps(A, add_steps, mul_steps[idx])
-                kept = _passes(A, flt)
+                kept = verdict(t, muls[idx])
                 if rank[idx] > floor:
                     mirrored[rank[idx]][dual_of[i]] = kept
             yield t, muls[idx], kept

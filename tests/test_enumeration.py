@@ -19,7 +19,7 @@ from mvmlab import congruences, enumeration
 from mvmlab.algebra import (FiniteAlgebra, dual_table, max_table, min_table,
                             order_dual)
 from mvmlab.enumeration import (FILTERS, _dual_tables, _monoid_tables,
-                                _pairs, _passes, _schedule, _table_schedule)
+                                _pairs, _schedule, _table_schedule, _verdict)
 from mvmlab.posets import lower_covers
 from mvmlab.errors import CapExceeded
 
@@ -32,6 +32,22 @@ MIXED_ASSOC = [parse("(x + y) * ((x * y) + z) ≈ (x * (y + z)) + (y * z)"),
 _TRUNCATION_LAWS = ["({a} * {b}) + z ≈ (({a} + {b}) * (({a} * {b}) + z)) v z",
                     "({a} + {b}) * z ≈ (({a} * {b}) + (({a} + {b}) * z)) ^^ z"]
 TRUNCATION = [parse(law.format(a="x", b="y")) for law in _TRUNCATION_LAWS]
+
+
+def _table_verdict(A, flt):
+    # the filter's verdict read off A's tables, as `_pairs` reads it
+    return _verdict(flt, A.join, A.zero, A.one)(A.oplus, A.odot)
+
+
+def _public_verdict(A, flt):
+    # the filter's verdict on A by the public predicates
+    if flt == "si-necessary":
+        return si_necessary_condition(A)
+    if flt == "si":
+        return is_subdirectly_irreducible(A)[0]
+    if flt == "positive":
+        return bool(satisfies_quasi(A, CANCELLATIVITY))
+    return True
 
 
 def test_counts_per_size():
@@ -88,7 +104,7 @@ def test_nine_element_chain_counts():
 def test_cancellativity_read_off_the_columns_matches_the_quasi_equation(n):
     # every table of the "all" census, which holds every chain MV-monoid
     for A in enumerate_chain(n, "all"):
-        assert _passes(A, "positive") == \
+        assert _table_verdict(A, "positive") == \
             bool(satisfies_quasi(A, CANCELLATIVITY))
 
 
@@ -99,7 +115,7 @@ def test_cancellativity_read_off_the_columns_matches_the_quasi_equation(n):
                      product(ln_plus(1), ln_plus(1))]),
     st.integers(0, 10 ** 6), st.sampled_from([0, 0.2, 1.0]))))
 def test_cancellativity_of_arbitrary_tables_matches_the_quasi_equation(A):
-    assert _passes(A, "positive") == \
+    assert _table_verdict(A, "positive") == \
         bool(satisfies_quasi(A, CANCELLATIVITY))
 
 
@@ -352,9 +368,12 @@ def test_lattice_enumeration_agrees_with_chain_enumeration():
                 assert _refined_outputs_are_mv_monoids(out, flt)
 
 
-def test_lattice_enumeration_cap(diamond):
+def test_lattice_enumeration_cap():
+    # 9 elements are under the cap, 10 above it
+    assert len(enumerate_on_lattice(product(ln_plus(2), ln_plus(2)),
+                                    "positive")) == 3
     with pytest.raises(CapExceeded):
-        enumerate_on_lattice(ln_plus(7), "all")
+        enumerate_on_lattice(product(ln_plus(1), ln_plus(4)), "all")
 
 
 # ---------------------------------------------------------------------------
@@ -397,10 +416,10 @@ def _reference_pairs(join, meet, zero, one, order, flt):
 
 
 def _judged(args, pairs, flt):
-    # each pair with the filter run on its own algebra
+    # each pair with the public predicate run on its own algebra
     join, meet, zero, one, order = args
-    return [(p, q, _passes(FiniteAlgebra(len(order), zero, one, p, q, join,
-                                         meet), flt))
+    return [(p, q, _public_verdict(FiniteAlgebra(len(order), zero, one, p, q,
+                                                 join, meet), flt))
             for p, q in pairs]
 
 
@@ -681,48 +700,70 @@ def test_refined_filters_read_the_same_on_a_pair_and_its_mirror(n):
         D = order_dual(A)
         assert (D.oplus, D.odot) == _mirror((p, q))
         for flt in FILTERS[1:]:
-            assert _passes(A, flt) == _passes(D, flt), (flt, p, q)
+            assert _table_verdict(A, flt) == _table_verdict(D, flt), \
+                (flt, p, q)
 
 
-def _seeded_filter_runs(monkeypatch, enumerate_):
-    """(algebra, seeded step table, verdict) of each pair the "si" filter
-    runs on during enumerate_(), the step table as `_pairs` sets it from
-    the step tables of the pair's two tables."""
-    runs = []
+def _recorded_verdicts(monkeypatch, enumerate_):
+    """(filter, oplus, odot, verdict) of each pair the filter runs on during
+    enumerate_(), and the arguments of each `_monoid_tables` call."""
+    runs, generated = [], []
 
-    def recorded(A, flt):
-        assert flt == "si"
-        steps = A._cache.get("steps")
-        kept = _passes(A, flt)
-        runs.append((A, steps, kept))
-        return kept
+    def verdict(flt, join, zero, one):
+        real = _verdict(flt, join, zero, one)
+
+        def recorded(p, q):
+            kept = real(p, q)
+            runs.append((flt, p, q, kept))
+            return kept
+        return recorded
+
+    def generate(*args):
+        generated.append(args)
+        return _monoid_tables(*args)
 
     with monkeypatch.context() as m:
-        m.setattr(enumeration, "_passes", recorded)
+        m.setattr(enumeration, "_verdict", verdict)
+        m.setattr(enumeration, "_monoid_tables", generate)
         enumerate_()
-    return runs
+    return runs, generated
 
 
-def _check_seeded_filter_runs(runs):
-    for A, steps, kept in runs:
-        fresh = FiniteAlgebra(A.size, A.zero, A.one, A.oplus, A.odot, A.join,
-                              A.meet)
+def _si_filter_runs(monkeypatch, enumerate_):
+    """(oplus, odot, step table, verdict) of each pair the "si" filter runs
+    on during enumerate_(), the step table the one it reads off the pair's
+    two tables."""
+    steps = []
+
+    def monolith_of(step):
+        steps.append(step)
+        return congruences._monolith_of(step)
+
+    with monkeypatch.context() as m:
+        m.setattr(enumeration, "_monolith_of", monolith_of)
+        runs, _ = _recorded_verdicts(m, enumerate_)
+    return [(p, q, step, kept)
+            for (flt, p, q, kept), step in zip(runs, steps, strict=True)]
+
+
+def _check_si_filter_runs(runs, join, meet, zero, one, order):
+    for p, q, step, kept in runs:
+        fresh = FiniteAlgebra(len(order), zero, one, p, q, join, meet)
         assert fresh._cache == {}
         # up to each label's own bit, which every closure holds: `_steps`
         # drops a + or * table equal to join or meet
-        down, step = congruences._steps(fresh)
-        assert steps[0] == down
-        assert [s | 1 << k for k, s in enumerate(steps[1])] == \
-            [s | 1 << k for k, s in enumerate(step)], (A.oplus, A.odot)
-        assert is_subdirectly_irreducible(fresh)[0] == kept, \
-            (A.oplus, A.odot)
+        down, want = congruences._steps(fresh)
+        assert len(step) == len(want) == down[one].bit_count()
+        assert [s | 1 << k for k, s in enumerate(step)] == \
+            [s | 1 << k for k, s in enumerate(want)], (p, q)
+        assert is_subdirectly_irreducible(fresh)[0] == kept, (p, q)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_the_si_filter_reads_the_seeded_step_tables_on_chains(monkeypatch,
                                                              n):
-    runs = _seeded_filter_runs(monkeypatch, lambda: enumerate_chain(n, "si"))
-    _check_seeded_filter_runs(runs)
+    runs = _si_filter_runs(monkeypatch, lambda: enumerate_chain(n, "si"))
+    _check_si_filter_runs(runs, *_chain_args(n))
     assert sum(kept for *_, kept in runs) >= (n > 1)
 
 
@@ -732,11 +773,10 @@ def test_the_si_filter_reads_the_seeded_step_tables_on_lattices(
     two = ln_plus(1)
     L = {"diamond": diamond, "2x3": product(two, ln_plus(2)),
          "2^3": functools.reduce(product, [two] * 3)}[which]
-    monkeypatch.setenv("MVMLAB_CAP_ENUM_LATTICE", str(L.size))
-    runs = _seeded_filter_runs(monkeypatch,
-                               lambda: enumerate_on_lattice(L, "si"))
+    runs = _si_filter_runs(monkeypatch,
+                           lambda: enumerate_on_lattice(L, "si"))
     assert runs
-    _check_seeded_filter_runs(runs)
+    _check_si_filter_runs(runs, L.join, L.meet, L.zero, L.one, range(L.size))
 
 
 @pytest.mark.parametrize("n, flt, classes", [
@@ -746,26 +786,66 @@ def test_the_filter_runs_once_per_mirror_class(monkeypatch, n, flt, classes):
     # and the monoid tables are generated once, the odot ones as duals
     pairs = [(p, q) for p, q, _ in _chain_pairs(n, flt)]
     mirror_classes = {frozenset({pq, _mirror(pq)}) for pq in pairs}
-    calls, generated = [], []
-
-    def counted(A, f):
-        calls.append((A.oplus, A.odot))
-        return _passes(A, f)
-
-    def generate(*args):
-        generated.append(args)
-        return _monoid_tables(*args)
-
-    monkeypatch.setattr(enumeration, "_passes", counted)
-    monkeypatch.setattr(enumeration, "_monoid_tables", generate)
-    out = enumerate_chain(n, flt)
-    monkeypatch.undo()
+    out = []
+    runs, generated = _recorded_verdicts(
+        monkeypatch, lambda: out.extend(enumerate_chain(n, flt)))
+    calls = [(p, q) for _, p, q, _ in runs]
     assert len(generated) == 1
     assert len(calls) == len(mirror_classes) == classes
     assert {frozenset({pq, _mirror(pq)}) for pq in calls} == mirror_classes
     # and every verdict, run or recorded, is the filter's own
     assert [(A.oplus, A.odot) for A in out] == \
-        [pq for pq in pairs if _passes(chain_algebra(n, *pq), flt)]
+        [pq for pq in pairs if _public_verdict(chain_algebra(n, *pq), flt)]
+
+
+def test_the_pair_stage_builds_no_algebra_and_no_partition(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an algebra or a partition was built")
+
+    L = _SMALL_LATTICES["2x3"]()
+    monkeypatch.setattr(FiniteAlgebra, "__init__", refuse)
+    monkeypatch.setattr(congruences.Congruence, "__init__", refuse)
+    args = (L.join, L.meet, L.zero, L.one,
+            sorted(range(L.size), key=L.height))
+    assert [sum(kept for *_, kept in _chain_pairs(6, flt))
+            for flt in FILTERS] == [857, 143, 39, 16]
+    assert [sum(kept for *_, kept in _pairs(*args, flt))
+            for flt in FILTERS] == [4, 0, 0, 2]
+
+
+def _diamond_under(k):
+    # the diamond 0 < {1, 2} < 3 with a k-element chain 3 < 4 < ... above it
+    n = 3 + k
+
+    def leq(a, b):
+        return a == b or a == 0 or b >= max(a, 3)
+
+    join = [[b if leq(a, b) else a if leq(b, a) else 3 for b in range(n)]
+            for a in range(n)]
+    meet = [[a if leq(a, b) else b if leq(b, a) else 0 for b in range(n)]
+            for a in range(n)]
+    return make_algebra(n, 0, n - 1, join, meet, join=join, meet=meet)
+
+
+@pytest.mark.parametrize("which", [*range(1, 7), "diamond", "2x3", "2^3",
+                                   "3x3", "diamond/4"])
+def test_the_kept_flags_are_the_public_predicates(diamond, which):
+    # every verdict `_pairs` yields, run on the tables or recorded from a
+    # mirror image, against the public predicate on a fresh algebra
+    if isinstance(which, int):
+        args, delta = _chain_args(which), list(range(which))[::-1]
+    else:
+        L = (diamond if which == "diamond" else _diamond_under(4)
+             if which == "diamond/4" else _SMALL_LATTICES[which]())
+        order = sorted(range(L.size), key=L.height)
+        args, delta = (L.join, L.meet, L.zero, L.one, order), None
+    join, meet, zero, one, order = args
+    for flt in FILTERS:
+        triples = list(_pairs(*args, flt, delta=delta))
+        assert triples, flt
+        for p, q, kept in triples:
+            A = FiniteAlgebra(len(order), zero, one, p, q, join, meet)
+            assert kept == _public_verdict(A, flt), (which, flt, p, q)
 
 
 # ---------------------------------------------------------------------------
